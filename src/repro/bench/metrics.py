@@ -39,7 +39,7 @@ class BenchmarkRow:
     dynamic_stores_before: int
     dynamic_stores_after: int
     output_matches: bool
-    #: Resilient-executor outcome (all defaults when it did not run).
+    #: Supervised-worker outcome (all defaults when it did not run).
     quarantined: List[str] = field(default_factory=list)
     retries: int = 0
     degraded: bool = False
@@ -85,19 +85,16 @@ def measure_workload(
     workload: Workload,
     promoter: str = "sastry-ju",
     options: Optional[PromotionOptions] = None,
-    jobs: int = 1,
     use_cache: bool = True,
     resilience=None,
     observability=None,
-    batch_size="auto",
-    keep_pool: bool = True,
 ) -> BenchmarkRow:
     """Compile a workload, run a promoter, return the counts row.
 
-    ``jobs``/``use_cache``/``batch_size``/``keep_pool``/``resilience``/
-    ``observability`` configure the paper pipeline's execution layer
-    only; the baselines have no parallel path (and their counts would be
-    identical anyway).  Passing one ``observability`` bundle across
+    ``use_cache``/``resilience``/``observability`` configure the paper
+    pipeline's execution layer only; the baselines have no supervised
+    path (and their counts would be identical anyway).  Passing one
+    ``observability`` bundle across
     several workloads accumulates their traces (one ``pipeline`` root
     span per workload) and counters.
     """
@@ -108,12 +105,9 @@ def measure_workload(
             options=options,
             entry=workload.entry,
             args=list(workload.args),
-            jobs=jobs,
             use_cache=use_cache,
             resilience=resilience,
             observability=observability,
-            batch_size=batch_size,
-            keep_pool=keep_pool,
         )
     else:
         pipeline = factory(entry=workload.entry, args=list(workload.args))

@@ -6,16 +6,15 @@ Usage::
     repro-report --table 2      # dynamic counts only
     repro-report --table 3      # register pressure
     repro-report --compare      # ours vs Lu-Cooper vs Mahlke
-    repro-report --jobs 4       # parallel promotion (identical tables)
-    repro-report --jobs 4 --batch-size 1 --no-keep-pool  # legacy dispatch
     repro-report --timing BENCH_pipeline.json   # time the exec layers
+    repro-report --timing out.json --jobs 2     # parallel-arm width
     repro-report --timing out.json --perf-baseline benchmarks/BENCH_baseline.json
-    repro-report --jobs 2 --chaos "crash=0.15,seed=1234" --timeout 10
+    repro-report --chaos "crash=0.15,seed=1234" --timeout 10
 
 Exit codes: 0 on success, 1 when a table-affecting failure occurred
 (behaviour diverged, perf gate failed), 2 on driver errors (bad flags,
 unreadable/malformed baseline), and 3 when every workload completed but
-only in degraded mode (quarantines, retries, or a serial fallback).
+only in degraded mode (quarantines, retries, or an in-process fallback).
 """
 
 from __future__ import annotations
@@ -34,6 +33,7 @@ from repro.bench.tables import (
     format_table3,
 )
 from repro.bench.workloads import ORDER, WORKLOADS
+from repro.robustness.supervise import ResilienceOptions
 
 #: File name ``--diagnostics-dir`` checks for a router metrics document
 #: (the JSON shape ``GET /metrics`` on ``repro-route`` serves; drop a
@@ -104,61 +104,34 @@ def _surface_router_metrics(diagnostics_dir: str) -> None:
     print(line, file=sys.stderr)
 
 
-def _batch_size(value: str):
-    """``--batch-size`` values: ``auto`` or a positive integer."""
-    if value == "auto":
-        return "auto"
-    try:
-        count = int(value)
-    except ValueError:
-        count = 0
-    if count < 1:
-        raise argparse.ArgumentTypeError(
-            f"expected 'auto' or a positive integer, got {value!r}"
-        )
-    return count
-
-
 def collect_rows(
     promoter: str = "sastry-ju",
-    jobs: int = 1,
     use_cache: bool = True,
     resilience=None,
     observability=None,
-    batch_size="auto",
-    keep_pool: bool = True,
 ):
     return [
         measure_workload(
             WORKLOADS[name],
             promoter,
-            jobs=jobs,
             use_cache=use_cache,
             resilience=resilience,
             observability=observability,
-            batch_size=batch_size,
-            keep_pool=keep_pool,
         )
         for name in ORDER
     ]
 
 
 def collect_json(
-    jobs: int = 1,
     use_cache: bool = True,
     resilience=None,
     observability=None,
-    batch_size="auto",
-    keep_pool: bool = True,
 ) -> dict:
     """All evaluation data as one JSON-serializable document."""
     rows = collect_rows(
-        jobs=jobs,
         use_cache=use_cache,
         resilience=resilience,
         observability=observability,
-        batch_size=batch_size,
-        keep_pool=keep_pool,
     )
     doc: dict = {"workloads": {}, "pressure": []}
     for row in rows:
@@ -208,8 +181,6 @@ def run_timing(
     out_path: str,
     jobs: int,
     perf_baseline: Optional[str] = None,
-    batch_size="auto",
-    keep_pool: bool = True,
 ) -> int:
     """``--timing``: benchmark the execution layers, optionally gate."""
     from repro.bench.overhead import check_overhead, measure_overhead
@@ -220,13 +191,7 @@ def run_timing(
         write_bench,
     )
 
-    try:
-        bench = time_suite(jobs=jobs, batch_size=batch_size)
-    finally:
-        if not keep_pool:
-            from repro.parallel.pool import shutdown_pools
-
-            shutdown_pools()
+    bench = time_suite(jobs=jobs)
     bench["overhead"] = measure_overhead(list(bench["suite"]))
     write_bench(out_path, bench)
     speedup = bench["speedup"]
@@ -304,29 +269,13 @@ def main(argv: Optional[List[str]] = None) -> int:
         type=int,
         default=None,
         metavar="N",
-        help="worker processes for promotion (0 = one per CPU; "
-        "default 1, or 4 with --timing)",
+        help="with --timing: worker processes of the parallel arm, one "
+        "workload each (0 = one per CPU; default 4)",
     )
     parser.add_argument(
         "--no-cache",
         action="store_true",
         help="disable the per-function analysis cache",
-    )
-    parser.add_argument(
-        "--batch-size",
-        type=_batch_size,
-        default="auto",
-        metavar="auto|N",
-        help="work units per worker task: 'auto' sizes batches from the "
-        "warm pool's cost model, an integer forces fixed-count batches "
-        "(default auto)",
-    )
-    parser.add_argument(
-        "--keep-pool",
-        action=argparse.BooleanOptionalAction,
-        default=True,
-        help="keep the warm worker pool alive after the run "
-        "(--no-keep-pool restores per-run teardown)",
     )
     parser.add_argument(
         "--timing",
@@ -343,22 +292,20 @@ def main(argv: Optional[List[str]] = None) -> int:
         type=float,
         default=None,
         metavar="SECONDS",
-        help="per-function deadline for the resilient executor "
-        "(requires --jobs != 1)",
+        help="per-function deadline in the supervised promotion worker",
     )
     parser.add_argument(
         "--retries",
         type=int,
         default=None,
         metavar="N",
-        help="extra attempts before quarantine (default 2; requires "
-        "--jobs != 1)",
+        help="extra attempts before quarantine (default 2)",
     )
     parser.add_argument(
         "--chaos",
         metavar="SPEC",
         help="inject seeded worker faults during promotion, e.g. "
-        "'crash=0.1,hang=0.1,transient=0.2,seed=42' (requires --jobs != 1)",
+        "'crash=0.1,hang=0.1,transient=0.2,seed=42'",
     )
     parser.add_argument(
         "--trace-out",
@@ -394,7 +341,7 @@ def main(argv: Optional[List[str]] = None) -> int:
 
         observability = Observability.recording()
 
-    def export_observability(jobs: int) -> None:
+    def export_observability() -> None:
         # Best-effort by design: a failed artifact write reports on
         # stderr but never changes the exit code (it must not mask a
         # degraded exit 3 or manufacture a failure).
@@ -405,7 +352,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         metadata = build_metadata(
             profile_source=None,
             config={
-                "jobs": jobs,
                 "use_cache": use_cache,
                 "resilience": None if resilience is None else resilience.as_dict(),
             },
@@ -435,13 +381,21 @@ def main(argv: Optional[List[str]] = None) -> int:
                     file=sys.stderr,
                 )
 
-    resilience = None
-    wants_resilience = (
-        options.timeout is not None
-        or options.retries is not None
-        or options.chaos is not None
-    )
-    if wants_resilience:
+    if options.jobs is not None and not options.timing:
+        print(
+            "repro-report: --jobs sets the --timing parallel-arm width; "
+            "it requires --timing",
+            file=sys.stderr,
+        )
+        return 2
+    try:
+        resilience = ResilienceOptions.from_flags(
+            options.timeout, options.retries, options.chaos
+        )
+    except ValueError as exc:
+        print(f"repro-report: {exc}", file=sys.stderr)
+        return 2
+    if resilience is not None:
         if options.timing:
             print(
                 "repro-report: --timeout/--retries/--chaos are incompatible "
@@ -449,36 +403,9 @@ def main(argv: Optional[List[str]] = None) -> int:
                 file=sys.stderr,
             )
             return 2
-        if options.jobs is None or options.jobs == 1:
-            print(
-                "repro-report: --timeout/--retries/--chaos require "
-                "--jobs != 1 (the resilient executor acts on worker "
-                "processes)",
-                file=sys.stderr,
-            )
-            return 2
-        from repro.robustness import ChaosConfig, ResilienceOptions
-
-        chaos = None
-        if options.chaos is not None:
-            try:
-                chaos = ChaosConfig.parse(options.chaos)
-            except ValueError as exc:
-                print(f"repro-report: --chaos: {exc}", file=sys.stderr)
-                return 2
-        try:
-            resilience = ResilienceOptions(
-                timeout_s=options.timeout,
-                retries=options.retries if options.retries is not None else 2,
-                seed=chaos.seed if chaos is not None else 0,
-                chaos=chaos,
-            )
-        except ValueError as exc:
-            print(f"repro-report: {exc}", file=sys.stderr)
-            return 2
         if options.diagnostics_dir:
-            # Give the resilient executor's quarantine/attempt events a
-            # black box: dumps land beside the diagnostics CI uploads.
+            # Give the supervisor's quarantine/attempt events a black
+            # box: dumps land beside the diagnostics CI uploads.
             from repro.observability import FlightRecorder, flightrecorder
 
             flightrecorder.install(
@@ -491,42 +418,33 @@ def main(argv: Optional[List[str]] = None) -> int:
             options.timing,
             jobs=jobs,
             perf_baseline=options.perf_baseline,
-            batch_size=options.batch_size,
-            keep_pool=options.keep_pool,
         )
     if options.perf_baseline:
         print("repro-report: --perf-baseline requires --timing", file=sys.stderr)
         return 2
-    jobs = 1 if options.jobs is None else options.jobs
 
     if options.json:
         print(
             json.dumps(
                 collect_json(
-                    jobs=jobs,
                     use_cache=use_cache,
                     resilience=resilience,
                     observability=observability,
-                    batch_size=options.batch_size,
-                    keep_pool=options.keep_pool,
                 ),
                 indent=2,
                 sort_keys=True,
             )
         )
-        export_observability(jobs)
+        export_observability()
         return 0
 
     sections: List[str] = []
     rows = None
     if options.table in ("1", "2", "all"):
         rows = collect_rows(
-            jobs=jobs,
             use_cache=use_cache,
             resilience=resilience,
             observability=observability,
-            batch_size=options.batch_size,
-            keep_pool=options.keep_pool,
         )
         bad = [r.name for r in rows if not r.output_matches]
         if bad:
@@ -568,7 +486,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     if options.diagnostics_dir:
         _surface_router_metrics(options.diagnostics_dir)
 
-    export_observability(jobs)
+    export_observability()
 
     if rows is not None and resilience is not None:
         quarantined = sorted({name for row in rows for name in row.quarantined})

@@ -10,15 +10,12 @@ process tree:
     the optimized layer, still serial — compiled interpreter dispatch
     plus the per-function analysis cache;
 ``parallel``
-    the optimized layer fanned out over ``jobs`` shared-nothing worker
-    processes at workload granularity (each worker promotes a whole
-    workload; :func:`repro.parallel.scheduler.map_tasks`).  The arm runs
-    on the persistent warm pool: workers are spun up and their imports
-    warmed *before* the clock starts (``pool_warmup_seconds`` reports
-    that separately), and workloads are grouped into batches weighted by
-    the serial arm's measured per-workload seconds, so the timed window
-    contains promotion work rather than pool spin-up and per-task
-    pickling.
+    the optimized layer fanned out over ``jobs`` worker processes at
+    workload granularity: a plain ``ProcessPoolExecutor`` map in which
+    each task promotes one whole workload.  Workers are started *before*
+    the clock (``pool_warmup_seconds`` reports that separately), and
+    workloads are submitted longest-first by the serial arm's measured
+    seconds, so the timed window holds promotion work, not spin-up.
 
 Every arm records per-workload wall-clock seconds and a fingerprint of
 everything observable — the transformed IR, the Table 1/2 counts, the
@@ -39,12 +36,12 @@ import json
 import os
 import platform
 import time
-from typing import Dict, List, Optional
+from concurrent.futures import ProcessPoolExecutor
+from typing import Dict, List, Optional, Tuple
 
 from repro.bench.workloads import ORDER, WORKLOADS
 from repro.frontend.lower import compile_source
 from repro.ir.printer import print_module
-from repro.parallel.scheduler import map_tasks, resolve_jobs
 from repro.promotion.pipeline import PromotionPipeline
 
 ARMS = ("baseline", "serial", "parallel")
@@ -60,7 +57,7 @@ GATE_RATIO = 0.75
 PARALLEL_FLOOR = 1.0
 
 
-def run_workload_arm(name: str, arm: str, jobs: int) -> Dict[str, object]:
+def run_workload_arm(name: str, arm: str) -> Dict[str, object]:
     """Promote one workload under one arm; returns timing + fingerprint.
 
     Module-level (and with picklable inputs/outputs) so the parallel arm
@@ -74,9 +71,6 @@ def run_workload_arm(name: str, arm: str, jobs: int) -> Dict[str, object]:
         args=list(workload.args),
         use_cache=optimized,
         compiled_interpreter=optimized,
-        # Workload granularity: each task owns a process, so the
-        # pipeline itself stays serial even in the parallel arm.
-        jobs=1,
     )
     started = time.perf_counter()
     result = pipeline.run(module)
@@ -116,10 +110,46 @@ def _fingerprint(module, result) -> str:
     return hashlib.sha256(payload).hexdigest()
 
 
+def resolve_jobs(jobs: Optional[int]) -> int:
+    """Normalize a ``--jobs`` value: ``None``/``0`` means one worker per
+    CPU; anything else must be a positive worker count."""
+    if jobs is None or jobs == 0:
+        return max(1, os.cpu_count() or 1)
+    if jobs < 0:
+        raise ValueError(f"jobs must be >= 0, got {jobs}")
+    return jobs
+
+
+def _started_worker(pause_s: float) -> int:
+    """Warm-up task: holds its worker briefly so every worker gets one."""
+    time.sleep(pause_s)
+    return os.getpid()
+
+
+def _run_arm(
+    arm: str, names: List[str], jobs: int, order: List[str]
+) -> Tuple[List[Dict[str, object]], float, Optional[float]]:
+    """Time one arm: its rows in ``names`` order, its total seconds, and
+    (parallel arm only) the seconds spent starting the workers.  The
+    parallel arm submits workloads in ``order`` to ``jobs`` pre-started
+    worker processes."""
+    if arm != "parallel" or jobs <= 1:
+        started = time.perf_counter()
+        rows = [run_workload_arm(name, arm) for name in names]
+        return rows, time.perf_counter() - started, None
+    with ProcessPoolExecutor(max_workers=jobs) as pool:
+        started = time.perf_counter()
+        list(pool.map(_started_worker, [0.05] * jobs))
+        warmup = time.perf_counter() - started
+        started = time.perf_counter()
+        done = pool.map(run_workload_arm, order, [arm] * len(order))
+        by_name = {row["workload"]: row for row in done}
+        total = time.perf_counter() - started
+    return [by_name[name] for name in names], total, warmup
+
+
 def time_suite(
-    jobs: int = 4,
-    workloads: Optional[List[str]] = None,
-    batch_size="auto",
+    jobs: int = 4, workloads: Optional[List[str]] = None
 ) -> Dict[str, object]:
     """Run all three arms over the suite; returns the BENCH document."""
     names = list(workloads or ORDER)
@@ -127,50 +157,21 @@ def time_suite(
 
     arms: Dict[str, dict] = {}
     fingerprints: Dict[str, Dict[str, str]] = {}
-    serial_seconds: Dict[str, float] = {}
+    order = names
     for arm in ARMS:
-        arm_jobs = jobs if arm == "parallel" else 1
-        entry: Dict[str, object] = {}
-        weights = None
-        transport: Optional[dict] = None
-        if arm == "parallel":
-            # Spin the warm pool up (worker spawn + pipeline imports)
-            # before the clock starts; steady-state runs reuse warm
-            # workers, so cold-start belongs outside the timed window.
-            transport = {}
-            if arm_jobs > 1:
-                from repro.parallel.pool import warm_pool
-
-                entry["pool_warmup_seconds"] = round(
-                    warm_pool(arm_jobs).prewarm(), 4
-                )
-            # Weight batches by the serial arm's measured seconds — the
-            # best available prediction of each workload's cost here.
-            weights = [serial_seconds.get(name, 1.0) for name in names]
-        started = time.perf_counter()
-        rows = map_tasks(
-            run_workload_arm,
-            [(name, arm, arm_jobs) for name in names],
-            arm_jobs,
-            weights=weights,
-            batch_size=batch_size,
-            stats=transport,
-        )
-        total = time.perf_counter() - started
+        rows, total, warmup = _run_arm(arm, names, jobs, order)
+        entry: Dict[str, object] = {"total_seconds": round(total, 4)}
+        if warmup is not None:
+            entry["pool_warmup_seconds"] = round(warmup, 4)
         if arm == "serial":
-            serial_seconds = {row["workload"]: row["seconds"] for row in rows}
+            # Longest first: the best available balance for the
+            # parallel arm's two-or-more workers.
+            seconds = {row["workload"]: row["seconds"] for row in rows}
+            order = sorted(names, key=lambda name: -seconds[name])
         fingerprints[arm] = {row["workload"]: row["fingerprint"] for row in rows}
-        entry.update(
-            {
-                "total_seconds": round(total, 4),
-                "workloads": {
-                    row["workload"]: round(row["seconds"], 4) for row in rows
-                },
-            }
-        )
-        if transport is not None:
-            entry["batches"] = transport["batches"]
-            entry["transport_bytes"] = transport["bytes_out"] + transport["bytes_in"]
+        entry["workloads"] = {
+            row["workload"]: round(row["seconds"], 4) for row in rows
+        }
         cache_rows = [row["cache"] for row in rows if row["cache"]]
         if cache_rows:
             hits = sum(c["total_hits"] for c in cache_rows)

@@ -15,16 +15,15 @@ on driver errors (missing file, compile error, bad flags, runtime
 error), 1 when ``--strict`` is given and the pipeline rolled back or
 skipped any function or could not preserve behaviour, and 3 when the
 run completed only in **degraded** mode — a function was quarantined by
-the resilient executor, the parallel layer fell back to serial, or
-retries/pool rebuilds were needed.  Precedence: 2 > 1 > 3 > the
-program's return value.  ``--trace-out``/``--metrics-out`` export
+the supervised worker, the worker could not start and promotion fell
+back to in-process, or retries/worker replacements were needed.
+Precedence: 2 > 1 > 3 > the program's return value.  ``--trace-out``/``--metrics-out`` export
 failures are reported on stderr but never change the exit code —
 observability is best-effort and must not mask (or manufacture) a
 degraded or strict exit.
 
-The resilient executor (``--timeout``, ``--retries``, ``--chaos``)
-requires ``--promote`` with ``--jobs`` != 1; see docs/API.md
-"Resilience".
+The supervised worker (``--timeout``, ``--retries``, ``--chaos``)
+requires ``--promote``; see docs/API.md "Resilience".
 """
 
 from __future__ import annotations
@@ -43,20 +42,6 @@ def _error(message: str) -> int:
     print(f"repro-minic: error: {message}", file=sys.stderr)
     return 2
 
-
-def _batch_size(value: str):
-    """``--batch-size`` values: ``auto`` or a positive integer."""
-    if value == "auto":
-        return "auto"
-    try:
-        count = int(value)
-    except ValueError:
-        count = 0
-    if count < 1:
-        raise argparse.ArgumentTypeError(
-            f"expected 'auto' or a positive integer, got {value!r}"
-        )
-    return count
 
 
 def main(argv: Optional[List[str]] = None) -> int:
@@ -100,34 +85,9 @@ def main(argv: Optional[List[str]] = None) -> int:
         help="interpreter step budget for profiling and execution",
     )
     parser.add_argument(
-        "--jobs",
-        type=int,
-        default=1,
-        metavar="N",
-        help="worker processes for promotion (0 = one per CPU; "
-        "results are identical to a serial run)",
-    )
-    parser.add_argument(
         "--no-cache",
         action="store_true",
         help="disable the per-function analysis cache",
-    )
-    parser.add_argument(
-        "--batch-size",
-        type=_batch_size,
-        default="auto",
-        metavar="auto|N",
-        help="functions per worker task: 'auto' sizes batches from the "
-        "pool's cost model, an integer forces fixed-count batches "
-        "(1 = one task per function; default auto)",
-    )
-    parser.add_argument(
-        "--keep-pool",
-        action=argparse.BooleanOptionalAction,
-        default=True,
-        help="keep the warm worker pool alive after the run so later "
-        "runs in this process skip pool spin-up (--no-keep-pool "
-        "restores per-run teardown)",
     )
     parser.add_argument(
         "--timeout",
@@ -135,7 +95,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         default=None,
         metavar="SECONDS",
         help="per-function wall-clock deadline; a hung worker is killed "
-        "and the attempt retried (requires --jobs != 1)",
+        "and the attempt retried",
     )
     parser.add_argument(
         "--retries",
@@ -143,14 +103,13 @@ def main(argv: Optional[List[str]] = None) -> int:
         default=None,
         metavar="N",
         help="extra attempts for transient failures before a function is "
-        "quarantined to its unpromoted IR (default 2; requires --jobs != 1)",
+        "quarantined to its unpromoted IR (default 2)",
     )
     parser.add_argument(
         "--chaos",
         metavar="SPEC",
         help="inject seeded worker faults, e.g. "
-        "'crash=0.1,hang=0.1,transient=0.2,seed=42,hang_seconds=5' "
-        "(requires --jobs != 1)",
+        "'crash=0.1,hang=0.1,transient=0.2,seed=42,hang_seconds=5'",
     )
     parser.add_argument(
         "--trace-out",
@@ -209,37 +168,18 @@ def main(argv: Optional[List[str]] = None) -> int:
     if options.max_steps is not None:
         pipeline_kwargs["max_steps"] = options.max_steps
 
-    resilience = None
-    wants_resilience = (
-        options.timeout is not None
-        or options.retries is not None
-        or options.chaos is not None
-    )
-    if wants_resilience:
-        if not options.promote or options.baseline is not None:
-            return _error("--timeout/--retries/--chaos require --promote")
-        if options.jobs == 1:
-            return _error(
-                "--timeout/--retries/--chaos require --jobs != 1 (the "
-                "resilient executor acts on worker processes)"
-            )
-        from repro.robustness import ChaosConfig, ResilienceOptions
+    from repro.robustness.supervise import ResilienceOptions
 
-        chaos = None
-        if options.chaos is not None:
-            try:
-                chaos = ChaosConfig.parse(options.chaos)
-            except ValueError as exc:
-                return _error(f"--chaos: {exc}")
-        try:
-            resilience = ResilienceOptions(
-                timeout_s=options.timeout,
-                retries=options.retries if options.retries is not None else 2,
-                seed=chaos.seed if chaos is not None else 0,
-                chaos=chaos,
-            )
-        except ValueError as exc:
-            return _error(str(exc))
+    try:
+        resilience = ResilienceOptions.from_flags(
+            options.timeout, options.retries, options.chaos
+        )
+    except ValueError as exc:
+        return _error(str(exc))
+    if resilience is not None and (
+        not options.promote or options.baseline is not None
+    ):
+        return _error("--timeout/--retries/--chaos require --promote")
 
     observability = None
     if options.trace_out or options.metrics_out:
@@ -259,15 +199,9 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     result = None
     pipeline = None
-    if options.baseline is not None and (
-        options.jobs != 1
-        or options.no_cache
-        or options.batch_size != "auto"
-        or not options.keep_pool
-    ):
+    if options.baseline is not None and options.no_cache:
         print(
-            "repro-minic: note: --jobs/--no-cache/--batch-size/--keep-pool "
-            "only apply to --promote; the baselines run serially",
+            "repro-minic: note: --no-cache only applies to --promote",
             file=sys.stderr,
         )
     if options.baseline == "lucooper":
@@ -282,10 +216,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         from repro.promotion.pipeline import PromotionPipeline
 
         pipeline = PromotionPipeline(
-            jobs=options.jobs,
             use_cache=not options.no_cache,
-            batch_size=options.batch_size,
-            keep_pool=options.keep_pool,
             resilience=resilience,
             observability=observability,
             decisions=decisions,
@@ -353,10 +284,9 @@ def main(argv: Optional[List[str]] = None) -> int:
             return _error(f"cannot write {options.diagnostics}: {exc.strerror or exc}")
         fallback = result.diagnostics.fallback_reason
         if fallback:
-            where = f" in {fallback['function']!r}" if fallback.get("function") else ""
             print(
-                "repro-minic: parallel fallback: "
-                f"{fallback.get('error_type')}: {fallback.get('detail')}{where}",
+                "repro-minic: worker fallback: "
+                f"{fallback.get('error_type')}: {fallback.get('detail')}",
                 file=sys.stderr,
             )
 
@@ -379,9 +309,9 @@ def main(argv: Optional[List[str]] = None) -> int:
             "repro-minic: degraded: "
             f"{len(result.diagnostics.quarantined_functions)} quarantined, "
             f"{counters.get('retries', 0)} retries, "
-            f"{counters.get('pool_rebuilds', 0)} pool rebuilds"
+            f"{counters.get('pool_rebuilds', 0)} worker replacements"
             + (
-                "; parallel fell back to serial"
+                "; promoted in process after the worker failed"
                 if result.diagnostics.fallback_reason
                 else ""
             ),

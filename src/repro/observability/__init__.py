@@ -12,10 +12,10 @@ metrics registry — threads through a pipeline run:
   (:mod:`repro.bench.overhead`).
 
 Deep modules report through the ambient registry
-(:func:`repro.observability.metrics.ambient`); worker processes record
-locally and ship picklable snapshots that the parent merges in module
-order, so enabled-mode aggregates are identical between serial and
-parallel runs.
+(:func:`repro.observability.metrics.ambient`); a supervised worker
+process records locally and ships picklable snapshots that the parent
+merges in module order, so enabled-mode aggregates are identical
+between in-process and supervised runs.
 """
 
 from repro.observability.counting import OpCounts

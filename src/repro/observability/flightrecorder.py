@@ -15,7 +15,7 @@ Recording is unconditional at call sites via the module-level
 a ``ContextVar``: the recorder belongs to the *process* (daemon or
 router), and asyncio task-context copies would strand per-task values.
 The default :data:`NULL_FLIGHT_RECORDER` swallows everything, so code
-paths shared with library use (the resilient executor, the breaker)
+paths shared with library use (the supervisor, the breaker)
 cost a no-op method call when no recorder is installed.
 """
 

@@ -3,7 +3,7 @@
 Instruments the *events* of a pipeline run — webs built and promoted,
 loads/stores deleted, compensating loads/stores inserted, phis placed by
 the incremental SSA updater vs. the CSS96 comparator, analysis-cache
-hits/misses, and the resilient executor's retry/timeout/quarantine
+hits/misses, and the supervised worker's retry/timeout/quarantine
 counters — as named instruments with units, serializable to one JSON
 document (see :mod:`repro.observability.export`).
 

@@ -40,8 +40,8 @@ class TraceContext:
     The service tier carries it in the ``traceparent`` HTTP header
     (``00-<trace_id>-<parent_span_id>-01``); the pipeline stamps the
     ``trace_id`` onto its root spans (via ``Tracer(trace_id=...)``) so a
-    merged Chrome trace from router, daemon, engine, and warm-pool
-    workers forms one connected tree under one id.
+    merged Chrome trace from router, daemon, engine, and supervised
+    worker forms one connected tree under one id.
     """
 
     __slots__ = ("trace_id", "parent_span_id")
@@ -228,7 +228,7 @@ class Tracer:
         **attrs: object,
     ) -> SpanRecord:
         """Append a pre-measured (synthetic) span, e.g. one reconstructed
-        from a resilient-executor attempt record."""
+        from a supervised-worker attempt record."""
         if parent is None and self._stack:
             parent_id: Optional[int] = self._stack[-1].id
         else:

@@ -1,39 +1,26 @@
 """Parallel, cache-aware execution layer for the promotion pipeline.
 
-Five pieces:
+Three pieces:
 
 * :mod:`repro.parallel.cache` — a per-function :class:`AnalysisCache`
   memoizing dominator trees, iterated dominance frontiers, and liveness
   across pipeline phases, keyed by IR fingerprints so mutation is
   invalidation.
 * :mod:`repro.parallel.transport` — pickle-based IR payloads that move
-  functions and modules between shared-nothing worker processes while
-  preserving the module/global sharing discipline.
+  functions and modules between processes while preserving the
+  module/global sharing discipline; the supervised promotion worker
+  (:mod:`repro.robustness.supervise`) ships its module and results
+  with them.
 * :mod:`repro.parallel.fingerprint` — identity fingerprints for cache
   invalidation plus *content* fingerprints (:func:`content_fingerprint`,
-  :func:`module_fingerprint`) that drive the incremental transport: only
-  functions whose content changed since the last dispatch are re-shipped.
-* :mod:`repro.parallel.batching` — the :class:`CostModel` (static
-  instruction/block prior blended with measured per-function timings)
-  and :func:`plan_batches`, which cut the pending function list into
-  contiguous module-order batches; :class:`TransportStats` reports what
-  a dispatch shipped vs reused.
-* :mod:`repro.parallel.scheduler` and :mod:`repro.parallel.pool` — the
-  batched scheduler and the persistent warm worker pools it runs on.
-  Import them directly (``from repro.parallel import scheduler``;
-  ``from repro.parallel.pool import warm_pool``); they are not
-  re-exported here because the scheduler imports promotion passes, which
-  would make ``import repro.parallel`` drag in — and cycle with — the
-  pipeline.
+  :func:`module_fingerprint`) that key the service router's sticky
+  placement.
 
-When workers may misbehave (deadlines, crash recovery, retry/backoff,
-quarantine, chaos injection), the pipeline wraps this layer with
-:class:`repro.robustness.executor.ResilientExecutor`; enable it with
-``PromotionPipeline(resilience=ResilienceOptions(...))`` or the CLI's
-``--timeout``/``--retries``/``--chaos`` flags.
+Parallelism itself is module-grain: the timing harness's parallel arm
+runs one workload per worker process, and ``repro-route`` shards whole
+modules across daemons.
 """
 
-from repro.parallel.batching import CostModel, TransportStats, plan_batches
 from repro.parallel.cache import (
     AnalysisCache,
     CacheStats,
@@ -71,9 +58,6 @@ __all__ = [
     "content_fingerprint",
     "globals_fingerprint",
     "module_fingerprint",
-    "CostModel",
-    "TransportStats",
-    "plan_batches",
     "FunctionPayload",
     "ModulePayload",
     "TransportError",

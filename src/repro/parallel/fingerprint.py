@@ -19,16 +19,15 @@ Two granularities:
   incoming predecessor blocks — everything liveness depends on.  Replacing
   an operand in place swaps the operand object, so it changes the key.
 
-Identity keys only mean anything inside one process, so the batched
-transport layer adds a second family: **content fingerprints**, stable
-sha256 digests of everything promotion reads from a function — the
-printed IR, the frame-variable table (including ``address_taken``, which
-the printer does not show), and the naming counters (two textually
-identical functions with different ``_next_reg`` would promote to
-differently *named* registers).  Content keys survive process
-boundaries and module rebuilds, which is what lets the warm worker pool
-skip re-shipping functions that have not changed since the last
-dispatch (:mod:`repro.parallel.pool`).
+Identity keys only mean anything inside one process, so there is a
+second family: **content fingerprints**, stable sha256 digests of
+everything promotion reads from a function — the printed IR, the
+frame-variable table (including ``address_taken``, which the printer
+does not show), and the naming counters (two textually identical
+functions with different ``_next_reg`` would promote to differently
+*named* registers).  Content keys survive process boundaries and module
+rebuilds, which is what lets the service router send the same program
+to the same daemon (:mod:`repro.service.routing`).
 """
 
 from __future__ import annotations

@@ -47,15 +47,13 @@ from repro.observability import (
     activate_metrics,
 )
 from repro.observability.export import SCHEMA_VERSION
-from repro.parallel.batching import TransportStats
 from repro.parallel.cache import AnalysisCache, CacheStats, activate
-from repro.parallel.scheduler import (
-    FunctionResult,
-    SchedulerError,
-    promote_functions_parallel,
-    resolve_jobs,
+from repro.parallel.transport import (
+    FunctionPayload,
+    ModulePayload,
+    TransportError,
+    export_profile,
 )
-from repro.parallel.transport import TransportError
 from repro.passes.copyprop import propagate_copies
 from repro.passes.dce import (
     dead_code_elimination,
@@ -76,18 +74,23 @@ from repro.promotion.driver import (
     promote_function,
 )
 from repro.robustness.bisect import isolate_culprits
-from repro.robustness.diagnostics import BisectionReport, PipelineDiagnostics
-from repro.robustness.executor import (
-    ResilienceOptions,
-    ResilientExecutor,
-    ResilientExecutorError,
-    ResilientOutcome,
+from repro.robustness.diagnostics import (
+    BisectionReport,
+    FunctionOutcome,
+    PipelineDiagnostics,
+    first_line,
 )
 from repro.robustness.snapshot import (
     FunctionSnapshot,
     FunctionState,
     capture_state,
     snapshot_function,
+)
+from repro.robustness.supervise import (
+    ResilienceOptions,
+    Supervisor,
+    SupervisorError,
+    WorkerReply,
 )
 from repro.ssa.construct import construct_ssa
 
@@ -135,18 +138,10 @@ class PipelineResult:
         self.profile: Optional[ProfileData] = None
         #: Per-function outcomes, warnings, and the bisection report.
         self.diagnostics = PipelineDiagnostics()
-        #: Worker count phases 3+4 actually ran with (1 = serial).
-        self.jobs_used = 1
         #: Analysis-cache hit/miss counters, aggregated over the parent
-        #: run and (in parallel mode, in module order) every worker.
-        #: ``None`` when caching was disabled.
+        #: run and (when supervised, in module order) every worker
+        #: attempt.  ``None`` when caching was disabled.
         self.cache_stats: Optional[CacheStats] = None
-        #: What the parallel dispatch shipped vs reused
-        #: (:class:`~repro.parallel.batching.TransportStats`); ``None``
-        #: for serial runs.  Kept off the diagnostics on purpose —
-        #: transport volume is machine-local and must stay out of the
-        #: byte-identical output fingerprint, like cache counters.
-        self.transport_stats: Optional[TransportStats] = None
         #: The tracer + metrics bundle the run recorded into
         #: (:data:`~repro.observability.NULL_OBSERVABILITY` when
         #: tracing was off) — exporters read the trace from here.
@@ -189,6 +184,148 @@ def _behaviour_matches(before: ExecutionResult, after: ExecutionResult) -> bool:
     )
 
 
+def promote_transaction(
+    function,
+    model: AliasModel,
+    profile: Optional[ProfileData],
+    tree: IntervalTree,
+    options: PromotionOptions,
+    verify: bool,
+    tracer,
+    transactional: bool = True,
+):
+    """Phases 3+4 on one function as one transaction: snapshot, memory
+    SSA, promotion, cleanup, verification — rolled back on any failure.
+
+    Returns ``(snapshot, stats, stage, error)``: ``error`` is ``None``
+    when the transformation stands, and otherwise the exception raised
+    in ``stage`` after the snapshot was restored.  Without
+    ``transactional`` there is no snapshot and failures propagate.  The
+    in-process loop and the supervised worker both run this.
+    """
+    name = function.name
+    snap = snapshot_function(function) if transactional else None
+    stage = "memssa"
+    with tracer.span("function:" + name, category="promote") as fn_span:
+        try:
+            with tracer.span("stage:memssa", category="promote"):
+                mssa = build_memory_ssa(function, model)
+            stage = "promote"
+            with tracer.span("stage:promote", category="promote"):
+                stats = promote_function(function, mssa, profile, tree, options)
+            stage = "cleanup"
+            with tracer.span("stage:cleanup", category="promote"):
+                remove_dummy_loads(function)
+                propagate_copies(function)
+                dead_code_elimination(function)
+                dead_memory_elimination(function)
+            stage = "verify"
+            with tracer.span("stage:verify", category="promote"):
+                if verify:
+                    verify_function(function, check_ssa=True, check_memssa=True)
+        except Exception as exc:
+            if snap is None:
+                raise
+            snap.restore()
+            fn_span.set("status", "rolled_back").set("stage", stage)
+            return snap, None, stage, exc
+        fn_span.set("status", "promoted")
+        fn_span.set("webs_promoted", stats.webs_promoted)
+        return snap, stats, stage, None
+
+
+class _WorkerPromoter:
+    """The worker half of a supervised run (see
+    :mod:`repro.robustness.supervise`): shipped once with the pre-phase-3
+    module, then promotes one function per request with
+    :func:`promote_transaction` and restores its copy afterwards, so
+    every attempt starts from the module the parent prepared."""
+
+    def __init__(
+        self,
+        module: Module,
+        profile: Optional[ProfileData],
+        options: PromotionOptions,
+        alias_model_factory: Callable[[Module], AliasModel],
+        verify: bool,
+        use_cache: bool,
+        observe: bool,
+        journal: bool,
+        trace_id: Optional[str],
+    ) -> None:
+        self.module_payload = ModulePayload.capture(module)
+        self.profile_map = export_profile(profile, module)
+        self.options = options
+        self.alias_model_factory = alias_model_factory
+        self.verify = verify
+        self.use_cache = use_cache
+        self.observe = observe
+        self.journal = journal
+        self.trace_id = trace_id
+
+    def setup(self) -> None:
+        self.module = self.module_payload.restore()
+        self.model = self.alias_model_factory(self.module)
+        self.cache = AnalysisCache() if self.use_cache else None
+
+    def promote(self, name: str) -> WorkerReply:
+        function = self.module.functions[name]
+        # ProfileData is keyed by block identity, and a snapshot restore
+        # replaces the function's blocks: bind a fresh slice every time.
+        profile = ProfileData()
+        counts = self.profile_map.get(name) or {}
+        for block in function.blocks:
+            if block.name in counts:
+                profile.set_freq(block, counts[block.name])
+        cache = self.cache
+        cache_before = cache.stats.copy() if cache is not None else None
+        obs = (
+            Observability.recording(trace_id=self.trace_id)
+            if self.observe
+            else NULL_OBSERVABILITY
+        )
+        journal = DecisionJournal() if self.journal else None
+        started = time.perf_counter()
+        with activate(cache), activate_metrics(
+            obs.metrics if obs.enabled else None
+        ), activate_decisions(journal):
+            snap, stats, stage, error = promote_transaction(
+                function,
+                self.model,
+                profile,
+                IntervalTree.compute(function),
+                self.options,
+                self.verify,
+                obs.tracer,
+            )
+        duration_ms = (time.perf_counter() - started) * 1e3
+        if error is None:
+            reply = WorkerReply(
+                name, FunctionOutcome.PROMOTED, duration_ms=duration_ms
+            )
+            reply.stats = stats.as_dict()
+            reply.payload = FunctionPayload.capture(function)
+            snap.restore()
+        else:
+            reply = WorkerReply(
+                name,
+                FunctionOutcome.ROLLED_BACK,
+                stage=stage,
+                error_type=type(error).__name__,
+                reason=first_line(error),
+                duration_ms=duration_ms,
+            )
+        if cache is not None:
+            reply.cache_stats = cache.stats.since(cache_before)
+        if obs.enabled:
+            reply.spans = obs.tracer.export()
+            reply.metrics = obs.metrics.as_dict()
+        if journal is not None:
+            docs = journal.export()
+            reply.decisions = docs[0] if docs else None
+        return reply
+
+
 class PromotionPipeline:
     """The user-facing transactional pass manager around
     :func:`promote_function`.
@@ -201,22 +338,19 @@ class PromotionPipeline:
     all-or-nothing pass manager (no snapshot overhead, exceptions
     propagate, divergence is only recorded in ``output_matches``).
 
-    ``jobs`` > 1 fans phases 3+4 out over that many shared-nothing worker
-    processes (``jobs=0`` means one per CPU); results merge in module
-    order, so every table, statistic, and diagnostic is identical to a
-    serial run.  Parallel mode requires ``transactional=True`` — workers
-    report failures as rollbacks, and phase-5 bisection needs the
-    snapshots.  ``use_cache`` memoizes dominator trees, IDFs, and
-    liveness across phases (per run, per worker).
+    ``use_cache`` memoizes dominator trees, IDFs, and liveness across
+    phases.
 
-    ``resilience`` (a :class:`~repro.robustness.ResilienceOptions`)
-    additionally arms per-function deadlines, bounded retry with seeded
-    backoff, broken-pool recovery, poison-function quarantine, and
-    optional chaos injection around the worker pool; it requires
-    ``jobs != 1``.  A quarantined function keeps its pre-promotion IR —
-    behaviour-preserving by construction — and the run is reported as
-    *degraded* (``diagnostics.degraded``, CLI exit code 3) rather than
-    failed.
+    ``resilience`` (a :class:`~repro.robustness.ResilienceOptions`) runs
+    phases 3+4 in one supervised worker process
+    (:mod:`repro.robustness.supervise`) with per-function deadlines,
+    bounded retry with seeded backoff, crash recovery, poison-function
+    quarantine, and optional chaos injection; it requires
+    ``transactional=True``.  Results merge in module order, so a clean
+    supervised run is identical to an in-process one.  A quarantined
+    function keeps its pre-promotion IR — behaviour-preserving by
+    construction — and the run is reported as *degraded*
+    (``diagnostics.degraded``, CLI exit code 3) rather than failed.
     """
 
     def __init__(
@@ -230,15 +364,12 @@ class PromotionPipeline:
         verify: bool = True,
         max_steps: int = 50_000_000,
         transactional: bool = True,
-        jobs: int = 1,
         use_cache: bool = True,
         compiled_interpreter: bool = True,
         resilience: Optional[ResilienceOptions] = None,
         observability: Optional[Observability] = None,
         decisions: Optional[DecisionJournal] = None,
         analysis_cache: Optional[AnalysisCache] = None,
-        batch_size="auto",
-        keep_pool: bool = True,
     ) -> None:
         self.options = options or PromotionOptions()
         self.alias_model_factory = alias_model or AliasModel.conservative
@@ -249,25 +380,18 @@ class PromotionPipeline:
         self.verify = verify
         self.max_steps = max_steps
         self.transactional = transactional
-        if jobs != 1 and not transactional:
-            raise ValueError(
-                "parallel promotion (jobs != 1) requires transactional=True: "
-                "workers report failures as per-function rollbacks"
-            )
-        self.jobs = jobs
         self.use_cache = use_cache
         #: False pins phases 2 and 5 to the interpreter's classic
         #: dispatch loop — the timing harness's baseline arm.
         self.compiled_interpreter = compiled_interpreter
-        #: When set, phases 3+4 run under the resilient executor:
+        #: When set, phases 3+4 run in a supervised worker process:
         #: per-function deadlines, retry with backoff, quarantine, and
-        #: (optionally) chaos injection.  Requires parallel execution —
-        #: deadlines and chaos act on worker processes, and a crashed or
-        #: hung in-process attempt could not be recovered.
-        if resilience is not None and jobs == 1:
+        #: (optionally) chaos injection.  The worker reports failures as
+        #: rollbacks, and quarantine and bisection need the snapshots.
+        if resilience is not None and not transactional:
             raise ValueError(
-                "resilience options require parallel execution (jobs != 1): "
-                "deadlines, crash recovery, and chaos act on worker processes"
+                "resilience options require transactional=True: the "
+                "supervised worker reports failures as per-function rollbacks"
             )
         self.resilience = resilience
         #: The tracer + metrics bundle; :data:`NULL_OBSERVABILITY` (the
@@ -281,19 +405,6 @@ class PromotionPipeline:
         #: Entries are fingerprint-validated on every lookup, so reuse
         #: can only change speed, never results.  Implies ``use_cache``.
         self.analysis_cache = analysis_cache
-        #: Functions per worker batch: ``"auto"`` sizes batches from the
-        #: warm pool's cost model; an integer forces fixed-count batches
-        #: (1 reproduces the old one-task-per-function dispatch).
-        if batch_size != "auto" and (
-            not isinstance(batch_size, int) or batch_size < 1
-        ):
-            raise ValueError(
-                f"batch_size must be 'auto' or a positive int, got {batch_size!r}"
-            )
-        self.batch_size = batch_size
-        #: False shuts this run's warm worker pool down afterwards
-        #: instead of leaving it resident for the next run.
-        self.keep_pool = keep_pool
 
     def run(self, module: Module) -> PipelineResult:
         result = PipelineResult(module)
@@ -312,7 +423,7 @@ class PromotionPipeline:
         with activate(cache), activate_metrics(
             obs.metrics if obs.enabled else None
         ), activate_decisions(self.decisions), obs.tracer.span(
-            "pipeline", module=module.name, jobs=self.jobs
+            "pipeline", module=module.name
         ):
             self._run_phases(module, result)
         if cache is not None:
@@ -321,10 +432,6 @@ class PromotionPipeline:
             self._finalize_observability(result)
         if self.decisions is not None:
             result.diagnostics.decisions = self.decisions.summary()
-        if not self.keep_pool and self.jobs != 1:
-            from repro.parallel.pool import shutdown_pool
-
-            shutdown_pool(resolve_jobs(self.jobs))
         return result
 
     def config_stamp(self) -> Dict[str, object]:
@@ -334,13 +441,10 @@ class PromotionPipeline:
         resilience = self.resilience
         stamp: Dict[str, object] = {
             "entry": self.entry,
-            "jobs": self.jobs,
             "use_cache": self.use_cache,
             "compiled_interpreter": self.compiled_interpreter,
             "transactional": self.transactional,
             "max_steps": self.max_steps,
-            "batch_size": self.batch_size,
-            "keep_pool": self.keep_pool,
             "resilience": None if resilience is None else resilience.as_dict(),
         }
         return stamp
@@ -371,7 +475,6 @@ class PromotionPipeline:
         ):
             metrics.set(prefix + ".loads", counts.loads, unit="ops")
             metrics.set(prefix + ".stores", counts.stores, unit="ops")
-        metrics.set("pipeline.jobs_used", result.jobs_used, unit="workers")
         metrics.set(
             "pipeline.output_matches", int(result.output_matches), unit="bool"
         )
@@ -467,18 +570,16 @@ class PromotionPipeline:
         # transaction per function, verified before committing.
         snapshots: Dict[str, FunctionSnapshot] = {}
         committed: Dict[str, FunctionState] = {}
-        jobs = 1 if self.jobs == 1 else resolve_jobs(self.jobs)
         with tracer.span("phase:promote", category="phase") as promote_span:
-            ran_parallel = False
-            if jobs > 1 and len(prepared) > 1:
-                ran_parallel = self._phase34_parallel(
-                    module, result, prepared, snapshots, committed, jobs
+            supervised = False
+            if self.resilience is not None and prepared:
+                supervised = self._phase34_supervised(
+                    module, result, prepared, snapshots, committed
                 )
-            if not ran_parallel:
-                self._phase34_serial(
+            if not supervised:
+                self._phase34_in_process(
                     module, result, trees, prepared, snapshots, committed
                 )
-            promote_span.set("jobs_used", result.jobs_used)
             promote_span.set("functions", len(prepared))
 
         result.static_after = StaticCounts.of_module(module)
@@ -493,7 +594,7 @@ class PromotionPipeline:
 
     # -- phases 3+4 ------------------------------------------------------
 
-    def _phase34_serial(
+    def _phase34_in_process(
         self,
         module: Module,
         result: PipelineResult,
@@ -503,94 +604,65 @@ class PromotionPipeline:
         committed: Dict[str, FunctionState],
     ) -> None:
         diags = result.diagnostics
-        tracer = self.observability.tracer
         model = self.alias_model_factory(module)
         for name in prepared:
             function = module.functions[name]
-            snap = snapshot_function(function) if self.transactional else None
             started = time.perf_counter()
-            stage = "memssa"
-            # Span names mirror the worker path (scheduler._promote_one)
-            # exactly, so serial and parallel runs produce the same tree.
-            with tracer.span("function:" + name, category="promote") as fn_span:
-                try:
-                    with tracer.span("stage:memssa", category="promote"):
-                        mssa = build_memory_ssa(function, model)
-                    stage = "promote"
-                    with tracer.span("stage:promote", category="promote"):
-                        stats = promote_function(
-                            function, mssa, result.profile, trees[name], self.options
-                        )
-                    stage = "cleanup"
-                    with tracer.span("stage:cleanup", category="promote"):
-                        remove_dummy_loads(function)
-                        propagate_copies(function)
-                        dead_code_elimination(function)
-                        dead_memory_elimination(function)
-                    stage = "verify"
-                    with tracer.span("stage:verify", category="promote"):
-                        if self.verify:
-                            verify_function(
-                                function, check_ssa=True, check_memssa=True
-                            )
-                except Exception as exc:
-                    if snap is None:
-                        raise
-                    snap.restore()
-                    fn_span.set("status", "rolled_back").set("stage", stage)
-                    result.stats[name] = FunctionPromotionStats()
-                    self._mark_decision(name, "rolled_back")
-                    diags.record_rollback(
-                        name,
-                        stage=stage,
-                        error=exc,
-                        duration_ms=(time.perf_counter() - started) * 1e3,
-                    )
-                else:
-                    fn_span.set("status", "promoted")
-                    fn_span.set("webs_promoted", stats.webs_promoted)
-                    result.stats[name] = stats
-                    if snap is not None:
-                        snapshots[name] = snap
-                        committed[name] = capture_state(function)
-                    diags.record_promoted(
-                        name,
-                        duration_ms=(time.perf_counter() - started) * 1e3,
-                        webs_promoted=stats.webs_promoted,
-                    )
+            snap, stats, stage, error = promote_transaction(
+                function,
+                model,
+                result.profile,
+                trees[name],
+                self.options,
+                self.verify,
+                self.observability.tracer,
+                self.transactional,
+            )
+            duration_ms = (time.perf_counter() - started) * 1e3
+            if error is not None:
+                result.stats[name] = FunctionPromotionStats()
+                self._mark_decision(name, "rolled_back")
+                diags.record_rollback(
+                    name, stage=stage, error=error, duration_ms=duration_ms
+                )
+                continue
+            result.stats[name] = stats
+            if snap is not None:
+                snapshots[name] = snap
+                committed[name] = capture_state(function)
+            diags.record_promoted(
+                name, duration_ms=duration_ms, webs_promoted=stats.webs_promoted
+            )
 
-    def _phase34_parallel(
+    def _phase34_supervised(
         self,
         module: Module,
         result: PipelineResult,
         prepared: List[str],
         snapshots: Dict[str, FunctionSnapshot],
         committed: Dict[str, FunctionState],
-        jobs: int,
     ) -> bool:
-        """Phases 3+4 over a worker pool; False means fall back to serial
-        (nothing was modified)."""
-        if self.resilience is not None:
-            return self._phase34_resilient(
-                module, result, prepared, snapshots, committed, jobs
-            )
+        """Phases 3+4 in one supervised worker process: deadlines, retry
+        with backoff, crash recovery, and quarantine.  False means fall
+        back to in-process promotion (nothing was modified)."""
         diags = result.diagnostics
         obs = self.observability
         try:
-            outcomes, transport = promote_functions_parallel(
+            promoter = _WorkerPromoter(
                 module,
-                prepared,
                 result.profile,
                 self.options,
                 self.alias_model_factory,
                 self.verify,
-                jobs,
-                use_cache=self.use_cache,
+                self.use_cache,
                 observe=obs.enabled,
-                batch_size=self.batch_size,
-                extras=self._worker_extras(),
+                journal=self.decisions is not None,
+                trace_id=obs.tracer.trace_id,
             )
-        except SchedulerError as exc:
+            outcomes, report = Supervisor(promoter, self.resilience).run(prepared)
+        except (SupervisorError, TransportError) as exc:
+            if not isinstance(exc, SupervisorError):
+                exc = SupervisorError(type(exc).__name__, first_line(exc))
             diags.warn(str(exc))
             diags.fallback_reason = exc.as_dict()
             obs.tracer.add_record(
@@ -598,135 +670,15 @@ class PromotionPipeline:
                 category="event",
                 error_type=exc.error_type,
                 detail=exc.detail,
-                function=exc.function,
             )
             obs.metrics.inc("pipeline.serial_fallbacks")
             return False
-        result.jobs_used = jobs
-        result.transport_stats = transport
-        if obs.enabled:
-            metrics = obs.metrics
-            metrics.inc("parallel.batches", transport.batches)
-            metrics.inc("parallel.functions_shipped", transport.functions_shipped)
-            metrics.inc("parallel.functions_reused", transport.functions_reused)
-            metrics.inc("parallel.installs_full", transport.installs_full)
-            metrics.inc("parallel.installs_delta", transport.installs_delta)
-            metrics.inc("parallel.transport_bytes_out", transport.bytes_out)
-            metrics.inc("parallel.transport_bytes_in", transport.bytes_in)
-        for name, outcome in zip(prepared, outcomes):
-            function = module.functions[name]
-            # Graft the worker's spans (its pid is the trace lane) and
-            # absorb its metrics and decision documents — in module
-            # order, so the aggregate is identical to a serial run.
-            obs.tracer.merge(outcome.spans)
-            obs.metrics.absorb(outcome.metrics)
-            if self.decisions is not None:
-                self.decisions.absorb(outcome.decisions)
-            if outcome.cache_stats is not None and result.cache_stats is not None:
-                result.cache_stats.absorb(outcome.cache_stats)
-            if outcome.status != FunctionResult.PROMOTED:
-                # The worker already restored its copy; this module's
-                # function was never touched — record the rollback with
-                # the stage and error the worker observed.
-                result.stats[name] = FunctionPromotionStats()
-                self._mark_decision(name, "rolled_back")
-                diags.record_rollback(
-                    name,
-                    stage=outcome.stage,
-                    reason=outcome.reason,
-                    error_type=outcome.error_type,
-                    duration_ms=outcome.duration_ms,
-                )
-                continue
-            snap = snapshot_function(function)
-            try:
-                outcome.payload.install(module)
-            except TransportError as exc:
-                snap.restore()
-                result.stats[name] = FunctionPromotionStats()
-                self._mark_decision(name, "rolled_back")
-                diags.record_rollback(
-                    name,
-                    stage="install",
-                    error=exc,
-                    duration_ms=outcome.duration_ms,
-                )
-                continue
-            stats = FunctionPromotionStats()
-            stats.absorb(outcome.stats)
-            result.stats[name] = stats
-            snapshots[name] = snap
-            committed[name] = capture_state(function)
-            diags.record_promoted(
-                name,
-                duration_ms=outcome.duration_ms,
-                webs_promoted=stats.webs_promoted,
-            )
-        return True
-
-    def _worker_extras(self) -> Optional[Dict[str, object]]:
-        """Observability state to carry into worker processes: whether to
-        journal decisions, and the distributed trace id for their root
-        spans.  ``None`` when there is nothing to carry — the warm pool
-        can then reuse fully generic workers."""
-        extras: Dict[str, object] = {}
-        if self.decisions is not None:
-            extras["decisions"] = True
-        trace_id = self.observability.tracer.trace_id
-        if trace_id:
-            extras["trace"] = trace_id
-        return extras or None
-
-    def _phase34_resilient(
-        self,
-        module: Module,
-        result: PipelineResult,
-        prepared: List[str],
-        snapshots: Dict[str, FunctionSnapshot],
-        committed: Dict[str, FunctionState],
-        jobs: int,
-    ) -> bool:
-        """Phases 3+4 under the resilient executor: deadlines, retry with
-        backoff, crash recovery, and quarantine.  False means fall back
-        to serial (nothing was modified)."""
-        diags = result.diagnostics
-        obs = self.observability
-        executor = ResilientExecutor(
-            module,
-            prepared,
-            result.profile,
-            self.options,
-            self.alias_model_factory,
-            self.verify,
-            jobs,
-            self.use_cache,
-            self.resilience,
-            observe=obs.enabled,
-            extras=self._worker_extras(),
-        )
-        try:
-            outcomes, report = executor.run()
-        except ResilientExecutorError as exc:
-            diags.warn(str(exc))
-            diags.fallback_reason = {
-                "error_type": type(exc).__name__,
-                "detail": str(exc).splitlines()[0],
-                "function": None,
-            }
-            obs.tracer.add_record(
-                "event:serial-fallback",
-                category="event",
-                error_type=type(exc).__name__,
-                detail=str(exc).splitlines()[0],
-            )
-            obs.metrics.inc("pipeline.serial_fallbacks")
-            return False
-        result.jobs_used = jobs
         diags.resilience = report.as_dict()
         diags.resilience["options"] = self.resilience.as_dict()
         for outcome in outcomes:
             name = outcome.name
             function = module.functions[name]
+            reply = outcome.reply
             diags.attempt_histories[name] = outcome.history.as_dict()
             # One synthetic span per attempt (reconstructed from the
             # retry history — earlier attempts left no live spans), then
@@ -745,16 +697,18 @@ class PromotionPipeline:
                 obs.metrics.inc("resilience.attempts")
                 if rec.outcome not in ("promoted", "rolled_back"):
                     obs.metrics.inc("resilience." + rec.outcome.replace("-", "_"))
-            obs.tracer.merge(outcome.spans)
-            obs.metrics.absorb(outcome.metrics)
-            if self.decisions is not None:
-                self.decisions.absorb(outcome.decisions)
-            if outcome.cache_stats is not None and result.cache_stats is not None:
-                result.cache_stats.absorb(outcome.cache_stats)
-            if outcome.status == ResilientOutcome.QUARANTINED:
-                # The worker copies never shipped a payload, so this
-                # module's function still holds its pre-promotion IR —
-                # degraded but sound by construction.
+            if reply is not None:
+                obs.tracer.merge(reply.spans)
+                obs.metrics.absorb(reply.metrics)
+                if self.decisions is not None:
+                    self.decisions.absorb(reply.decisions)
+                if reply.cache_stats is not None and result.cache_stats is not None:
+                    result.cache_stats.absorb(reply.cache_stats)
+            attempts = outcome.history.attempts
+            if outcome.status == FunctionOutcome.QUARANTINED:
+                # The worker never shipped a payload, so this module's
+                # function still holds its pre-promotion IR — degraded
+                # but sound by construction.
                 result.stats[name] = FunctionPromotionStats()
                 obs.metrics.inc("resilience.quarantines")
                 self._mark_decision(name, "quarantined")
@@ -764,46 +718,40 @@ class PromotionPipeline:
                     error_type=outcome.error_type,
                     stage=outcome.stage,
                     duration_ms=outcome.duration_ms,
-                    attempts=outcome.history.attempts,
-                )
-                continue
-            if outcome.status != ResilientOutcome.PROMOTED:
-                result.stats[name] = FunctionPromotionStats()
-                self._mark_decision(name, "rolled_back")
-                record = diags.record_rollback(
-                    name,
-                    stage=outcome.stage,
-                    reason=outcome.reason,
-                    error_type=outcome.error_type,
-                    duration_ms=outcome.duration_ms,
-                )
-                record.attempts = outcome.history.attempts
-                continue
-            snap = snapshot_function(function)
-            try:
-                outcome.payload.install(module)
-            except TransportError as exc:
-                snap.restore()
-                result.stats[name] = FunctionPromotionStats()
-                self._mark_decision(name, "rolled_back")
-                diags.record_rollback(
-                    name,
-                    stage="install",
-                    error=exc,
-                    duration_ms=outcome.duration_ms,
+                    attempts=attempts,
                 )
                 continue
             stats = FunctionPromotionStats()
-            stats.absorb(outcome.stats)
+            if outcome.status == FunctionOutcome.PROMOTED:
+                snap = snapshot_function(function)
+                try:
+                    reply.payload.install(module)
+                except TransportError as exc:
+                    snap.restore()
+                    outcome.stage, outcome.reason = "install", first_line(exc)
+                    outcome.error_type = type(exc).__name__
+                else:
+                    stats.absorb(reply.stats)
+                    result.stats[name] = stats
+                    snapshots[name] = snap
+                    committed[name] = capture_state(function)
+                    record = diags.record_promoted(
+                        name,
+                        duration_ms=outcome.duration_ms,
+                        webs_promoted=stats.webs_promoted,
+                    )
+                    record.attempts = attempts
+                    continue
             result.stats[name] = stats
-            snapshots[name] = snap
-            committed[name] = capture_state(function)
-            record = diags.record_promoted(
+            self._mark_decision(name, "rolled_back")
+            record = diags.record_rollback(
                 name,
+                stage=outcome.stage,
+                reason=outcome.reason,
+                error_type=outcome.error_type,
                 duration_ms=outcome.duration_ms,
-                webs_promoted=stats.webs_promoted,
             )
-            record.attempts = outcome.history.attempts
+            record.attempts = attempts
         return True
 
     # -- phase 5 ---------------------------------------------------------

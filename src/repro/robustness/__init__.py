@@ -24,16 +24,16 @@ This package supplies the pieces:
     A :class:`FaultInjector` that deliberately corrupts IR (one method
     per corruption class), an :class:`UnsoundAliasModel` wrapper, and
     :class:`ChaosConfig` — seeded worker-level chaos (crash, hang,
-    transient exception) for exercising the resilient executor
+    transient exception) for exercising the supervised worker
     end-to-end.
 
-``executor`` / ``retry`` / ``quarantine``
-    The resilient promotion executor: per-function wall-clock deadlines
-    with a worker-heartbeat watchdog, bounded retry with seeded
-    exponential backoff (:class:`RetryPolicy`), broken-pool rebuild and
-    resubmission, and a poison-function :class:`Quarantine` that
-    degrades repeat offenders to their original unpromoted IR instead
-    of failing the module.  Enabled via
+``supervise`` / ``retry`` / ``quarantine``
+    Resilient promotion: phases 3+4 run in one supervised worker
+    process with per-function wall-clock deadlines, bounded retry with
+    seeded exponential backoff (:class:`RetryPolicy`), a fresh worker
+    after every crash or hang, and a poison-function
+    :class:`Quarantine` that degrades repeat offenders to their
+    original unpromoted IR instead of failing the module.  Enabled via
     ``PromotionPipeline(resilience=ResilienceOptions(...))``.
 """
 
@@ -42,13 +42,6 @@ from repro.robustness.diagnostics import (
     BisectionReport,
     FunctionOutcome,
     PipelineDiagnostics,
-)
-from repro.robustness.executor import (
-    ExecutorReport,
-    ResilienceOptions,
-    ResilientExecutor,
-    ResilientExecutorError,
-    ResilientOutcome,
 )
 from repro.robustness.faults import (
     ChaosConfig,
@@ -69,13 +62,19 @@ from repro.robustness.snapshot import (
     capture_state,
     snapshot_function,
 )
+from repro.robustness.supervise import (
+    ResilienceOptions,
+    SupervisedOutcome,
+    Supervisor,
+    SupervisorError,
+    SupervisorReport,
+)
 
 __all__ = [
     "AttemptHistory",
     "AttemptRecord",
     "BisectionReport",
     "ChaosConfig",
-    "ExecutorReport",
     "FaultInjector",
     "FunctionOutcome",
     "FunctionSnapshot",
@@ -84,10 +83,11 @@ __all__ = [
     "Quarantine",
     "QuarantineEntry",
     "ResilienceOptions",
-    "ResilientExecutor",
-    "ResilientExecutorError",
-    "ResilientOutcome",
     "RetryPolicy",
+    "SupervisedOutcome",
+    "Supervisor",
+    "SupervisorError",
+    "SupervisorReport",
     "TRANSIENT_ERROR_TYPES",
     "TransientFaultError",
     "UnsoundAliasModel",

@@ -4,8 +4,8 @@ Every function the pipeline touches gets a :class:`FunctionOutcome`
 (promoted / rolled_back / skipped / quarantined) with the pass stage,
 the reason, and the time spent.  :class:`PipelineDiagnostics` aggregates
 outcomes, free-form warnings, the divergence-bisection report, and —
-when the resilient executor ran — per-function attempt histories, the
-structured parallel-fallback reason, and the executor's retry/timeout/
+when the supervised worker ran — per-function attempt histories, the
+structured fallback reason, and the supervisor's retry/timeout/
 crash/quarantine counters, and serializes the lot to JSON for the
 ``--diagnostics`` CLI flag and bench logs.
 """
@@ -45,8 +45,8 @@ class FunctionOutcome:
         self.error_type = error_type
         self.duration_ms = duration_ms
         self.webs_promoted = webs_promoted
-        #: Executor attempts this outcome consumed (0 when the resilient
-        #: executor did not run).
+        #: Supervised attempts this outcome consumed (0 when the run was
+        #: not supervised).
         self.attempts = attempts
 
     def as_dict(self) -> Dict[str, object]:
@@ -103,14 +103,14 @@ class PipelineDiagnostics:
         #: missing), or ``estimator-fallback`` (the profiling run hit the
         #: interpreter step limit and the pipeline fell back).
         self.profile_source: Optional[str] = None
-        #: Structured cause of a parallel-to-serial fallback
-        #: (``{"error_type", "detail", "function"}``), ``None`` when the
-        #: pool ran fine or was never requested.
+        #: Structured cause of a supervised-to-in-process fallback
+        #: (``{"error_type", "detail"}``), ``None`` when the worker ran
+        #: fine or was never requested.
         self.fallback_reason: Optional[Dict[str, Optional[str]]] = None
-        #: Per-function attempt histories from the resilient executor
+        #: Per-function attempt histories from the supervisor
         #: (name -> ``AttemptHistory.as_dict()``); empty otherwise.
         self.attempt_histories: Dict[str, Dict[str, object]] = {}
-        #: The resilient executor's counters (retries, timeouts,
+        #: The supervisor's counters (retries, timeouts,
         #: worker_crashes, transient_faults, pool_rebuilds, quarantined)
         #: plus its configuration; ``None`` when it did not run.
         self.resilience: Optional[Dict[str, object]] = None
@@ -158,7 +158,7 @@ class PipelineDiagnostics:
                 name,
                 FunctionOutcome.ROLLED_BACK,
                 stage=stage,
-                reason=reason or _first_line(error),
+                reason=reason or first_line(error),
                 error_type=error_type
                 or (type(error).__name__ if error is not None else None),
                 duration_ms=duration_ms,
@@ -178,7 +178,7 @@ class PipelineDiagnostics:
                 name,
                 FunctionOutcome.SKIPPED,
                 stage=stage,
-                reason=reason or _first_line(error),
+                reason=reason or first_line(error),
                 error_type=type(error).__name__ if error is not None else None,
                 duration_ms=duration_ms,
             )
@@ -242,8 +242,9 @@ class PipelineDiagnostics:
     @property
     def degraded(self) -> bool:
         """True when the run completed only by degrading: a function was
-        quarantined, the parallel layer fell back to serial, or the
-        resilient executor had to retry/rebuild (the CLI's exit code 3)."""
+        quarantined, the worker could not start and promotion ran in
+        process, or the supervisor had to retry or replace the worker
+        (the CLI's exit code 3)."""
         if self.quarantined_functions or self.fallback_reason is not None:
             return True
         if self.resilience is None:
@@ -294,7 +295,9 @@ class PipelineDiagnostics:
         atomic_write_text(path, self.to_json() + "\n")
 
 
-def _first_line(error: Optional[BaseException]) -> Optional[str]:
+def first_line(error: Optional[BaseException]) -> Optional[str]:
+    """The exception's first message line, or its type name when the
+    message is empty."""
     if error is None:
         return None
     text = str(error) or type(error).__name__

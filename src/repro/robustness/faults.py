@@ -15,8 +15,8 @@ Those corruptions survive verification by construction and are caught by
 the pipeline's re-execution oracle plus divergence bisection instead.
 
 :class:`ChaosConfig` is the third family: *worker-level* chaos for the
-resilient executor.  Instead of corrupting IR it kills, stalls, or
-trips the worker process itself — crash (``os._exit``), hang (sleep
+supervised promotion worker.  Instead of corrupting IR it kills, stalls,
+or trips the worker process itself — crash (``os._exit``), hang (sleep
 past the deadline), transient exception — at seeded, per-attempt rates,
 so the deadline/retry/quarantine machinery is testable end-to-end.
 """
@@ -204,31 +204,116 @@ class TransientFaultError(RuntimeError):
     """An injected transient fault — the retryable chaos class."""
 
 
-#: Exit status a chaos-crashed worker dies with.  Distinctive on purpose:
-#: the executor's crash attribution separates "the worker chose to die"
-#: (this, or any real abort) from "the pool terminated an innocent
-#: bystander with SIGTERM".
+class SeededChaos:
+    """Seeded fault plans: the one draw mechanism behind worker chaos
+    (:class:`ChaosConfig`) and wire chaos
+    (:class:`repro.service.chaos.ServiceChaosConfig`).
+
+    Each mode in ``MODES`` fires independently at its rate, decided by a
+    *pure* sha256 draw over a key string — no runtime randomness, so a
+    schedule replays exactly from its seed.  When several modes fire for
+    one key, the first in ``MODES`` order wins.  :meth:`parse` reads the
+    CLI form ``mode=rate,...,seed=N`` plus the subclass's ``PARAMS``.
+    """
+
+    MODES: Tuple[str, ...] = ()
+    #: Spec keys besides the mode rates: key -> (keyword, converter).
+    PARAMS: Dict[str, Tuple[str, Callable[[str], object]]] = {"seed": ("seed", int)}
+
+    def __init__(self, seed: int = 0, **rates: float) -> None:
+        for mode in self.MODES:
+            rate = rates[mode]
+            if not 0.0 <= rate <= 1.0:
+                raise ValueError(f"chaos rate {mode}={rate} outside [0, 1]")
+            setattr(self, mode, rate)
+        self.seed = seed
+
+    @property
+    def enabled(self) -> bool:
+        return any(self.rate(mode) > 0 for mode in self.MODES)
+
+    def rate(self, mode: str) -> float:
+        if mode not in self.MODES:
+            raise ValueError(f"unknown chaos mode {mode!r}")
+        return getattr(self, mode)
+
+    @staticmethod
+    def draw_key(key: str) -> float:
+        """The deterministic uniform draw in ``[0, 1)`` for one key."""
+        digest = hashlib.sha256(key.encode()).digest()
+        return int.from_bytes(digest[:8], "big") / 2**64
+
+    def plan_key(self, prefix: str) -> Optional[str]:
+        """The first mode whose draw over ``"{prefix}:{mode}"`` falls
+        under its rate, or ``None``."""
+        for mode in self.MODES:
+            rate = self.rate(mode)
+            if rate > 0 and self.draw_key(f"{prefix}:{mode}") < rate:
+                return mode
+        return None
+
+    @classmethod
+    def parse(cls, spec: str) -> "SeededChaos":
+        """Parse the CLI form, e.g. ``"crash=0.1,hang=0.1,seed=42"``."""
+        kwargs: Dict[str, object] = {}
+        for item in spec.split(","):
+            item = item.strip()
+            if not item:
+                continue
+            key, sep, value = item.partition("=")
+            if not sep:
+                raise ValueError(f"chaos spec item {item!r} is not key=value")
+            key = key.strip()
+            value = value.strip()
+            if key in cls.MODES:
+                keyword, convert = key, float
+            elif key in cls.PARAMS:
+                keyword, convert = cls.PARAMS[key]
+            else:
+                raise ValueError(f"unknown chaos spec key {key!r}")
+            try:
+                kwargs[keyword] = convert(value)
+            except ValueError:
+                raise ValueError(
+                    f"chaos spec value {key}={value!r} is not a number"
+                ) from None
+        return cls(**kwargs)
+
+    def as_dict(self) -> Dict[str, object]:
+        doc: Dict[str, object] = {mode: self.rate(mode) for mode in self.MODES}
+        doc["seed"] = self.seed
+        return doc
+
+    def __repr__(self) -> str:  # pragma: no cover - debugging aid
+        return f"{type(self).__name__}({self.as_dict()})"
+
+
+#: Exit status a chaos-crashed worker dies with — distinctive on purpose,
+#: so a crash reason's exit code tells chaos apart from a real abort.
 CHAOS_CRASH_EXIT_CODE = 113
 
 
-class ChaosConfig:
-    """Seeded worker-level fault injection for the resilient executor.
+class ChaosConfig(SeededChaos):
+    """Seeded worker-level fault injection for the supervised worker.
 
-    Each mode fires independently at its configured rate, decided by a
-    *pure* draw over ``(seed, function, attempt, mode)`` — no runtime
-    randomness, so a chaos run is exactly reproducible from its seed and
-    a retried attempt re-rolls (a transient fault on attempt 1 typically
+    Decisions are keyed by ``(seed, function, attempt, mode)``, so a
+    retried attempt re-rolls (a transient fault on attempt 1 typically
     clears by attempt 2, while a 1.0-rate fault is a poison function
-    that ends up quarantined).  When several modes fire for the same
-    attempt the first in ``MODES`` order wins.
+    that ends up quarantined).
 
     ``functions`` optionally restricts injection to the named functions
-    (how tests poison exactly one victim).  ``hang_seconds`` is how long
-    a hang sleeps — point it past the executor deadline to exercise the
-    watchdog, or leave the deadline unset and the hang is just latency.
+    (how tests poison exactly one victim; ``only=f|g`` in a spec).
+    ``hang_seconds`` is how long a hang sleeps — point it past the
+    deadline to exercise the watchdog, or leave the deadline unset and
+    the hang is just latency.
     """
 
     MODES = ("crash", "hang", "transient")
+    PARAMS = {
+        "seed": ("seed", int),
+        "hang_seconds": ("hang_seconds", float),
+        "only": ("functions", lambda value: [n for n in value.split("|") if n]),
+    }
 
     def __init__(
         self,
@@ -239,44 +324,23 @@ class ChaosConfig:
         hang_seconds: float = 30.0,
         functions: Optional[Iterable[str]] = None,
     ) -> None:
-        for mode, rate in (("crash", crash), ("hang", hang), ("transient", transient)):
-            if not 0.0 <= rate <= 1.0:
-                raise ValueError(f"chaos rate {mode}={rate} outside [0, 1]")
+        super().__init__(seed, crash=crash, hang=hang, transient=transient)
         if hang_seconds < 0:
             raise ValueError(f"hang_seconds must be >= 0, got {hang_seconds}")
-        self.crash = crash
-        self.hang = hang
-        self.transient = transient
-        self.seed = seed
         self.hang_seconds = hang_seconds
         self.functions: Optional[FrozenSet[str]] = (
             frozenset(functions) if functions is not None else None
         )
 
-    @property
-    def enabled(self) -> bool:
-        return self.crash > 0 or self.hang > 0 or self.transient > 0
-
-    def rate(self, mode: str) -> float:
-        if mode not in self.MODES:
-            raise ValueError(f"unknown chaos mode {mode!r}")
-        return getattr(self, mode)
-
     def draw(self, name: str, attempt: int, mode: str) -> float:
         """The deterministic uniform draw in ``[0, 1)`` for one decision."""
-        key = f"{self.seed}:{name}:{attempt}:{mode}".encode()
-        digest = hashlib.sha256(key).digest()
-        return int.from_bytes(digest[:8], "big") / 2**64
+        return self.draw_key(f"{self.seed}:{name}:{attempt}:{mode}")
 
     def plan(self, name: str, attempt: int) -> Optional[str]:
         """Which mode (if any) fires for this function attempt."""
         if self.functions is not None and name not in self.functions:
             return None
-        for mode in self.MODES:
-            rate = self.rate(mode)
-            if rate > 0 and self.draw(name, attempt, mode) < rate:
-                return mode
-        return None
+        return self.plan_key(f"{self.seed}:{name}:{attempt}")
 
     def inject(self, name: str, attempt: int) -> Optional[str]:
         """Execute the planned fault in the calling (worker) process:
@@ -294,55 +358,11 @@ class ChaosConfig:
             )
         return None
 
-    @classmethod
-    def parse(cls, spec: str) -> "ChaosConfig":
-        """Parse the CLI form, e.g.
-        ``"crash=0.1,hang=0.1,transient=0.2,seed=42,hang_seconds=5"``
-        (``only=f|g`` restricts injection to the named functions)."""
-        kwargs: Dict[str, object] = {}
-        for item in spec.split(","):
-            item = item.strip()
-            if not item:
-                continue
-            key, sep, value = item.partition("=")
-            if not sep:
-                raise ValueError(f"chaos spec item {item!r} is not key=value")
-            key = key.strip()
-            value = value.strip()
-            try:
-                if key in ("crash", "hang", "transient", "hang_seconds"):
-                    kwargs[key] = float(value)
-                elif key == "seed":
-                    kwargs[key] = int(value)
-                elif key == "only":
-                    kwargs["functions"] = [
-                        name for name in value.split("|") if name
-                    ]
-                else:
-                    raise ValueError(f"unknown chaos spec key {key!r}")
-            except ValueError as exc:
-                if "chaos spec" in str(exc):
-                    raise
-                raise ValueError(
-                    f"chaos spec value {key}={value!r} is not a number"
-                ) from None
-        return cls(**kwargs)  # type: ignore[arg-type]
-
     def as_dict(self) -> Dict[str, object]:
-        return {
-            "crash": self.crash,
-            "hang": self.hang,
-            "transient": self.transient,
-            "seed": self.seed,
-            "hang_seconds": self.hang_seconds,
-            "only": sorted(self.functions) if self.functions is not None else None,
-        }
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"ChaosConfig(crash={self.crash}, hang={self.hang}, "
-            f"transient={self.transient}, seed={self.seed})"
-        )
+        doc = super().as_dict()
+        doc["hang_seconds"] = self.hang_seconds
+        doc["only"] = sorted(self.functions) if self.functions is not None else None
+        return doc
 
 
 class UnsoundAliasModel(AliasModel):

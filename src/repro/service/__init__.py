@@ -1,6 +1,6 @@
 """Promotion-as-a-service: a fault-tolerant async daemon.
 
-The pipeline, the resilient executor, and the analysis cache already
+The pipeline, the supervised worker, and the analysis cache already
 exist as library layers; this package puts a long-lived process in
 front of them.  See :mod:`repro.service.daemon` for the architecture
 and ``docs/SERVICE.md`` for the wire protocol.

@@ -1,8 +1,8 @@
 """A circuit breaker over the promotion engine.
 
-A single crashed worker pool is routine — the resilient executor
-rebuilds it and quarantines the poison function.  A *storm* of engine
-failures (every job dying on arrival, the pool thrashing) is different:
+A single crashed worker is routine — the supervisor replaces it and
+quarantines the poison function.  A *storm* of engine failures (every
+job dying on arrival, the pool thrashing) is different:
 continuing to admit jobs just feeds the fire.  The breaker counts
 **consecutive** engine-level failures; at ``threshold`` it opens and the
 daemon answers 503 (with a retry-after equal to the remaining backoff)

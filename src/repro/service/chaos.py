@@ -2,8 +2,9 @@
 
 :class:`~repro.robustness.faults.ChaosConfig` injects faults *inside*
 worker processes; this module extends the same idea one layer up, to the
-wire.  A :class:`ServiceChaosConfig` decides — with the identical pure
-sha256 draw, so a run is exactly replayable from its seed — whether a
+wire.  A :class:`ServiceChaosConfig` decides — with the shared pure
+sha256 draw (:class:`~repro.robustness.faults.SeededChaos`), so a run is
+exactly replayable from its seed — whether a
 given request is delivered normally or arrives as one of four hostile
 shapes:
 
@@ -27,20 +28,18 @@ driver that realizes these plans against a live daemon.
 
 from __future__ import annotations
 
-import hashlib
 from typing import Dict, Optional
 
+from repro.robustness.faults import SeededChaos
 
-class ServiceChaosConfig:
-    """Seeded request-level fault plans for the service layer.
 
-    Mirrors :class:`~repro.robustness.faults.ChaosConfig`: each mode
-    fires independently at its rate via a pure draw, first mode in
-    ``MODES`` order wins when several fire, and ``parse`` accepts the
-    same ``key=value,...`` CLI spec shape.
-    """
+class ServiceChaosConfig(SeededChaos):
+    """Seeded request-level fault plans for the service layer — the same
+    draw, mode order and spec syntax as
+    :class:`~repro.robustness.faults.ChaosConfig`, keyed by request."""
 
     MODES = ("drop", "slow", "disconnect", "malformed")
+    PARAMS = {"seed": ("seed", int), "slow_delay_s": ("slow_delay_s", float)}
 
     def __init__(
         self,
@@ -51,90 +50,24 @@ class ServiceChaosConfig:
         seed: int = 0,
         slow_delay_s: float = 0.5,
     ) -> None:
-        for mode, rate in (
-            ("drop", drop),
-            ("slow", slow),
-            ("disconnect", disconnect),
-            ("malformed", malformed),
-        ):
-            if not 0.0 <= rate <= 1.0:
-                raise ValueError(f"chaos rate {mode}={rate} outside [0, 1]")
+        super().__init__(
+            seed, drop=drop, slow=slow, disconnect=disconnect, malformed=malformed
+        )
         if slow_delay_s < 0:
             raise ValueError(f"slow_delay_s must be >= 0, got {slow_delay_s}")
-        self.drop = drop
-        self.slow = slow
-        self.disconnect = disconnect
-        self.malformed = malformed
-        self.seed = seed
         #: Pause between trickled body chunks in ``slow`` mode — point it
         #: past the daemon's body timeout to force a 408.
         self.slow_delay_s = slow_delay_s
 
-    @property
-    def enabled(self) -> bool:
-        return any(self.rate(mode) > 0 for mode in self.MODES)
-
-    def rate(self, mode: str) -> float:
-        if mode not in self.MODES:
-            raise ValueError(f"unknown service chaos mode {mode!r}")
-        return getattr(self, mode)
-
     def draw(self, request: int, mode: str) -> float:
         """The deterministic uniform draw in ``[0, 1)`` for one decision."""
-        key = f"{self.seed}:req{request}:{mode}".encode()
-        digest = hashlib.sha256(key).digest()
-        return int.from_bytes(digest[:8], "big") / 2**64
+        return self.draw_key(f"{self.seed}:req{request}:{mode}")
 
     def plan(self, request: int) -> Optional[str]:
         """Which mode (if any) fires for request number ``request``."""
-        for mode in self.MODES:
-            rate = self.rate(mode)
-            if rate > 0 and self.draw(request, mode) < rate:
-                return mode
-        return None
-
-    @classmethod
-    def parse(cls, spec: str) -> "ServiceChaosConfig":
-        """Parse the CLI form, e.g.
-        ``"drop=0.2,slow=0.1,disconnect=0.2,malformed=0.2,seed=77"``."""
-        kwargs: Dict[str, object] = {}
-        for item in spec.split(","):
-            item = item.strip()
-            if not item:
-                continue
-            key, sep, value = item.partition("=")
-            if not sep:
-                raise ValueError(f"chaos spec item {item!r} is not key=value")
-            key = key.strip()
-            value = value.strip()
-            try:
-                if key in ("drop", "slow", "disconnect", "malformed", "slow_delay_s"):
-                    kwargs[key] = float(value)
-                elif key == "seed":
-                    kwargs[key] = int(value)
-                else:
-                    raise ValueError(f"unknown chaos spec key {key!r}")
-            except ValueError as exc:
-                if "chaos spec" in str(exc):
-                    raise
-                raise ValueError(
-                    f"chaos spec value {key}={value!r} is not a number"
-                ) from None
-        return cls(**kwargs)  # type: ignore[arg-type]
+        return self.plan_key(f"{self.seed}:req{request}")
 
     def as_dict(self) -> Dict[str, object]:
-        return {
-            "drop": self.drop,
-            "slow": self.slow,
-            "disconnect": self.disconnect,
-            "malformed": self.malformed,
-            "seed": self.seed,
-            "slow_delay_s": self.slow_delay_s,
-        }
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"ServiceChaosConfig(drop={self.drop}, slow={self.slow}, "
-            f"disconnect={self.disconnect}, malformed={self.malformed}, "
-            f"seed={self.seed})"
-        )
+        doc = super().as_dict()
+        doc["slow_delay_s"] = self.slow_delay_s
+        return doc

@@ -18,9 +18,9 @@ from repro.frontend.limits import InputLimits
 class ServiceConfig:
     """Tunables for :class:`~repro.service.daemon.PromotionDaemon`.
 
-    ``workers`` sizes the warm thread pool; promotion jobs that
-    themselves request ``jobs > 1`` additionally spin the resilient
-    process executor underneath a pool thread.  ``max_queue`` bounds
+    ``workers`` sizes the warm thread pool; resilient jobs (any of
+    ``timeout_s``/``retries``/``chaos``) additionally start one
+    supervised worker process underneath their pool thread.  ``max_queue`` bounds
     *waiting* admissions on top of the ``workers`` in-flight slots —
     beyond that the service sheds load with a 429.  ``default_deadline_s``
     applies when a job names none; ``max_deadline_s`` clamps what a job

@@ -21,8 +21,8 @@ per-request feed, not just a post-hoc file.
 
 Graceful shutdown (SIGTERM/SIGINT): stop accepting, reject queued
 admissions with 503s, give in-flight jobs a bounded grace to finish
-(they complete or were already degraded/quarantined by the resilient
-executor), then stop the loop.  The invariant the tests pin: nothing a
+(they complete or were already degraded/quarantined by the
+supervisor), then stop the loop.  The invariant the tests pin: nothing a
 client does — chaos, shedding, disconnects, poison jobs — changes any
 *completed* job's bytes versus a fresh serial run, because jobs are
 shared-nothing and every shared structure (analysis caches, result
@@ -104,8 +104,8 @@ class PromotionDaemon:
         self._done = asyncio.Event()
         self._started_at = time.monotonic()
         self._heartbeat = self._started_at
-        # Ambient install lets deep modules (engine, breaker, resilient
-        # executor) record into the daemon's ring without plumbing.
+        # Ambient install lets deep modules (engine, breaker, supervisor)
+        # record into the daemon's ring without plumbing.
         flightrecorder_mod.install(self.flight)
         self.flight.record("daemon.start", workers=self.config.workers)
         self._watchdog_task = asyncio.ensure_future(self._watchdog())
@@ -124,12 +124,12 @@ class PromotionDaemon:
 
         Deliberately ``signal.signal``, not ``loop.add_signal_handler``:
         the loop variant registers a C-level handler that writes into a
-        wakeup pipe, and promotion jobs with ``jobs != 1`` *fork* worker
-        processes that inherit both.  A worker the pool later SIGTERMs
-        (routine after a chaos crash) would write into the shared pipe
-        and the daemon's loop would read it as its own shutdown signal.
-        The pid guard gives forked children back the default disposition
-        and re-delivers, so pool termination keeps working too."""
+        wakeup pipe, and resilient promotion jobs *fork* a supervised
+        worker process that inherits both.  A signal delivered to that
+        worker would write into the shared pipe and the daemon's loop
+        would read it as its own shutdown signal.  The pid guard gives
+        forked children back the default disposition and re-delivers,
+        so the worker still dies of the signal."""
         loop = asyncio.get_event_loop()
         owner_pid = os.getpid()
 
@@ -383,7 +383,7 @@ class PromotionDaemon:
         (from the caller's ``traceparent`` header) or a fresh one.  A
         ``daemon:job`` span wraps the whole dispatch so the pipeline's
         spans — including worker-process spans merged back by the
-        scheduler — hang off one connected tree."""
+        supervisor — hang off one connected tree."""
         trace = trace or TraceContext.new()
         obs = Observability.recording(trace_id=trace.trace_id)
         await _write_raw(

@@ -4,15 +4,12 @@ Each pool thread owns a persistent :class:`AnalysisCache` — the warm
 state a long-lived service amortizes across requests.  The cache is
 fingerprint-keyed, so sharing it across unrelated jobs can only change
 speed, never results (a different program simply misses).  Jobs that
-request ``jobs != 1`` additionally spin the resilient process executor
-underneath their pool thread, and the job's deadline is propagated into
-:class:`~repro.robustness.executor.ResilienceOptions` as the
-per-function timeout, so a hung worker process is killed by the
-executor's own watchdog rather than orphaned.  Those process workers
-come from the process-wide **warm pools** (:mod:`repro.parallel.pool`):
-they survive across requests — later parallel jobs skip pool spin-up
-and reuse the published module epochs — are reported in ``/healthz``
-(``warm_pools``), and are drained by :meth:`PromotionEngine.shutdown`.
+set ``timeout_s``/``retries``/``chaos`` promote in one supervised worker
+process underneath their pool thread
+(:mod:`repro.robustness.supervise`), and the job's deadline is the
+per-function timeout unless ``timeout_s`` says otherwise, so a hung
+worker process is killed by the supervisor rather than orphaned.  The
+worker lives for one job only.
 
 Deadline semantics for the pool thread itself: Python threads cannot be
 interrupted, so a job that outlives its deadline is **abandoned** — the
@@ -56,7 +53,7 @@ from repro.ir.printer import print_module
 from repro.parallel.cache import AnalysisCache
 from repro.profile.interp import Interpreter, InterpreterError
 from repro.promotion.pipeline import PromotionPipeline
-from repro.robustness.executor import ResilienceOptions
+from repro.robustness.supervise import ResilienceOptions
 from repro.service.errors import DeadlineExceededError, JobInputError, ServiceError
 from repro.service.jobs import JobRequest, JobResult
 
@@ -127,17 +124,12 @@ class PromotionEngine:
             raise JobInputError(f"IR parse error: {exc}") from None
 
     def _resilience_for(self, job: JobRequest, deadline_s: float):
-        if job.jobs == 1:
+        if not job.wants_resilience:
             return None
-        if not job.wants_resilience and job.chaos is None:
-            # Plain parallel job: still propagate the deadline so a hung
-            # worker process is killed by the executor, not orphaned.
-            return ResilienceOptions(timeout_s=deadline_s)
-        return ResilienceOptions(
-            timeout_s=job.timeout_s if job.timeout_s is not None else deadline_s,
-            retries=job.retries if job.retries is not None else 2,
-            seed=job.chaos.seed if job.chaos is not None else 0,
-            chaos=job.chaos,
+        return ResilienceOptions.from_flags(
+            job.timeout_s if job.timeout_s is not None else deadline_s,
+            job.retries,
+            job.chaos,
         )
 
     def execute(
@@ -230,7 +222,6 @@ class PromotionEngine:
         pipeline_kwargs: Dict[str, object] = dict(
             entry=job.entry,
             args=job.args,
-            jobs=job.jobs,
             use_cache=job.use_cache,
             resilience=self._resilience_for(job, deadline_s),
         )
@@ -238,9 +229,9 @@ class PromotionEngine:
             pipeline_kwargs["observability"] = observability
         if job.max_steps is not None:
             pipeline_kwargs["max_steps"] = job.max_steps
-        if job.jobs == 1 and job.use_cache:
+        if job.use_cache:
             # The warm path: this thread's persistent fingerprint-keyed
-            # cache.  Parallel jobs use per-worker caches instead.
+            # cache (a supervised worker keeps its own).
             pipeline_kwargs["analysis_cache"] = self._thread_cache()
         pipeline = PromotionPipeline(**pipeline_kwargs)
         result = pipeline.run(module)
@@ -342,15 +333,8 @@ class PromotionEngine:
 
     def shutdown(self, wait: bool = True) -> None:
         self._pool.shutdown(wait=wait, cancel_futures=not wait)
-        # Parallel jobs ran on the process-wide warm worker pools; a
-        # draining engine must not leave their processes behind.
-        from repro.parallel.pool import shutdown_pools
-
-        shutdown_pools()
 
     def as_dict(self) -> Dict[str, object]:
-        from repro.parallel.pool import pool_info
-
         with self._counter_lock:
             return {
                 "workers": self.workers,
@@ -360,7 +344,6 @@ class PromotionEngine:
                 "abandoned": self.abandoned,
                 "result_cache_hits": self.result_cache_hits,
                 "result_cache_entries": len(self._result_cache),
-                "warm_pools": pool_info(),
             }
 
 

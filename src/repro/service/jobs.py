@@ -29,7 +29,6 @@ KINDS = ("minic", "ir")
 
 #: Option keys a job may set, with (type, validator) pairs enforced by
 #: :meth:`JobRequest.from_payload`.
-_MAX_JOBS = 64
 _MAX_RETRIES = 16
 
 
@@ -46,7 +45,6 @@ class JobRequest:
         "source",
         "entry",
         "args",
-        "jobs",
         "use_cache",
         "deadline_s",
         "timeout_s",
@@ -62,12 +60,11 @@ class JobRequest:
         source: str,
         entry: str = "main",
         args: Optional[List[int]] = None,
-        jobs: int = 1,
         use_cache: bool = True,
         deadline_s: Optional[float] = None,
         timeout_s: Optional[float] = None,
         retries: Optional[int] = None,
-        chaos: Optional[ChaosConfig] = None,
+        chaos: Optional[str] = None,
         max_steps: Optional[int] = None,
         trace: Optional[TraceContext] = None,
     ) -> None:
@@ -75,11 +72,11 @@ class JobRequest:
         self.source = source
         self.entry = entry
         self.args = list(args or [])
-        self.jobs = jobs
         self.use_cache = use_cache
         self.deadline_s = deadline_s
         self.timeout_s = timeout_s
         self.retries = retries
+        #: The chaos spec string (validated), e.g. ``"crash=1.0,seed=1"``.
         self.chaos = chaos
         self.max_steps = max_steps
         #: Distributed trace context carried inside the envelope — the
@@ -90,8 +87,7 @@ class JobRequest:
 
     @property
     def wants_resilience(self) -> bool:
-        """Whether the job carries executor-level resilience options
-        (which require the process-pool path, i.e. ``jobs != 1``)."""
+        """Whether the job asks for the supervised promotion worker."""
         return (
             self.timeout_s is not None
             or self.retries is not None
@@ -100,12 +96,11 @@ class JobRequest:
 
     @property
     def is_default_run(self) -> bool:
-        """True for a plain serial job with no custom knobs — the only
-        shape the engine's result cache may serve, so cached entries are
-        always byte-identical to a fresh default run."""
+        """True for a plain in-process job with no custom knobs — the
+        only shape the engine's result cache may serve, so cached entries
+        are always byte-identical to a fresh default run."""
         return (
-            self.jobs == 1
-            and self.use_cache
+            self.use_cache
             and not self.wants_resilience
             and self.max_steps is None
         )
@@ -171,7 +166,6 @@ class JobRequest:
         options = payload.get("options", {})
         _require(isinstance(options, dict), "job field 'options' must be an object")
         known_options = {
-            "jobs",
             "use_cache",
             "deadline_s",
             "timeout_s",
@@ -182,12 +176,6 @@ class JobRequest:
         unknown = sorted(set(options) - known_options)
         _require(not unknown, f"unknown job option(s): {', '.join(unknown)}")
 
-        jobs = options.get("jobs", 1)
-        _require(
-            isinstance(jobs, int) and not isinstance(jobs, bool),
-            "job option 'jobs' must be an integer",
-        )
-        _require(0 <= jobs <= _MAX_JOBS, f"job option 'jobs' must be in 0..{_MAX_JOBS}")
         use_cache = options.get("use_cache", True)
         _require(
             isinstance(use_cache, bool), "job option 'use_cache' must be a boolean"
@@ -211,12 +199,11 @@ class JobRequest:
                 f"job option 'retries' must be in 0..{_MAX_RETRIES}",
             )
 
-        chaos_spec = options.get("chaos")
-        chaos = None
-        if chaos_spec is not None:
-            _require(isinstance(chaos_spec, str), "job option 'chaos' must be a string")
+        chaos = options.get("chaos")
+        if chaos is not None:
+            _require(isinstance(chaos, str), "job option 'chaos' must be a string")
             try:
-                chaos = ChaosConfig.parse(chaos_spec)
+                ChaosConfig.parse(chaos)
             except ValueError as exc:
                 raise JobValidationError(f"job option 'chaos': {exc}") from None
 
@@ -231,12 +218,11 @@ class JobRequest:
                 "job option 'max_steps' must be in 1..50000000",
             )
 
-        request = cls(
+        return cls(
             kind=kind,
             source=source,
             entry=entry,
             args=args,
-            jobs=jobs,
             use_cache=use_cache,
             deadline_s=deadline_s,
             timeout_s=timeout_s,
@@ -245,13 +231,6 @@ class JobRequest:
             max_steps=max_steps,
             trace=trace,
         )
-        if request.wants_resilience:
-            _require(
-                request.jobs != 1,
-                "job options 'timeout_s'/'retries'/'chaos' require jobs != 1 "
-                "(the resilient executor acts on worker processes)",
-            )
-        return request
 
 
 def _optional_number(options: Dict[str, Any], key: str) -> Optional[float]:

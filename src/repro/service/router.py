@@ -2,9 +2,9 @@
 
 ``repro-route`` scales the service horizontally: it speaks the same
 HTTP/1.1 job protocol as :mod:`repro.service.daemon` and fans out to N
-backend ``repro-serve`` instances.  One daemon owns warm pools, an
-epoch board, and dispatch/analysis caches whose value comes entirely
-from seeing the same modules again — so the router keys placement on
+backend ``repro-serve`` instances.  One daemon owns analysis and
+result caches whose value comes entirely from seeing the same modules
+again — so the router keys placement on
 the **module fingerprint** of the submitted source
 (:mod:`repro.service.routing`) and the same program always lands on the
 same shard while it is healthy.
@@ -17,8 +17,7 @@ Moving parts:
   failover sequence every router instance agrees on without
   coordination.
 * **Health-based draining** — :class:`HealthTracker` polls each
-  backend's ``/healthz`` and ``/readyz`` (the health document includes
-  the ``warm_pools`` report) and walks instances through
+  backend's ``/healthz`` and ``/readyz`` and walks instances through
   ``healthy → draining → down``.  A draining backend receives no new
   jobs but keeps its in-flight relays — the daemon's own graceful-drain
   machinery finishes them — and a backend that answers healthy again
@@ -212,7 +211,6 @@ class BackendState:
         self.transitions = 0
         self.jobs_total = 0
         self.failures_total = 0
-        self.last_health: Optional[Dict[str, object]] = None
         self.last_probe_error: Optional[str] = None
 
     def set_status(self, status: str) -> bool:
@@ -223,15 +221,6 @@ class BackendState:
         self.transitions += 1
         return True
 
-    def warm_pools(self) -> object:
-        """The backend's last-reported warm-pool inventory, if any."""
-        if not isinstance(self.last_health, dict):
-            return None
-        engine = self.last_health.get("engine")
-        if isinstance(engine, dict):
-            return engine.get("warm_pools")
-        return None
-
     def as_dict(self) -> Dict[str, object]:
         return {
             "id": self.id,
@@ -241,7 +230,6 @@ class BackendState:
             "jobs_total": self.jobs_total,
             "failures_total": self.failures_total,
             "breaker": self.breaker.as_dict(),
-            "warm_pools": self.warm_pools(),
             "last_probe_error": self.last_probe_error,
         }
 
@@ -250,8 +238,8 @@ class HealthTracker:
     """Drives ``healthy → draining → down`` (and back) from probes.
 
     One :meth:`poll_once` probes every backend concurrently:
-    ``/healthz`` for the status word and the ``warm_pools`` report,
-    ``/readyz`` for admission readiness.  ``draining`` is immediate
+    ``/healthz`` for the status word, ``/readyz`` for admission
+    readiness.  ``draining`` is immediate
     (the daemon said so — stop sending new work *now* so its grace
     window is spent on in-flight jobs, not on fresh arrivals); ``down``
     needs ``down_after`` consecutive strikes so one dropped probe does
@@ -288,8 +276,6 @@ class HealthTracker:
         if error is not None:
             self._strike(state)
             return
-        if isinstance(health, dict):
-            state.last_health = health
         reason = (ready_doc or {}).get("reason") if ready_status != 200 else None
         drains = (
             isinstance(health, dict) and health.get("status") == "draining"

@@ -91,11 +91,11 @@ def healthy_payload(program: str = HEALTHY_PROGRAM) -> Dict[str, object]:
 
 def poisoned_payload() -> Dict[str, object]:
     """Worker-level chaos at rate 1.0 on ``step``: every attempt dies,
-    the resilient executor quarantines it, the job completes degraded."""
+    the supervisor quarantines it, the job completes degraded."""
     return {
         "kind": "minic",
         "source": HEALTHY_PROGRAM,
-        "options": {"jobs": 2, "retries": 1, "chaos": "crash=1.0,only=step,seed=1"},
+        "options": {"retries": 1, "chaos": "crash=1.0,only=step,seed=1"},
     }
 
 
@@ -223,12 +223,12 @@ async def run_checks(
     )
     poisoned_doc = poisoned_resp.json()
     check(poisoned_doc["degraded"], "poisoned job did not report degraded")
-    # The designed path: every parallel attempt on 'step' crashes, the
-    # resilient executor quarantines it.  On a heavily loaded host the
-    # worker pool can fall back to serial first — worker-level chaos
-    # then never fires and the quarantine list is honestly empty; the
-    # job is still degraded and behaviour-preserving.  Any *other*
-    # function in the list is a real bug either way.
+    # The designed path: every supervised attempt on 'step' crashes, the
+    # supervisor quarantines it.  If the worker cannot start, promotion
+    # falls back to in process — worker-level chaos then never fires
+    # and the quarantine list is honestly empty; the job is still
+    # degraded and behaviour-preserving.  Any *other* function in the
+    # list is a real bug either way.
     check(
         poisoned_doc["quarantined"] in (["step"], []),
         f"poisoned job quarantined {poisoned_doc['quarantined']}, expected 'step'",

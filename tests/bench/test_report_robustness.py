@@ -113,15 +113,32 @@ def test_chaos_flags_are_incompatible_with_timing(tmp_path, capsys):
     assert "incompatible with --timing" in captured.err
 
 
-def test_chaos_flags_require_parallel_jobs(capsys):
-    code = main(["--chaos", "crash=0.1"])
+def test_chaos_flags_run_without_jobs(capsys, monkeypatch):
+    seen = {}
+
+    def measure(*args, **kwargs):
+        seen.update(kwargs)
+        return fake_row("go")
+
+    monkeypatch.setattr(report, "measure_workload", measure)
+    monkeypatch.setattr(report, "ORDER", ["go"])
+    code = main(["--table", "2", "--chaos", "crash=0.1,seed=4"])
+    captured = capsys.readouterr()
+    assert code == 0
+    assert seen["resilience"].chaos.seed == 4
+    assert "0 function(s) quarantined" in captured.err
+
+
+def test_jobs_requires_timing(capsys):
+    code = main(["--table", "2", "--jobs", "2"])
     captured = capsys.readouterr()
     assert code == 2
-    assert "--jobs != 1" in captured.err
+    assert "requires --timing" in captured.err
+    assert captured.err.count("\n") == 1
 
 
 def test_bad_chaos_spec_exits_2(capsys):
-    code = main(["--jobs", "2", "--chaos", "hang=many"])
+    code = main(["--chaos", "hang=many"])
     captured = capsys.readouterr()
     assert code == 2
     assert "repro-report: --chaos:" in captured.err
@@ -160,8 +177,6 @@ def test_degraded_workloads_exit_3_with_a_resilience_summary(
         [
             "--table",
             "2",
-            "--jobs",
-            "2",
             "--chaos",
             "transient=0.5,seed=1",
             "--diagnostics-dir",
@@ -182,7 +197,7 @@ def test_clean_resilient_run_exits_0(capsys, monkeypatch):
         report, "measure_workload", lambda *a, **k: fake_row("go")
     )
     monkeypatch.setattr(report, "ORDER", ["go"])
-    code = main(["--table", "2", "--jobs", "2", "--timeout", "60"])
+    code = main(["--table", "2", "--timeout", "60"])
     captured = capsys.readouterr()
     assert code == 0
     assert "0 function(s) quarantined" in captured.err

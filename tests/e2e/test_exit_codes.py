@@ -31,7 +31,7 @@ int main() {
 """
 
 CHAOS = "crash=1.0,only=step,seed=1"
-DEGRADED_FLAGS = ["--promote", "--jobs", "2", "--retries", "1", "--chaos", CHAOS]
+DEGRADED_FLAGS = ["--promote", "--retries", "1", "--chaos", CHAOS]
 
 
 @pytest.fixture
@@ -54,7 +54,7 @@ def poison_file(tmp_path):
             DEGRADED_FLAGS + ["--strict"], 1, id="strict-beats-degraded"
         ),
         pytest.param(
-            ["--promote", "--jobs", "1", "--chaos", CHAOS, "--strict"],
+            DEGRADED_FLAGS + ["--timeout", "0", "--strict"],
             2,
             id="driver-error-beats-strict",
         ),
@@ -123,7 +123,7 @@ def degraded_suite(monkeypatch):
 
 
 def test_report_degraded_exits_3(degraded_suite, capsys):
-    code = report.main(["--table", "2", "--jobs", "2", "--chaos", CHAOS])
+    code = report.main(["--table", "2", "--chaos", CHAOS])
     assert code == 3
     assert "repro-report: resilience" in capsys.readouterr().err
 
@@ -132,8 +132,6 @@ def test_report_unwritable_trace_out_keeps_degraded_exit(degraded_suite, capsys)
     code = report.main(
         [
             "--table",
-            "2",
-            "--jobs",
             "2",
             "--chaos",
             CHAOS,
@@ -157,8 +155,6 @@ def test_report_unwritable_diagnostics_dir_beats_degraded(
         [
             "--table",
             "2",
-            "--jobs",
-            "2",
             "--chaos",
             CHAOS,
             "--diagnostics-dir",
@@ -173,7 +169,7 @@ def test_report_unwritable_diagnostics_dir_beats_degraded(
 def test_report_clean_resilient_run_exits_0(monkeypatch, capsys):
     monkeypatch.setattr(report, "measure_workload", lambda *a, **k: fake_row("go"))
     monkeypatch.setattr(report, "ORDER", ["go"])
-    assert report.main(["--table", "2", "--jobs", "2", "--timeout", "60"]) == 0
+    assert report.main(["--table", "2", "--timeout", "60"]) == 0
 
 
 def test_report_unreadable_baseline_beats_gate_failure(

@@ -36,8 +36,8 @@ def test_trace_and_metrics_exports(source_file, tmp_path, capsys):
         [
             source_file,
             "--promote",
-            "--jobs",
-            "2",
+            "--timeout",
+            "60",
             "--trace-out",
             str(trace_path),
             "--metrics-out",
@@ -53,7 +53,7 @@ def test_trace_and_metrics_exports(source_file, tmp_path, capsys):
     for phase in ("phase:prepare", "phase:profile", "phase:promote"):
         assert phase in names
     assert "function:step" in names
-    assert trace["otherData"]["config"]["jobs"] == 2
+    assert trace["otherData"]["config"]["resilience"]["timeout_s"] == 60
     assert trace["otherData"]["profile_source"] == "interpreter"
 
     metrics = json.loads(metrics_path.read_text())
@@ -101,8 +101,6 @@ def test_unwritable_trace_does_not_mask_degraded_exit_3(source_file, tmp_path, c
         [
             source_file,
             "--promote",
-            "--jobs",
-            "2",
             "--retries",
             "1",
             "--chaos",
@@ -125,8 +123,6 @@ def test_unwritable_trace_does_not_mask_strict_exit_1(source_file, tmp_path, cap
         [
             source_file,
             "--promote",
-            "--jobs",
-            "2",
             "--retries",
             "1",
             "--chaos",
@@ -167,8 +163,6 @@ def test_both_exports_unwritable_keep_degraded_exit_3(source_file, tmp_path, cap
         [
             source_file,
             "--promote",
-            "--jobs",
-            "2",
             "--retries",
             "1",
             "--chaos",
@@ -189,8 +183,6 @@ def test_both_exports_unwritable_keep_strict_exit_1(source_file, tmp_path, capsy
         [
             source_file,
             "--promote",
-            "--jobs",
-            "2",
             "--retries",
             "1",
             "--chaos",

@@ -7,7 +7,7 @@ import json
 import pytest
 
 from repro.frontend.cli import main
-from repro.parallel.scheduler import SchedulerError
+from repro.robustness.supervise import SupervisorError
 
 #: Two promotable functions so chaos can poison one while the other and
 #: the program's behaviour survive.
@@ -37,8 +37,6 @@ def test_chaos_crash_run_degrades_to_exit_3(source_file, capsys):
         [
             source_file,
             "--promote",
-            "--jobs",
-            "2",
             "--retries",
             "1",
             "--chaos",
@@ -53,7 +51,7 @@ def test_chaos_crash_run_degrades_to_exit_3(source_file, capsys):
 
 
 def test_clean_resilient_run_keeps_the_program_exit_code(source_file, capsys):
-    code = main([source_file, "--promote", "--jobs", "2", "--timeout", "60"])
+    code = main([source_file, "--promote", "--timeout", "60"])
     captured = capsys.readouterr()
     assert captured.out == "10\n"
     assert code == 10
@@ -65,8 +63,6 @@ def test_degraded_emit_ir_exits_3(source_file, capsys):
         [
             source_file,
             "--promote",
-            "--jobs",
-            "2",
             "--retries",
             "1",
             "--chaos",
@@ -84,8 +80,6 @@ def test_strict_outranks_degraded(source_file, capsys):
         [
             source_file,
             "--promote",
-            "--jobs",
-            "2",
             "--retries",
             "1",
             "--chaos",
@@ -99,12 +93,12 @@ def test_strict_outranks_degraded(source_file, capsys):
     assert "1 quarantined" in captured.err
 
 
-def test_resilience_flags_require_parallel_jobs(source_file, capsys):
-    code = main([source_file, "--promote", "--chaos", "crash=0.1"])
+def test_chaos_flag_runs_without_jobs(source_file, capsys):
+    code = main([source_file, "--promote", "--chaos", "crash=0.0"])
     captured = capsys.readouterr()
-    assert code == 2
-    assert "--jobs != 1" in captured.err
-    assert captured.err.count("\n") == 1
+    assert code == 10
+    assert captured.out == "10\n"
+    assert captured.err == ""
 
 
 def test_resilience_flags_require_promote(source_file, capsys):
@@ -115,14 +109,14 @@ def test_resilience_flags_require_promote(source_file, capsys):
 
 
 def test_bad_chaos_spec_exits_2(source_file, capsys):
-    code = main([source_file, "--promote", "--jobs", "2", "--chaos", "frob=1"])
+    code = main([source_file, "--promote", "--chaos", "frob=1"])
     captured = capsys.readouterr()
     assert code == 2
     assert "unknown chaos spec key 'frob'" in captured.err
 
 
 def test_bad_timeout_exits_2(source_file, capsys):
-    code = main([source_file, "--promote", "--jobs", "2", "--timeout", "0"])
+    code = main([source_file, "--promote", "--timeout", "0"])
     captured = capsys.readouterr()
     assert code == 2
     assert "timeout_s must be > 0" in captured.err
@@ -136,8 +130,6 @@ def test_diagnostics_carry_attempt_histories_and_quarantine(
         [
             source_file,
             "--promote",
-            "--jobs",
-            "2",
             "--retries",
             "1",
             "--chaos",
@@ -158,32 +150,28 @@ def test_diagnostics_carry_attempt_histories_and_quarantine(
     assert by_name["step"]["attempts"] == 2
 
 
-def test_parallel_fallback_is_printed_under_diagnostics(
+def test_worker_fallback_is_printed_under_diagnostics(
     source_file, tmp_path, capsys, monkeypatch
 ):
     import repro.promotion.pipeline as pipeline_module
 
-    def explode(*args, **kwargs):
-        raise SchedulerError.wrap(
-            RuntimeError("pool initializer died"), function="step"
-        )
+    def explode(self, names):
+        raise SupervisorError("RuntimeError", "worker setup died")
 
-    monkeypatch.setattr(pipeline_module, "promote_functions_parallel", explode)
+    monkeypatch.setattr(pipeline_module.Supervisor, "run", explode)
     out = tmp_path / "diag.json"
     code = main(
-        [source_file, "--promote", "--jobs", "2", "--diagnostics", str(out)]
+        [source_file, "--promote", "--timeout", "60", "--diagnostics", str(out)]
     )
     captured = capsys.readouterr()
-    # The serial fallback completed the run; degraded exit, cause kept.
+    # The in-process fallback completed the run; degraded exit, cause kept.
     assert code == 3
     assert (
-        "repro-minic: parallel fallback: RuntimeError: pool initializer died"
+        "repro-minic: worker fallback: RuntimeError: worker setup died"
         in captured.err
     )
-    assert "in 'step'" in captured.err
     data = json.loads(out.read_text())
     assert data["fallback_reason"] == {
         "error_type": "RuntimeError",
-        "detail": "pool initializer died",
-        "function": "step",
+        "detail": "worker setup died",
     }

@@ -5,7 +5,7 @@ The contract under test: every ``Load``/``Store`` present when
 ``promote_function`` enters a function (i.e. after mem2reg and CFG
 normalization — exactly what ``PipelineResult.static_before`` counts) is
 a candidate, and ``promoted + partial + blocked == candidates`` on every
-workload, serial and parallel alike.  Compensating accesses promotion
+workload, in process and supervised alike.  Compensating accesses promotion
 itself inserted are journaled but excluded from that reconciliation.
 """
 
@@ -23,6 +23,7 @@ from repro.observability.decisions import (
     ambient,
 )
 from repro.promotion.pipeline import PromotionPipeline
+from repro.robustness import ResilienceOptions
 
 SOURCE = """
 int shared = 0;
@@ -37,21 +38,25 @@ int main() {
 """
 
 
-def run_with_journal(source, jobs=1, entry="main", args=()):
+def run_with_journal(source, processes=1, entry="main", args=()):
+    """``processes=2`` promotes in a supervised worker beside the caller."""
     module = compile_source(source)
     journal = DecisionJournal()
     result = PromotionPipeline(
-        decisions=journal, jobs=jobs, entry=entry, args=list(args)
+        decisions=journal,
+        resilience=ResilienceOptions() if processes == 2 else None,
+        entry=entry,
+        args=list(args),
     ).run(module)
     return journal, result
 
 
-@pytest.mark.parametrize("jobs", [1, 2])
+@pytest.mark.parametrize("processes", [1, 2])
 @pytest.mark.parametrize("name", ORDER)
-def test_reconciliation_on_the_paper_workloads(name, jobs):
+def test_reconciliation_on_the_paper_workloads(name, processes):
     workload = WORKLOADS[name]
     journal, result = run_with_journal(
-        workload.source, jobs=jobs, entry=workload.entry, args=workload.args
+        workload.source, processes, entry=workload.entry, args=workload.args
     )
     totals = journal.summary()["totals"]
     static = result.static_before
@@ -65,8 +70,8 @@ def test_reconciliation_on_the_paper_workloads(name, jobs):
 
 
 def test_serial_and_parallel_journals_agree():
-    serial, _ = run_with_journal(WORKLOADS["compress"].source, jobs=1)
-    parallel, _ = run_with_journal(WORKLOADS["compress"].source, jobs=2)
+    serial, _ = run_with_journal(WORKLOADS["compress"].source, processes=1)
+    parallel, _ = run_with_journal(WORKLOADS["compress"].source, processes=2)
     assert serial.summary() == parallel.summary()
     assert serial.export() == parallel.export()
 

@@ -1,5 +1,5 @@
-"""Trace determinism: parallel runs replay the serial span tree, and
-chaos runs replay identical event sequences from the same seed."""
+"""Trace determinism: supervised runs replay the in-process span tree,
+and chaos runs replay identical event sequences from the same seed."""
 
 from repro.frontend.lower import compile_source
 from repro.observability import Observability
@@ -23,17 +23,19 @@ int main() {
 }
 """
 
-#: Metrics that legitimately differ between serial and parallel runs:
-#: cache hit/miss counts depend on process boundaries, and the
-#: transport/lane/job counters describe the execution layer itself.
-EXECUTION_LAYER_PREFIXES = ("cache.", "parallel.")
-EXECUTION_LAYER_METRICS = ("pipeline.jobs_used",)
+#: Metrics that legitimately differ between in-process and supervised
+#: runs: cache hit/miss counts depend on process boundaries, and the
+#: supervisor's attempt counters describe the execution layer itself.
+EXECUTION_LAYER_PREFIXES = ("cache.", "resilience.")
 
 
-def _span_tree(tracer):
-    """(name, children) shape of the trace — no ids, times, or lanes."""
+def _span_tree(tracer, skip=()):
+    """(name, children) shape of the trace — no ids, times, or lanes;
+    records whose names start with ``skip`` are left out."""
     by_parent = {}
     for record in tracer.records:
+        if skip and record.name.startswith(skip):
+            continue
         by_parent.setdefault(record.parent, []).append(record)
 
     def walk(record):
@@ -47,37 +49,37 @@ def _comparable_metrics(metrics):
         name: doc
         for name, doc in metrics.as_dict().items()
         if not name.startswith(EXECUTION_LAYER_PREFIXES)
-        and name not in EXECUTION_LAYER_METRICS
     }
 
 
-def _run(jobs, resilience=None):
+def _run(resilience=None):
     obs = Observability.recording()
     module = compile_source(SOURCE)
-    result = PromotionPipeline(
-        jobs=jobs, resilience=resilience, observability=obs
-    ).run(module)
+    result = PromotionPipeline(resilience=resilience, observability=obs).run(module)
+    if resilience is not None:
+        assert result.diagnostics.fallback_reason is None, "worker fell back"
     return obs, result
 
 
 def test_parallel_trace_replays_the_serial_span_tree():
-    obs_serial, res_serial = _run(1)
-    obs_parallel, res_parallel = _run(4)
-    assert res_parallel.jobs_used > 1, "parallel run fell back to serial"
-    assert _span_tree(obs_parallel.tracer) == _span_tree(obs_serial.tracer)
+    obs_serial, _ = _run()
+    obs_parallel, _ = _run(ResilienceOptions())
+    # The supervisor adds one synthetic ``attempt:`` record per attempt.
+    assert _span_tree(obs_parallel.tracer, skip="attempt:") == _span_tree(
+        obs_serial.tracer
+    )
 
 
 def test_parallel_metrics_match_serial_modulo_execution_layer():
-    obs_serial, _ = _run(1)
-    obs_parallel, _ = _run(4)
+    obs_serial, _ = _run()
+    obs_parallel, _ = _run(ResilienceOptions())
     assert _comparable_metrics(obs_parallel.metrics) == _comparable_metrics(
         obs_serial.metrics
     )
 
 
 def test_worker_lanes_are_preserved_in_the_merged_trace():
-    obs, result = _run(2)
-    assert result.jobs_used == 2
+    obs, _ = _run(ResilienceOptions())
     parent_pid = obs.tracer.records[0].pid
     worker_pids = {
         r.pid
@@ -94,7 +96,7 @@ def test_chaos_replays_identical_event_sequences_from_the_same_seed():
             seed=77,
             chaos=ChaosConfig.parse("transient=0.5,seed=77"),
         )
-        obs, result = _run(2, resilience=resilience)
+        obs, result = _run(resilience)
         events = [
             (r.name, r.attrs.get("attempt"), r.attrs.get("outcome"))
             for r in obs.tracer.records

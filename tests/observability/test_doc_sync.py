@@ -97,14 +97,13 @@ def recorded_names():
 
     module = compile_source(SOURCE)
     obs = Observability.recording()
-    PromotionPipeline(observability=obs, jobs=2).run(module)
+    PromotionPipeline(observability=obs, resilience=ResilienceOptions()).run(module)
     names.update(obs.metrics.as_dict())
 
     module = compile_source(SOURCE)
     obs = Observability.recording()
     PromotionPipeline(
         observability=obs,
-        jobs=2,
         resilience=ResilienceOptions(
             retries=2,
             seed=7,

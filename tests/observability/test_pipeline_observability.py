@@ -67,11 +67,11 @@ def test_cache_counters_match_cache_stats():
 
 
 def test_diagnostics_observability_section_is_versioned():
-    obs, result = _observed_run(jobs=1)
+    obs, result = _observed_run()
     section = result.diagnostics.as_dict()["observability"]
     assert section["version"] == 1
     assert section["profile_source"] == "interpreter"
-    assert section["config"]["jobs"] == 1
+    assert section["config"]["resilience"] is None
     assert section["config"]["use_cache"] is True
     assert section["spans"] == len(obs.tracer.records)
     assert "promotion.webs_promoted" in section["metrics"]
@@ -91,9 +91,9 @@ def test_result_carries_the_bundle_for_exporters():
 
 
 def test_config_stamp_covers_the_execution_layer():
-    pipeline = PromotionPipeline(jobs=2, use_cache=False)
+    pipeline = PromotionPipeline(use_cache=False)
     stamp = pipeline.config_stamp()
-    assert stamp["jobs"] == 2
+    assert "jobs" not in stamp
     assert stamp["use_cache"] is False
     assert stamp["resilience"] is None
     assert stamp["transactional"] is True

@@ -1,10 +1,12 @@
-"""Parallel promotion must be bit-identical to serial promotion.
+"""Supervised promotion must be bit-identical to in-process promotion.
 
-The scheduler merges worker results in module order, so a ``jobs=4`` run
-must reproduce a ``jobs=1`` run exactly: same transformed IR, same
-Table 1/2 counts, same per-function statistics, and the same diagnostics
-JSON byte for byte (after zeroing wall-clock durations, which are not
-outputs).
+With chaos off, a run whose phases 3+4 go through the supervised worker
+process (``resilience=ResilienceOptions()``) must reproduce the
+in-process run exactly: same transformed IR, same Table 1/2 counts, same
+per-function statistics, and the same diagnostics JSON byte for byte —
+after zeroing wall-clock durations and dropping the supervisor's own
+bookkeeping (``resilience``, ``attempt_histories`` and the per-function
+``attempts`` count), which are not outputs.
 """
 
 import json
@@ -15,18 +17,26 @@ from repro.bench.workloads import ORDER, WORKLOADS
 from repro.frontend.lower import compile_source
 from repro.ir.printer import print_module
 from repro.promotion.pipeline import PromotionPipeline
+from repro.robustness import ResilienceOptions
 
 
-def _run(name, jobs, use_cache=True):
+def _run(name, resilience=None, use_cache=True):
     workload = WORKLOADS[name]
     module = compile_source(workload.source, name)
     pipeline = PromotionPipeline(
-        entry=workload.entry, args=list(workload.args), jobs=jobs, use_cache=use_cache
+        entry=workload.entry,
+        args=list(workload.args),
+        use_cache=use_cache,
+        resilience=resilience,
     )
     result = pipeline.run(module)
+    # The supervised path really ran (a fallback leaves no counters).
+    assert (result.diagnostics.resilience is not None) == (resilience is not None)
     diagnostics = result.diagnostics.as_dict()
+    del diagnostics["resilience"], diagnostics["attempt_histories"]
     for outcome in diagnostics["functions"]:
         outcome["duration_ms"] = 0.0
+        outcome["attempts"] = 0
     return {
         "ir": print_module(module),
         "static": [
@@ -49,8 +59,8 @@ def _run(name, jobs, use_cache=True):
 
 @pytest.mark.parametrize("name", ORDER)
 def test_parallel_matches_serial(name):
-    serial = _run(name, jobs=1)
-    parallel = _run(name, jobs=4)
+    serial = _run(name)
+    parallel = _run(name, resilience=ResilienceOptions())
     assert parallel["ir"] == serial["ir"]
     assert parallel["static"] == serial["static"]
     assert parallel["dynamic"] == serial["dynamic"]
@@ -60,6 +70,6 @@ def test_parallel_matches_serial(name):
 
 
 def test_cache_does_not_change_outputs():
-    cached = _run("compress", jobs=1, use_cache=True)
-    uncached = _run("compress", jobs=1, use_cache=False)
+    cached = _run("compress", use_cache=True)
+    uncached = _run("compress", use_cache=False)
     assert cached == uncached

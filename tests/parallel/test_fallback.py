@@ -1,9 +1,9 @@
-"""Parallel-to-serial fallback: the cause survives as structured data.
+"""Supervised-to-in-process fallback: the cause survives as structured
+data.
 
-A worker-side failure that makes the pool unusable must not lose its
-cause: the pipeline records a ``fallback_reason`` (exception type, first
-message line, the function whose result exposed it) in the diagnostics
-and completes serially.
+A worker that cannot set up must not lose its cause: the pipeline
+records a ``fallback_reason`` (exception type and first message line) in
+the diagnostics and promotes in process.
 """
 
 import multiprocessing
@@ -13,8 +13,8 @@ import pytest
 
 from repro.frontend.lower import compile_source
 from repro.memory.aliasing import AliasModel
-from repro.parallel.scheduler import SchedulerError
 from repro.promotion.pipeline import PromotionPipeline
+from repro.robustness import ResilienceOptions, SupervisorError
 
 SOURCE = """
 int total = 0;
@@ -31,7 +31,7 @@ int main() {
 
 #: Recorded at import time in the parent.  Under the fork start method a
 #: worker inherits this value but has its own pid, so the factory below
-#: fails only inside workers — the parent's serial fallback still works.
+#: fails only inside workers — the parent's in-process fallback still works.
 _PARENT_PID = os.getpid()
 
 
@@ -50,38 +50,28 @@ requires_fork = pytest.mark.skipif(
 @requires_fork
 def test_fallback_reason_is_recorded_and_run_completes_serially():
     module = compile_source(SOURCE)
-    result = PromotionPipeline(jobs=2, alias_model=_worker_hostile_factory).run(
-        module
-    )
+    result = PromotionPipeline(
+        alias_model=_worker_hostile_factory, resilience=ResilienceOptions()
+    ).run(module)
     diags = result.diagnostics
 
     reason = diags.fallback_reason
     assert reason is not None
-    # The factory raised during the worker's lazy epoch sync, so the
-    # task itself failed (warm-pool workers have no initializer to kill);
-    # the structured reason names the exception type and the function
-    # whose batch exposed the failure.
+    # The factory raised during the worker's setup, before any function
+    # was in flight; the structured reason names the exception type and
+    # its message.
     assert reason["error_type"] == "RuntimeError"
     assert "alias model refuses" in reason["detail"]
-    assert reason["function"] is None or reason["function"] in module.functions
     assert diags.degraded
 
-    # The serial fallback finished the job with the parent-side factory.
+    # The in-process fallback finished the job with the parent-side factory.
     assert sorted(diags.promoted_functions) == ["main", "step"]
     assert result.output_matches
     assert any("falling back to serial" in warning for warning in diags.warnings)
 
 
-def test_scheduler_error_wrap_carries_structure():
-    error = SchedulerError.wrap(
-        ValueError("first line\nsecond line"), function="step"
-    )
-    assert error.as_dict() == {
-        "error_type": "ValueError",
-        "detail": "first line",
-        "function": "step",
-    }
-    assert "while collecting 'step'" in str(error)
-    bare = SchedulerError.wrap(RuntimeError(""))
-    assert bare.as_dict()["detail"] == "RuntimeError"
-    assert bare.as_dict()["function"] is None
+def test_supervisor_error_carries_structure():
+    error = SupervisorError("ValueError", "first line")
+    assert error.as_dict() == {"error_type": "ValueError", "detail": "first line"}
+    assert "ValueError: first line" in str(error)
+    assert "falling back to serial" in str(error)

@@ -1,18 +1,11 @@
-"""Incremental transport: only changed functions re-ship.
-
-After a warm run, mutating one function and re-running must publish a
-*delta* (one pickled blob holding just the changed functions) instead of
-re-anchoring the whole module, and unchanged functions whose profile
-slice also held must replay from the dispatch cache without a worker.
-"""
+"""Content fingerprints: stable across compiles, and a mutation changes
+only the mutated function's key (what keeps routing sticky)."""
 
 from repro.frontend.lower import compile_source
-from repro.ir.printer import print_module
 from repro.parallel.fingerprint import (
     content_fingerprint,
     module_fingerprint,
 )
-from repro.promotion.pipeline import PromotionPipeline
 
 SOURCE = """
 int a = 0;
@@ -32,16 +25,8 @@ int main() {
 """
 
 #: ``touch_b`` with a different loop bound; ``touch_a`` and ``main`` are
-#: textually identical, and ``main``'s profile is unaffected because its
-#: own block counts do not depend on ``touch_b``'s internals.
+#: textually identical.
 MUTATED = SOURCE.replace("i < 3", "i < 5")
-
-
-def _run(source, jobs=2):
-    module = compile_source(source, "incremental")
-    result = PromotionPipeline(entry="main", jobs=jobs).run(module)
-    assert result.diagnostics.fallback_reason is None
-    return print_module(module), result.transport_stats
 
 
 def test_content_fingerprints_isolate_the_mutated_function():
@@ -61,36 +46,3 @@ def test_content_fingerprint_is_stable_across_compiles():
         assert content_fingerprint(
             first.functions[name]
         ) == content_fingerprint(second.functions[name])
-
-
-def test_only_the_mutated_function_reships():
-    _, warmup = _run(SOURCE)
-    total = warmup.functions_shipped + warmup.functions_reused
-    assert warmup.functions_shipped > 0
-
-    mutated_ir, transport = _run(MUTATED)
-
-    # One delta entry for touch_b, not a new anchor: per-worker delta
-    # installs, and far fewer publication bytes than the warm-up anchor.
-    assert transport.installs_full == 0
-    assert transport.installs_delta >= 1
-    assert 0 < transport.bytes_out < warmup.bytes_out
-
-    # Only the mutated function dispatched; everything else replayed.
-    assert transport.functions_shipped == 1
-    assert transport.functions_reused == total - 1
-    assert transport.batches == 1
-
-    # And the mutated run still matches its own serial promotion.
-    serial_ir, _ = _run(MUTATED, jobs=1)
-    assert mutated_ir == serial_ir
-
-
-def test_reverting_the_mutation_replays_from_the_dispatch_cache():
-    _, warmup = _run(SOURCE)
-    total = warmup.functions_shipped + warmup.functions_reused
-    _run(MUTATED)
-    _, reverted = _run(SOURCE)
-    assert reverted.functions_shipped == 0
-    assert reverted.functions_reused == total
-    assert reverted.bytes_in == 0

@@ -1,14 +1,13 @@
-"""Scheduler units: job resolution, generic fan-out, worker results."""
+"""Module-grain units: parallel-arm job resolution and the supervised
+worker's per-function reply."""
 
 import os
 
 import pytest
 
-from repro.parallel.scheduler import FunctionResult, map_tasks, resolve_jobs
-
-
-def _square(x):
-    return x * x
+from repro.bench.timing import resolve_jobs
+from repro.robustness.diagnostics import FunctionOutcome
+from repro.robustness.supervise import WorkerReply
 
 
 def test_resolve_jobs_defaults_to_cpu_count():
@@ -27,22 +26,8 @@ def test_resolve_jobs_rejects_negative():
         resolve_jobs(-2)
 
 
-def test_map_tasks_serial_path():
-    assert map_tasks(_square, [(2,), (3,), (4,)], jobs=1) == [4, 9, 16]
-
-
-def test_map_tasks_single_task_stays_serial():
-    # One task never pays pool start-up cost, whatever jobs says.
-    assert map_tasks(_square, [(5,)], jobs=8) == [25]
-
-
-def test_map_tasks_parallel_path_preserves_order():
-    args = [(n,) for n in range(6)]
-    assert map_tasks(_square, args, jobs=2) == [n * n for n in range(6)]
-
-
 def test_function_result_defaults():
-    result = FunctionResult("f", FunctionResult.PROMOTED)
+    result = WorkerReply("f", FunctionOutcome.PROMOTED)
     assert result.name == "f"
     assert result.status == "promoted"
     assert result.stage is None

@@ -14,7 +14,7 @@ from repro.bench.timing import (
 
 
 def test_arm_fingerprints_agree_on_one_workload():
-    rows = {arm: run_workload_arm("compress", arm, jobs=1) for arm in ARMS}
+    rows = {arm: run_workload_arm("compress", arm) for arm in ARMS}
     prints = {row["fingerprint"] for row in rows.values()}
     assert len(prints) == 1
     # Only the optimized arms carry cache statistics.
@@ -33,11 +33,8 @@ def test_time_suite_structure_and_identity():
         assert entry["total_seconds"] > 0
     for key in ("serial_vs_baseline", "parallel_vs_baseline", "parallel_vs_serial"):
         assert bench["speedup"][key] > 0
-    # The parallel arm reports its warm-pool transport accounting.
-    parallel = bench["arms"]["parallel"]
-    assert parallel["batches"] >= 1
-    assert parallel["transport_bytes"] > 0
-    assert parallel["pool_warmup_seconds"] >= 0
+    # Worker start-up is timed apart from the parallel arm's window.
+    assert bench["arms"]["parallel"]["pool_warmup_seconds"] >= 0
 
 
 def test_perf_gate_passes_against_itself():

@@ -42,7 +42,7 @@ def test_transient_chaos_never_changes_program_behaviour(seed, chaos_seed):
         backoff_max_s=0.01,
         chaos=ChaosConfig(transient=0.3, seed=chaos_seed),
     )
-    result = PromotionPipeline(jobs=2, resilience=resilience).run(module)
+    result = PromotionPipeline(resilience=resilience).run(module)
     diags = result.diagnostics
 
     # The one inviolable property: chaos may cost promotions (quarantine)

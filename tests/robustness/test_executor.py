@@ -1,8 +1,8 @@
-"""Resilient-executor integration: crash recovery, quarantine isolation,
+"""Supervised-worker integration: crash recovery, quarantine isolation,
 hang deadlines, transient retry, and chaos-off equivalence.
 
 These tests drive the full pipeline (``PromotionPipeline(resilience=...)``)
-rather than the executor alone so the claims they make — survivors
+rather than the supervisor alone so the claims they make — survivors
 byte-identical to a clean serial run, program behaviour preserved — are
 the ones the CLI's exit-code contract rests on.
 """
@@ -42,9 +42,9 @@ def run_clean_serial():
     return module, result
 
 
-def run_resilient(resilience, jobs=2):
+def run_resilient(resilience):
     module = compile_source(SOURCE)
-    result = PromotionPipeline(jobs=jobs, resilience=resilience).run(module)
+    result = PromotionPipeline(resilience=resilience).run(module)
     return module, result
 
 
@@ -65,7 +65,7 @@ def test_worker_crash_quarantines_only_the_poison_function():
     assert sorted(diags.promoted_functions) == ["drain", "main"]
     assert diags.degraded
 
-    # The pool was rebuilt and the crash charged to the culprit only:
+    # The worker was replaced and the crash charged to the culprit only:
     # every one of bump's attempts is a worker-crash, and the survivors
     # completed without burning extra attempts.
     assert diags.resilience["worker_crashes"] == 3
@@ -171,9 +171,9 @@ def test_chaos_runs_are_reproducible_from_their_seed():
     assert results[0] == results[1]
 
 
-def test_resilience_requires_parallel_execution():
-    with pytest.raises(ValueError, match="resilience options require parallel"):
-        PromotionPipeline(jobs=1, resilience=ResilienceOptions())
+def test_resilience_requires_transactional():
+    with pytest.raises(ValueError, match="require transactional=True"):
+        PromotionPipeline(transactional=False, resilience=ResilienceOptions())
 
 
 def test_resilience_options_validation():

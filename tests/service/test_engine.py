@@ -11,7 +11,6 @@ import time
 import pytest
 
 from repro.frontend.limits import InputLimits
-from repro.robustness.faults import ChaosConfig
 from repro.frontend.lower import compile_source
 from repro.ir.printer import print_module
 from repro.profile.interp import Interpreter
@@ -162,9 +161,8 @@ def test_poisoned_parallel_job_degrades_but_preserves_behaviour(engine):
     job = JobRequest(
         "minic",
         POISON_PROGRAM,
-        jobs=2,
         retries=1,
-        chaos=ChaosConfig.parse("crash=1.0,only=step,seed=1"),
+        chaos="crash=1.0,only=step,seed=1",
     )
     result = engine.execute(job, 60.0, "job-1")
     assert result.degraded

@@ -17,7 +17,6 @@ def test_minimal_payload_fills_defaults():
     assert job.kind == "minic"
     assert job.entry == "main"
     assert job.args == []
-    assert job.jobs == 1
     assert job.use_cache is True
     assert job.deadline_s is None
     assert not job.wants_resilience
@@ -32,7 +31,6 @@ def test_full_payload_round_trips():
             "entry": "main",
             "args": [1, 2],
             "options": {
-                "jobs": 2,
                 "use_cache": False,
                 "deadline_s": 5,
                 "timeout_s": 2.5,
@@ -42,12 +40,11 @@ def test_full_payload_round_trips():
             },
         }
     )
-    assert job.jobs == 2
     assert job.use_cache is False
     assert job.deadline_s == 5.0
     assert job.timeout_s == 2.5
     assert job.retries == 1
-    assert job.chaos is not None and job.chaos.seed == 9
+    assert job.chaos == "crash=0.5,seed=9"
     assert job.max_steps == 1000
     assert job.wants_resilience
     assert not job.is_default_run
@@ -78,19 +75,19 @@ def test_trace_field_parses_into_a_trace_context():
         pytest.param({"source": PROGRAM, "args": list(range(65))}, "limited to 64", id="args-flood"),
         pytest.param({"source": PROGRAM, "options": []}, "'options' must be an object", id="options-list"),
         pytest.param({"source": PROGRAM, "options": {"nope": 1}}, "unknown job option", id="unknown-option"),
-        pytest.param({"source": PROGRAM, "options": {"jobs": True}}, "'jobs' must be an integer", id="jobs-bool"),
-        pytest.param({"source": PROGRAM, "options": {"jobs": 65}}, "0..64", id="jobs-flood"),
+        pytest.param({"source": PROGRAM, "options": {"jobs": 2}}, "unknown job option(s): jobs", id="unknown-option-jobs"),
+        pytest.param({"source": PROGRAM, "options": {"jobs": True}}, "unknown job option(s): jobs", id="jobs-bool"),
+        pytest.param({"source": PROGRAM, "options": {"jobs": 65}}, "unknown job option(s): jobs", id="jobs-flood"),
         pytest.param({"source": PROGRAM, "options": {"use_cache": 1}}, "boolean", id="use-cache-int"),
         pytest.param({"source": PROGRAM, "options": {"deadline_s": 0}}, "'deadline_s' must be > 0", id="zero-deadline"),
         pytest.param({"source": PROGRAM, "options": {"deadline_s": "fast"}}, "must be a number", id="deadline-string"),
-        pytest.param({"source": PROGRAM, "options": {"jobs": 2, "timeout_s": -1}}, "'timeout_s' must be > 0", id="negative-timeout"),
-        pytest.param({"source": PROGRAM, "options": {"jobs": 2, "retries": 17}}, "0..16", id="retries-flood"),
-        pytest.param({"source": PROGRAM, "options": {"jobs": 2, "retries": False}}, "'retries' must be an integer", id="retries-bool"),
-        pytest.param({"source": PROGRAM, "options": {"jobs": 2, "chaos": 3}}, "'chaos' must be a string", id="chaos-int"),
-        pytest.param({"source": PROGRAM, "options": {"jobs": 2, "chaos": "crash=lots"}}, "job option 'chaos'", id="chaos-junk"),
+        pytest.param({"source": PROGRAM, "options": {"timeout_s": -1}}, "'timeout_s' must be > 0", id="negative-timeout"),
+        pytest.param({"source": PROGRAM, "options": {"retries": 17}}, "0..16", id="retries-flood"),
+        pytest.param({"source": PROGRAM, "options": {"retries": False}}, "'retries' must be an integer", id="retries-bool"),
+        pytest.param({"source": PROGRAM, "options": {"chaos": 3}}, "'chaos' must be a string", id="chaos-int"),
+        pytest.param({"source": PROGRAM, "options": {"chaos": "crash=lots"}}, "job option 'chaos'", id="chaos-junk"),
         pytest.param({"source": PROGRAM, "options": {"max_steps": 0}}, "max_steps", id="zero-max-steps"),
         pytest.param({"source": PROGRAM, "options": {"max_steps": True}}, "'max_steps' must be an integer", id="max-steps-bool"),
-        pytest.param({"source": PROGRAM, "options": {"timeout_s": 2}}, "require jobs != 1", id="resilience-serial"),
         pytest.param({"source": PROGRAM, "trace": 7}, "'trace' must be a traceparent string", id="trace-int"),
         pytest.param({"source": PROGRAM, "trace": "not-a-traceparent"}, "not a valid traceparent", id="trace-junk"),
         pytest.param({"source": PROGRAM, "trace": "00-" + "0" * 32 + "-" + "1" * 16 + "-01"}, "not a valid traceparent", id="trace-zero-id"),
@@ -103,8 +100,14 @@ def test_bad_payloads_bounce_with_the_field_named(payload, fragment):
     assert excinfo.value.http_status == 400
 
 
+def test_resilience_options_need_no_jobs():
+    job = JobRequest.from_payload({"source": PROGRAM, "options": {"timeout_s": 2}})
+    assert job.timeout_s == 2.0
+    assert job.wants_resilience
+
+
 def test_default_run_is_narrow():
-    assert not JobRequest("minic", PROGRAM, jobs=2).is_default_run
+    assert not JobRequest("minic", PROGRAM, retries=1).is_default_run
     assert not JobRequest("minic", PROGRAM, use_cache=False).is_default_run
     assert not JobRequest("minic", PROGRAM, max_steps=10).is_default_run
     # A custom deadline alone does not disqualify caching: it bounds

@@ -401,16 +401,6 @@ class TestHealthTracker:
         assert state.status == DRAINING
         assert tracker.counts() == {HEALTHY: 0, DRAINING: 1, DOWN: 0}
 
-    def test_warm_pools_surface_from_health_doc(self):
-        tracker, state = self.make()
-        tracker.apply_probe(
-            state,
-            {"status": "ok", "engine": {"warm_pools": {"2": 1}}},
-            200,
-            {"ready": True},
-        )
-        assert state.warm_pools() == {"2": 1}
-
 
 def test_print_plan_reports_fingerprint_and_backend(tmp_path, capsys):
     module = tmp_path / "program.c"
