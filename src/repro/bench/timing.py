@@ -85,9 +85,12 @@ def run_workload_arm(name: str, arm: str) -> Dict[str, object]:
 
 def _fingerprint(module, result) -> str:
     """Hash of every observable output of one workload's promotion."""
-    diagnostics = result.diagnostics.as_dict()
+    diagnostics = json.loads(result.diagnostics.to_json())  # a copy to edit
     for outcome in diagnostics["functions"]:
         outcome["duration_ms"] = 0.0  # timing is not an output
+    for history in diagnostics["attempt_histories"].values():
+        for record in history["records"]:
+            record["duration_ms"] = 0.0
     doc = {
         "ir": print_module(module),
         "static": [

@@ -1,0 +1,463 @@
+"""The interpreter's source tier: hot IR functions compiled to Python.
+
+Tiering policy: DESIGN.md §2.  Registers become locals, blocks the arms
+of an integer ``while True`` dispatch, phis parallel assignments on
+edges.  Block entries count ``C[k] += 1`` and check a local copy of
+``result.steps`` against the limit (so a limit error can come a block
+early); other counters are derived as Σ block count × static count.
+Every other check keeps the classic loop's exception type and message.
+"""
+
+from __future__ import annotations
+
+import math
+import re
+import traceback
+from functools import partial
+from typing import Dict, List, Optional
+
+from repro.ir import instructions as I
+from repro.ir.function import Function
+from repro.ir.values import Const, Undef, VReg
+from repro.profile.interp import (
+    InterpreterError,
+    InterpreterLimitError,
+    Pointer,
+    _binop,
+    _bounds_check,
+)
+
+#: Classic-tier steps per instruction before a function is compiled.
+_TIER_UP = 10
+
+#: Operations counted as block count × static count, by result counter.
+_COUNTED = {
+    I.Load: "loads",
+    I.Store: "stores",
+    I.PtrLoad: "ptr_loads",
+    I.PtrStore: "ptr_stores",
+    I.ArrayLoad: "array_loads",
+    I.ArrayStore: "array_stores",
+    I.Call: "calls",
+    I.Copy: "copies",
+}
+
+# Operand kinds: the class a generated check tests for, or none.
+_INT, _PTR, _ANY = "int", "P", ""
+
+# The local an UnboundLocalError names, on Python 3.9 ("local variable 'r3'
+# referenced before assignment") through 3.13 ("cannot access local ...").
+_LOCAL_NAME = re.compile(r"'r(\d+)'")
+
+
+def run_tiered(interp, result, globals_store, function: Function, args) -> None:
+    """Run ``function`` tiered, recording into ``result``; the generated
+    code is dropped on the way out."""
+    run = TieredRun(interp, result, globals_store)
+    try:
+        result.return_value = run.call(function, list(args), 0)
+        run.finish()
+    except UnboundLocalError as exc:
+        error = run.unassigned(exc)
+        if error is None:
+            raise
+        raise error from None
+    finally:
+        run.units.clear()
+
+
+class TieredRun:
+    """One tiered run: the call dispatcher, tier-up policy and units."""
+
+    def __init__(self, interp, result, globals_store) -> None:
+        self.interp, self.result, self.globals_store = interp, result, globals_store
+        self.units: Dict[Function, _Unit] = {}
+        #: Function -> classic-tier steps left before it is compiled, as
+        #: of the start of its innermost running classic activation.
+        self.budgets: Dict[Function, float] = {}
+        #: Steps run by callees of the innermost classic activation.
+        self.child = 0
+        #: ``result.steps`` at the start of each running classic activation.
+        self.starts: List[int] = []
+
+    def call(self, function: Function, args: List[object], depth: int) -> int:
+        result = self.result
+        unit = self.units.get(function)
+        if unit is None:
+            if function not in self.budgets:
+                size = sum(len(block.instructions) for block in function.blocks)
+                self.budgets[function] = _TIER_UP * size
+            if self.budgets[function] <= 0:
+                unit = self._compile(function, osr=False)
+        outer, start = self.child, result.steps
+        if unit is None:
+            self.child = 0
+            self.starts.append(start)
+            tier_at = start + self.budgets[function]  # earliest possible
+            value = self.interp._call(function, args, self, depth, tier_at)
+            self.starts.pop()
+            self.budgets[function] -= result.steps - start - self.child
+        else:
+            limit = self.interp.max_depth
+            if depth > limit:
+                raise InterpreterLimitError(
+                    f"recursion deeper than {limit}", depth=depth
+                )
+            value = unit.fn(args, depth)
+        self.child = outer + result.steps - start
+        return value
+
+    def tier_up(self, function: Function, block, env, frame_store, depth: int):
+        """Offered by a classic activation of ``function`` at the entry of
+        ``block``, after its phis: ``(True, return value)`` if it finished
+        in the source tier, else ``(False, step count to offer again at)``."""
+        result = self.result
+        unit = self.units.get(function)
+        if unit is None:
+            own = result.steps - self.starts[-1] - self.child
+            left = self.budgets[function] - own
+            if left > 0:
+                return False, result.steps + left
+            unit = self._compile(function, osr=True)
+        if unit is None or not unit.osr:
+            return False, math.inf
+        outer, start = self.child, result.steps
+        value = unit.fn(None, depth, env, frame_store, unit.index[block])
+        self.child = outer + result.steps - start
+        return True, value
+
+    def _compile(self, function: Function, osr: bool) -> Optional[_Unit]:
+        unit = _Unit(self, function, osr)
+        try:
+            unit.translate()
+        except KeyError:  # an edge leaves the function: it stays classic
+            self.budgets[function] = math.inf
+            return None
+        text = "\n".join(unit.lines) + "\n"
+        exec(compile(text, f"<ir @{function.name}>", "exec"), unit.namespace)
+        unit.fn, unit.lines = unit.namespace.pop("F"), []  # no F <-> globals cycle
+        self.units[function] = unit
+        return unit
+
+    def limit(self, steps: int) -> None:
+        self.result.steps = steps
+        max_steps = self.interp.max_steps
+        raise InterpreterLimitError(f"exceeded {max_steps} steps", steps=steps)
+
+    def unassigned(self, exc: UnboundLocalError) -> Optional[InterpreterError]:
+        """The classic loop's error for a register read before any
+        assignment, or ``None`` if ``exc`` was not raised by a unit."""
+        frame = list(traceback.walk_tb(exc.__traceback__))[-1][0]
+        match = _LOCAL_NAME.search(str(exc))
+        for unit in self.units.values():
+            if match and frame.f_code is unit.fn.__code__:
+                register = list(unit.registers)[int(match.group(1))]
+                return InterpreterError(f"read of unassigned register {register}")
+        return None
+
+    def finish(self) -> None:
+        """Fold the units' block counts and derived counters into the run."""
+        result = self.result
+        block_counts = result.block_counts
+        for unit in self.units.values():
+            for block, count in zip(unit.function.blocks, unit.counts):
+                if count:
+                    block_counts[block] = block_counts.get(block, 0) + count
+                    for inst in _executed(block):
+                        name = _COUNTED.get(type(inst))
+                        if name:
+                            setattr(result, name, getattr(result, name) + count)
+
+
+def _check(raw, cls):
+    if isinstance(raw, cls):
+        return raw
+    kind = "integer" if cls is int else "pointer"
+    raise InterpreterError(f"expected {kind}, got {raw!r}")
+
+
+def _fail(error, message, *evaluated):
+    # Called with the operands the classic loop reads before it raises.
+    raise error(message)
+
+
+_HELPERS = {
+    "CI": partial(_check, cls=int),
+    "CP": partial(_check, cls=Pointer),
+    "FAIL": _fail,
+    "IE": InterpreterError,
+    "DIV": partial(_binop, "div"),
+    "REM": partial(_binop, "rem"),
+    "BOUNDS": _bounds_check,
+    "P": Pointer,
+}
+
+_BINOPS = {
+    "add": "{} + {}",
+    "sub": "{} - {}",
+    "mul": "{} * {}",
+    "div": "DIV({}, {})",
+    "rem": "REM({}, {})",
+    "and": "{} & {}",
+    "or": "{} | {}",
+    "xor": "{} ^ {}",
+    "shl": "{} << ({} & 63)",
+    "shr": "{} >> ({} & 63)",
+    "lt": "1 if {} < {} else 0",
+    "le": "1 if {} <= {} else 0",
+    "gt": "1 if {} > {} else 0",
+    "ge": "1 if {} >= {} else 0",
+    "eq": "1 if {} == {} else 0",
+    "ne": "1 if {} != {} else 0",
+}
+_UNOPS = {"neg": "-{}", "not": "1 if {} == 0 else 0", "bnot": "~{}"}
+
+
+class _Unit:
+    """One IR function's Python source, then function ``fn`` and counts."""
+
+    def __init__(self, run: TieredRun, function: Function, osr: bool) -> None:
+        self.run, self.function, self.lines, self.indent = run, function, [], 0
+        self.osr = osr  # whether fn can continue a classic activation
+        self.index = {block: k for k, block in enumerate(function.blocks)}
+        self.counts = [0] * len(function.blocks)
+        self.namespace: Dict[str, object] = dict(
+            _HELPERS,
+            C=self.counts,
+            R=run.result,
+            OUT=run.result.output.append,
+            CALL=run.call,
+            LIMIT=run.limit,
+        )
+        self.bound: Dict[int, str] = {}
+        self.frame = {id(v): "" for v in function.frame_vars.values()}
+        registers = self.registers = {p: f"r{i}" for i, p in enumerate(function.params)}
+        for block in function.blocks:
+            for inst in block.instructions:
+                if inst.dst is not None:
+                    registers.setdefault(inst.dst, f"r{len(registers)}")
+        self.checked: Dict[VReg, str] = {}  # checked earlier in this block
+
+    def out(self, line: str) -> None:
+        self.lines.append("    " * self.indent + line)
+
+    def bind(self, obj: object, prefix: str) -> str:
+        name = self.bound.get(id(obj))
+        if name is None:
+            name = self.bound[id(obj)] = f"{prefix}{len(self.bound)}"
+            self.namespace[name] = obj
+        return name
+
+    def cells(self, var) -> Optional[str]:
+        """The name of ``var``'s cells; ``None`` if it has none."""
+        if id(var) in self.frame:
+            self.frame[id(var)] = f"f{self.bind(var, 'V')}"
+            return self.frame[id(var)]
+        cells = self.run.globals_store.get(id(var))
+        return None if cells is None else self.bind(cells, "G")
+
+    def value(self, v, kind: str = _ANY) -> str:
+        """``v`` as an expression; ``kind`` adds the classic type check."""
+        if isinstance(v, (Const, Undef)):
+            literal = str(v.value) if isinstance(v, Const) else "0"
+            return f"CP({literal})" if kind == _PTR else literal
+        if not isinstance(v, VReg):
+            return f"FAIL(IE, {f'cannot evaluate {v!r}'!r})"
+        name = self.registers.get(v)
+        if name is None:
+            return f"FAIL(IE, {f'read of unassigned register {v}'!r})"
+        if kind == _ANY or self.checked.get(v) == kind:
+            return name
+        self.checked[v] = kind
+        checker = "CI" if kind == _INT else "CP"
+        return f"({name} if {name}.__class__ is {kind} else {checker}({name}))"
+
+    def fail(self, message: str, *operands: str, error: str = "IE") -> None:
+        self.out(f"FAIL({', '.join([error, repr(message), *operands])})")
+
+    def translate(self) -> None:
+        """Emit ``F``; KeyError if an edge leaves the function's blocks."""
+        function = self.function
+        self.indent = 2
+        self.dispatch(0, len(function.blocks))
+        body, self.lines, self.indent = self.lines, [], 0
+        self.out("def F(A, depth, E=None, FS=None, K=0):")
+        self.out("    if E is None:")
+        self.out("        t = len(A)")
+        for i, param in enumerate(function.params):
+            self.out(f"        {self.registers[param]} = A[{i}] if t > {i} else 0")
+        for name in filter(None, self.frame.values()):
+            self.out(f"        {name} = {name[1:]}.initial_cells()")
+        if _leading_phis(function.entry):
+            self.out("        raise AssertionError('phi in entry block')")
+        self.out("        k = 0")  # the entry block is the first
+        if self.osr:  # continue a classic activation: its frame and registers
+            self.out("    else:")
+            for reg, name in self.registers.items():
+                key = self.bind(reg, "V")
+                self.out(f"        if {key} in E: {name} = E[{key}]")
+            for key, name in self.frame.items():
+                if name:
+                    self.out(f"        {name} = FS[{key}]")
+            self.out("        k = K")
+        self.out("    s = R.steps")
+        self.out("    while True:")
+        self.lines += body
+        if self.registers:  # never runs, but makes every register a local
+            self.out(f"    {' = '.join(self.registers.values())} = None")
+
+    def dispatch(self, lo: int, hi: int) -> None:
+        """A balanced ``if k < mid`` tree over blocks ``lo..hi-1``."""
+        if hi - lo == 1:
+            self.block(self.function.blocks[lo])
+        else:
+            mid = (lo + hi) // 2
+            self.nested(f"if k < {mid}:", self.dispatch, lo, mid)
+            self.nested("else:", self.dispatch, mid, hi)
+
+    def nested(self, head: str, emit, *args) -> None:
+        self.out(head)
+        self.indent += 1
+        emit(*args)
+        self.indent -= 1
+
+    def block(self, block) -> None:
+        k = self.index[block]
+        body = _executed(block)
+        self.checked.clear()
+        self.out(f"C[{k}] += 1")
+        if body:
+            self.out(f"s += {len(body)}")
+            self.out(f"if s > {self.run.interp.max_steps}: LIMIT(s)")
+        for inst in body:
+            if not self.instruction(block, inst):
+                return
+            self.checked.pop(inst.dst, None)
+        self.fail(f"block {block.name} fell through")
+
+    def edge(self, source, target) -> None:
+        """The phi moves for ``source -> target``, then the jump."""
+        dsts, values = [], []
+        for phi in target.instructions[: _leading_phis(target)]:
+            if isinstance(phi, I.Phi):
+                try:
+                    incoming = phi.value_for(source)
+                except KeyError as exc:
+                    self.fail(exc.args[0], *values, error="KeyError")
+                    return
+                dsts.append(self.registers[phi.dst])
+                values.append(self.value(incoming))
+        if dsts:
+            self.out(f"{', '.join(dsts)} = {', '.join(values)}")
+        self.out(f"k = {self.index[target]}")
+
+    def instruction(self, block, inst) -> bool:
+        """Emit ``inst``; False once control cannot fall to the next one."""
+        out, value = self.out, self.value
+        dst = self.registers.get(inst.dst)
+        if isinstance(inst, I.Copy):
+            out(f"{dst} = {value(inst.src)}")
+        elif isinstance(inst, (I.BinOp, I.UnOp)):
+            binary = isinstance(inst, I.BinOp)
+            operands = [inst.lhs, inst.rhs] if binary else [inst.src]
+            args = [value(v, _INT) for v in operands]
+            template = (_BINOPS if binary else _UNOPS).get(inst.op)
+            if template is None:
+                kind = "binary" if binary else "unary"
+                self.fail(f"unknown {kind} op {inst.op}", *args)
+                return False
+            out(f"{dst} = {template.format(*args)}")
+        elif isinstance(inst, (I.Load, I.Store, I.AddrOf)):
+            cells = self.cells(inst.var)
+            if cells is None:
+                # The classic loop evaluates a store's value first.
+                stored = [value(inst.value)] if isinstance(inst, I.Store) else []
+                self.fail(f"variable @{inst.var.name} has no storage", *stored)
+                return False
+            if isinstance(inst, I.Load):
+                out(f"{dst} = {cells}[0]")
+            elif isinstance(inst, I.Store):
+                out(f"{cells}[0] = {value(inst.value)}")
+            else:
+                out(f"{dst} = P({cells})")
+        elif isinstance(inst, (I.Elem, I.ArrayLoad, I.ArrayStore)):
+            index = value(inst.index, _INT)
+            cells = self.cells(inst.array)
+            if cells is None:
+                self.fail(f"variable @{inst.array.name} has no storage", index)
+                return False
+            out(f"t = {index}")
+            array = self.bind(inst.array, "V")
+            size = max(inst.array.size, 0)  # cell lists never change length
+            out(f"if not 0 <= t < {size}: BOUNDS({array}, t, {cells})")
+            if isinstance(inst, I.Elem):
+                out(f"{dst} = P({cells}, t)")
+            elif isinstance(inst, I.ArrayLoad):
+                out(f"{dst} = {cells}[t]")
+            else:
+                out(f"{cells}[t] = {value(inst.value, _INT)}")
+        elif isinstance(inst, (I.PtrLoad, I.PtrStore)):
+            out(f"t = {value(inst.ptr, _PTR)}")
+            if isinstance(inst, I.PtrLoad):
+                out(f"{dst} = t.cells[t.index]")
+            else:
+                out(f"t.cells[t.index] = {value(inst.value, _INT)}")
+        elif isinstance(inst, I.Call):
+            return self.call(inst, dst)
+        elif isinstance(inst, I.DummyAliasedLoad):
+            pass  # no runtime effect by construction
+        elif isinstance(inst, I.Print):
+            out(f"OUT(({''.join(value(v, _INT) + ', ' for v in inst.operands)}))")
+        elif isinstance(inst, I.Jump):
+            self.edge(block, inst.target)
+            return False
+        elif isinstance(inst, I.CondBr):
+            self.nested(f"if {value(inst.cond, _INT)}:", self.edge, block, inst.if_true)
+            self.nested("else:", self.edge, block, inst.if_false)
+            return False
+        elif isinstance(inst, I.Ret):
+            out("R.steps = s")
+            out(f"return {'0' if inst.value is None else value(inst.value, _INT)}")
+            return False
+        else:
+            self.fail(f"cannot execute {type(inst).__name__}")
+            return False
+        return True
+
+    def call(self, inst, dst: Optional[str]) -> bool:
+        args = ", ".join(self.value(a) for a in inst.operands)
+        target = "" if dst is None else f"{dst} = "
+        callee = self.run.interp.module.functions.get(inst.callee)
+        if callee is not None:
+            self.out("R.steps = s")
+            self.out(f"{target}CALL({self.bind(callee, 'F')}, [{args}], depth + 1)")
+            self.out("s = R.steps")
+        elif inst.callee in self.run.interp.externals:
+            external = self.bind(self.run.interp.externals[inst.callee], "X")
+            self.out(f"t = {external}({args})")
+            if dst is not None:
+                self.out(f"{dst} = 0 if t is None else int(t)")
+        else:
+            self.fail(f"unknown callee @{inst.callee}", *([args] if args else []))
+            return False
+        return True
+
+
+def _leading_phis(block) -> int:
+    """How many leading phi/memory-phi instructions ``block`` has."""
+    n = 0
+    for inst in block.instructions:
+        if not isinstance(inst, (I.Phi, I.MemPhi)):
+            break
+        n += 1
+    return n
+
+
+def _executed(block) -> List[I.Instruction]:
+    """What one run of ``block`` executes unless something raises: the
+    instructions after its phis, up to the first terminator."""
+    body = block.instructions[_leading_phis(block) :]
+    for i, inst in enumerate(body):
+        if isinstance(inst, (I.Jump, I.CondBr, I.Ret)):
+            return body[: i + 1]
+    return body

@@ -21,6 +21,7 @@ loads/stores and per-block frequencies, which is everything Tables 1 and
 
 from __future__ import annotations
 
+import math
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.ir import instructions as I
@@ -57,12 +58,6 @@ class Pointer:
         self.cells = cells
         self.index = index
 
-    def read(self) -> int:
-        return self.cells[self.index]
-
-    def write(self, value: int) -> None:
-        self.cells[self.index] = value
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Pointer({self.cells!r}[{self.index}])"
 
@@ -87,11 +82,6 @@ class ExecutionResult:
         self.copies = 0
         self.steps = 0
 
-    @property
-    def memory_ops(self) -> int:
-        """Singleton memory operations — the paper's reported metric."""
-        return self.loads + self.stores
-
     def globals_snapshot(self) -> Dict[str, int]:
         return dict(self._globals_final)
 
@@ -99,14 +89,12 @@ class ExecutionResult:
 
 
 class Interpreter:
-    """``compiled=True`` (the default) lazily translates each executed
-    basic block into a list of closures once per run and drives those,
-    skipping the per-instruction ``isinstance`` dispatch of the classic
-    loop.  Both engines implement identical semantics — same step
-    accounting, same errors in the same order, same profiles — and the
-    test suite holds them to that; ``compiled=False`` keeps the classic
-    loop as the executable specification (and the timing harness's
-    baseline arm)."""
+    """``compiled=True`` (the default) runs tiered: functions start in the
+    classic loop below and move to Python source once hot
+    (:mod:`repro.profile.codegen`).  Both tiers give the same outputs,
+    steps, counters, profiles and errors, except that a step-limit error
+    can come up to one block earlier.  ``compiled=False`` runs only the
+    classic loop: the executable spec and the timing baseline arm."""
 
     def __init__(
         self,
@@ -132,12 +120,12 @@ class Interpreter:
         if function is None:
             raise InterpreterError(f"no entry function {entry!r}")
         if self.compiled:
-            engine = _CompiledRun(self, result, globals_store)
-            result.return_value = engine.call(function, list(args), 0)
+            from repro.profile.codegen import run_tiered
+
+            run_tiered(self, result, globals_store, function, args)
         else:
-            result.return_value = self._call(
-                function, list(args), globals_store, result, 0
-            )
+            run = _ClassicRun(self, result, globals_store)
+            result.return_value = self._call(function, list(args), run, 0)
         result._globals_final = {
             var.name: globals_store[id(var)][0]
             for var in self.module.globals.values()
@@ -147,14 +135,10 @@ class Interpreter:
 
     # -- execution -------------------------------------------------------
 
-    def _call(
-        self,
-        function: Function,
-        args: List[int],
-        globals_store: Dict[int, List[int]],
-        result: ExecutionResult,
-        depth: int,
-    ) -> int:
+    def _call(self, function, args, run, depth: int, tier_at=math.inf) -> int:
+        """Run one activation of ``function`` in the classic loop; calls go
+        through ``run.call``.  Once ``result.steps`` reaches ``tier_at``,
+        block entries offer it to ``run.tier_up`` to finish as source."""
         if depth > self.max_depth:
             raise InterpreterLimitError(
                 f"recursion deeper than {self.max_depth}", depth=depth
@@ -163,6 +147,8 @@ class Interpreter:
         frame_store: Dict[int, List[int]] = {}
         for var in function.frame_vars.values():
             frame_store[id(var)] = var.initial_cells()
+        globals_store = run.globals_store
+        result = run.result
 
         def cells_of(var) -> List[int]:
             if id(var) in frame_store:
@@ -176,14 +162,14 @@ class Interpreter:
             env[param] = args[i] if i < len(args) else 0
 
         def value(v: Value) -> object:
-            if isinstance(v, Const):
-                return v.value
-            if isinstance(v, Undef):
-                return 0
             if isinstance(v, VReg):
                 if v not in env:
                     raise InterpreterError(f"read of unassigned register {v}")
                 return env[v]
+            if isinstance(v, Const):
+                return v.value
+            if isinstance(v, Undef):
+                return 0
             raise InterpreterError(f"cannot evaluate {v!r}")
 
         def as_int(v: Value) -> int:
@@ -198,11 +184,11 @@ class Interpreter:
                 raise InterpreterError(f"expected pointer, got {raw!r}")
             return raw
 
+        max_steps = self.max_steps
+        block_counts = result.block_counts
         block = function.entry
         prev_block: Optional[BasicBlock] = None
         while True:
-            result.block_counts[block] = result.block_counts.get(block, 0) + 1
-
             # Phis first, evaluated in parallel against the incoming edge.
             phi_updates: List[Tuple[VReg, object]] = []
             index = 0
@@ -215,13 +201,19 @@ class Interpreter:
                 index += 1
             for reg, val in phi_updates:
                 env[reg] = val
+            if result.steps >= tier_at:
+                finished, out = run.tier_up(function, block, env, frame_store, depth)
+                if finished:
+                    return out
+                tier_at = out
+            block_counts[block] = block_counts.get(block, 0) + 1
 
             jumped = False
             for inst in block.instructions[index:]:
                 result.steps += 1
-                if result.steps > self.max_steps:
+                if result.steps > max_steps:
                     raise InterpreterLimitError(
-                        f"exceeded {self.max_steps} steps", steps=result.steps
+                        f"exceeded {max_steps} steps", steps=result.steps
                     )
 
                 if isinstance(inst, I.Copy):
@@ -231,6 +223,13 @@ class Interpreter:
                     env[inst.dst] = _binop(inst.op, as_int(inst.lhs), as_int(inst.rhs))
                 elif isinstance(inst, I.UnOp):
                     env[inst.dst] = _unop(inst.op, as_int(inst.src))
+                elif isinstance(inst, I.Jump):
+                    prev_block, block = block, inst.target
+                    jumped = True
+                elif isinstance(inst, I.CondBr):
+                    taken = inst.if_true if as_int(inst.cond) != 0 else inst.if_false
+                    prev_block, block = block, taken
+                    jumped = True
                 elif isinstance(inst, I.Load):
                     env[inst.dst] = cells_of(inst.var)[0]
                     result.loads += 1
@@ -247,10 +246,12 @@ class Interpreter:
                     _bounds_check(inst.array, idx, cells)
                     env[inst.dst] = Pointer(cells, idx)
                 elif isinstance(inst, I.PtrLoad):
-                    env[inst.dst] = as_ptr(inst.ptr).read()
+                    ptr = as_ptr(inst.ptr)
+                    env[inst.dst] = ptr.cells[ptr.index]
                     result.ptr_loads += 1
                 elif isinstance(inst, I.PtrStore):
-                    as_ptr(inst.ptr).write(as_int(inst.value))
+                    ptr = as_ptr(inst.ptr)
+                    ptr.cells[ptr.index] = as_int(inst.value)
                     result.ptr_stores += 1
                 elif isinstance(inst, I.ArrayLoad):
                     idx = as_int(inst.index)
@@ -266,26 +267,21 @@ class Interpreter:
                     result.array_stores += 1
                 elif isinstance(inst, I.Call):
                     result.calls += 1
-                    ret = self._dispatch_call(
-                        inst,
-                        [value(a) for a in inst.operands],
-                        globals_store,
-                        result,
-                        depth,
-                    )
+                    operands = [value(a) for a in inst.operands]
+                    callee = self.module.functions.get(inst.callee)
+                    if callee is not None:
+                        ret = run.call(callee, operands, depth + 1)
+                    elif inst.callee in self.externals:
+                        ret = self.externals[inst.callee](*operands)
+                        ret = int(ret) if ret is not None else 0
+                    else:
+                        raise InterpreterError(f"unknown callee @{inst.callee}")
                     if inst.dst is not None:
                         env[inst.dst] = ret
                 elif isinstance(inst, I.DummyAliasedLoad):
                     pass  # no runtime effect by construction
                 elif isinstance(inst, I.Print):
                     result.output.append(tuple(as_int(v) for v in inst.operands))
-                elif isinstance(inst, I.Jump):
-                    prev_block, block = block, inst.target
-                    jumped = True
-                elif isinstance(inst, I.CondBr):
-                    taken = inst.if_true if as_int(inst.cond) != 0 else inst.if_false
-                    prev_block, block = block, taken
-                    jumped = True
                 elif isinstance(inst, I.Ret):
                     return as_int(inst.value) if inst.value is not None else 0
                 else:
@@ -295,14 +291,15 @@ class Interpreter:
             if not jumped:
                 raise InterpreterError(f"block {block.name} fell through")
 
-    def _dispatch_call(self, inst, args, globals_store, result, depth):
-        callee = self.module.functions.get(inst.callee)
-        if callee is not None:
-            return self._call(callee, args, globals_store, result, depth + 1)
-        if inst.callee in self.externals:
-            value = self.externals[inst.callee](*args)
-            return int(value) if value is not None else 0
-        raise InterpreterError(f"unknown callee @{inst.callee}")
+
+class _ClassicRun:
+    """A classic-only run: every call goes to the classic loop."""
+
+    def __init__(self, interp, result, globals_store) -> None:
+        self.interp, self.result, self.globals_store = interp, result, globals_store
+
+    def call(self, function: Function, args: List[int], depth: int) -> int:
+        return self.interp._call(function, args, self, depth)
 
 
 def run_module(
@@ -368,470 +365,3 @@ def _unop(op: str, a: int) -> int:
     if op == "bnot":
         return ~a
     raise InterpreterError(f"unknown unary op {op}")
-
-
-# ---------------------------------------------------------------------------
-# Compiled execution engine
-# ---------------------------------------------------------------------------
-#
-# Each executed basic block is translated once per run into a tuple
-# ``(phis, phi_edges, ops)``: the leading phi instructions, a per-edge
-# cache of precompiled phi moves, and one closure per remaining
-# instruction.  A closure takes ``(env, cells, depth)`` — the only
-# per-call-frame state — and returns ``None`` to fall through, the next
-# block to jump, or the ``_RETURN`` sentinel.  Operand access, operator
-# selection, and type checks are resolved at compile time, so executing
-# an instruction costs one closure call instead of an isinstance chain.
-#
-# Exactness over speed wherever they conflict: step accounting, error
-# types, messages, and their relative ordering all match the classic
-# loop, and the IR is re-read lazily (a block is compiled only when
-# first executed, so errors like an unknown instruction still surface at
-# execution time, not before).
-
-_RETURN = object()
-
-
-def _value(env: Dict[VReg, object], v: Value) -> object:
-    """Runtime value read for phi operands (mirrors ``value()`` above)."""
-    if isinstance(v, Const):
-        return v.value
-    if isinstance(v, Undef):
-        return 0
-    if isinstance(v, VReg):
-        if v not in env:
-            raise InterpreterError(f"read of unassigned register {v}")
-        return env[v]
-    raise InterpreterError(f"cannot evaluate {v!r}")
-
-
-def _getter(v: Value):
-    """Compile ``value(v)`` into a closure of ``env``."""
-    if isinstance(v, Const):
-        c = v.value
-        return lambda env: c
-    if isinstance(v, Undef):
-        return lambda env: 0
-    if isinstance(v, VReg):
-
-        def get(env, r=v):
-            try:
-                return env[r]
-            except KeyError:
-                raise InterpreterError(f"read of unassigned register {r}") from None
-
-        return get
-
-    def bad(env, v=v):
-        raise InterpreterError(f"cannot evaluate {v!r}")
-
-    return bad
-
-
-def _int_getter(v: Value):
-    """Compile ``as_int(v)`` into a closure of ``env``."""
-    if isinstance(v, Const):
-        c = v.value
-        if isinstance(c, int):
-            return lambda env: c
-
-        def badc(env, c=c):
-            raise InterpreterError(f"expected integer, got {c!r}")
-
-        return badc
-    if isinstance(v, Undef):
-        return lambda env: 0
-    if isinstance(v, VReg):
-
-        def get(env, r=v):
-            try:
-                raw = env[r]
-            except KeyError:
-                raise InterpreterError(f"read of unassigned register {r}") from None
-            if isinstance(raw, int):
-                return raw
-            raise InterpreterError(f"expected integer, got {raw!r}")
-
-        return get
-
-    def bad(env, v=v):
-        raise InterpreterError(f"cannot evaluate {v!r}")
-
-    return bad
-
-
-def _ptr_getter(v: Value):
-    """Compile ``as_ptr(v)`` into a closure of ``env``."""
-    if isinstance(v, (Const, Undef)):
-        raw = 0 if isinstance(v, Undef) else v.value
-
-        def badc(env, raw=raw):
-            raise InterpreterError(f"expected pointer, got {raw!r}")
-
-        return badc
-    if isinstance(v, VReg):
-
-        def get(env, r=v):
-            try:
-                raw = env[r]
-            except KeyError:
-                raise InterpreterError(f"read of unassigned register {r}") from None
-            if isinstance(raw, Pointer):
-                return raw
-            raise InterpreterError(f"expected pointer, got {raw!r}")
-
-        return get
-
-    def bad(env, v=v):
-        raise InterpreterError(f"cannot evaluate {v!r}")
-
-    return bad
-
-
-def _div(a: int, b: int) -> int:
-    if b == 0:
-        return 0
-    q = abs(a) // abs(b)
-    return q if (a >= 0) == (b >= 0) else -q
-
-
-def _rem(a: int, b: int) -> int:
-    if b == 0:
-        return 0
-    return a - b * _div(a, b)
-
-
-_BIN_FNS: Dict[str, Callable[[int, int], int]] = {
-    "add": lambda a, b: a + b,
-    "sub": lambda a, b: a - b,
-    "mul": lambda a, b: a * b,
-    "div": _div,
-    "rem": _rem,
-    "and": lambda a, b: a & b,
-    "or": lambda a, b: a | b,
-    "xor": lambda a, b: a ^ b,
-    "shl": lambda a, b: a << (b & 63),
-    "shr": lambda a, b: a >> (b & 63),
-    "lt": lambda a, b: int(a < b),
-    "le": lambda a, b: int(a <= b),
-    "gt": lambda a, b: int(a > b),
-    "ge": lambda a, b: int(a >= b),
-    "eq": lambda a, b: int(a == b),
-    "ne": lambda a, b: int(a != b),
-}
-
-_UN_FNS: Dict[str, Callable[[int], int]] = {
-    "neg": lambda a: -a,
-    "not": lambda a: int(a == 0),
-    "bnot": lambda a: ~a,
-}
-
-
-class _CompiledRun:
-    """One compiled execution: the per-run code map plus the driver."""
-
-    __slots__ = ("interp", "result", "globals_store", "codemap", "retval")
-
-    def __init__(
-        self,
-        interp: Interpreter,
-        result: ExecutionResult,
-        globals_store: Dict[int, List[int]],
-    ) -> None:
-        self.interp = interp
-        self.result = result
-        self.globals_store = globals_store
-        #: id(block) -> (phis, phi_edges, ops); valid for this run only.
-        self.codemap: Dict[int, tuple] = {}
-        self.retval: int = 0
-
-    def call(self, function: Function, args: List[int], depth: int) -> int:
-        interp = self.interp
-        if depth > interp.max_depth:
-            raise InterpreterLimitError(
-                f"recursion deeper than {interp.max_depth}", depth=depth
-            )
-
-        frame_store: Dict[int, List[int]] = {}
-        for var in function.frame_vars.values():
-            frame_store[id(var)] = var.initial_cells()
-        globals_store = self.globals_store
-
-        def cells_of(var) -> List[int]:
-            cells = frame_store.get(id(var))
-            if cells is not None:
-                return cells
-            cells = globals_store.get(id(var))
-            if cells is not None:
-                return cells
-            raise InterpreterError(f"variable @{var.name} has no storage")
-
-        env: Dict[VReg, object] = {}
-        for i, param in enumerate(function.params):
-            env[param] = args[i] if i < len(args) else 0
-
-        result = self.result
-        codemap = self.codemap
-        max_steps = interp.max_steps
-        block_counts = result.block_counts
-        block = function.entry
-        prev_block: Optional[BasicBlock] = None
-        while True:
-            code = codemap.get(id(block))
-            if code is None:
-                code = codemap[id(block)] = self._compile_block(block)
-            phis, phi_edges, ops = code
-            block_counts[block] = block_counts.get(block, 0) + 1
-
-            if phis:
-                assert prev_block is not None, "phi in entry block"
-                moves = phi_edges.get(id(prev_block))
-                if moves is None:
-                    # First arrival via this edge; value_for raises
-                    # KeyError for a missing edge, exactly like the
-                    # classic loop's per-visit lookup.
-                    moves = phi_edges[id(prev_block)] = [
-                        (phi.dst, _getter(phi.value_for(prev_block))) for phi in phis
-                    ]
-                if len(moves) == 1:
-                    dst, get = moves[0]
-                    env[dst] = get(env)
-                else:
-                    updates = [(dst, get(env)) for dst, get in moves]
-                    for reg, val in updates:
-                        env[reg] = val
-
-            for op in ops:
-                result.steps += 1
-                if result.steps > max_steps:
-                    raise InterpreterLimitError(
-                        f"exceeded {max_steps} steps", steps=result.steps
-                    )
-                nxt = op(env, cells_of, depth)
-                if nxt is not None:
-                    if nxt is _RETURN:
-                        return self.retval
-                    prev_block, block = block, nxt
-                    break
-            else:
-                raise InterpreterError(f"block {block.name} fell through")
-
-    # -- translation -----------------------------------------------------
-
-    def _compile_block(self, block: BasicBlock) -> tuple:
-        instructions = block.instructions
-        index = 0
-        phis: List[I.Phi] = []
-        for inst in instructions:
-            if isinstance(inst, I.Phi):
-                phis.append(inst)
-            elif not isinstance(inst, I.MemPhi):
-                break
-            index += 1
-        ops = tuple(self._compile_inst(inst) for inst in instructions[index:])
-        return phis, {}, ops
-
-    def _compile_inst(self, inst: I.Instruction):
-        result = self.result
-
-        if isinstance(inst, I.Copy):
-            get = _getter(inst.src)
-
-            def op(env, cells, depth, d=inst.dst, get=get):
-                env[d] = get(env)
-                result.copies += 1
-
-            return op
-
-        if isinstance(inst, I.BinOp):
-            fn = _BIN_FNS.get(inst.op)
-            if fn is None:
-
-                def badop(env, cells, depth, o=inst.op):
-                    raise InterpreterError(f"unknown binary op {o}")
-
-                return badop
-            ga = _int_getter(inst.lhs)
-            gb = _int_getter(inst.rhs)
-
-            def op(env, cells, depth, d=inst.dst, fn=fn, ga=ga, gb=gb):
-                env[d] = fn(ga(env), gb(env))
-
-            return op
-
-        if isinstance(inst, I.UnOp):
-            ufn = _UN_FNS.get(inst.op)
-            if ufn is None:
-
-                def badop(env, cells, depth, o=inst.op):
-                    raise InterpreterError(f"unknown unary op {o}")
-
-                return badop
-            ga = _int_getter(inst.src)
-
-            def op(env, cells, depth, d=inst.dst, fn=ufn, ga=ga):
-                env[d] = fn(ga(env))
-
-            return op
-
-        if isinstance(inst, I.Load):
-
-            def op(env, cells, depth, d=inst.dst, var=inst.var):
-                env[d] = cells(var)[0]
-                result.loads += 1
-
-            return op
-
-        if isinstance(inst, I.Store):
-            get = _getter(inst.value)
-
-            def op(env, cells, depth, var=inst.var, get=get):
-                cells(var)[0] = get(env)
-                result.stores += 1
-
-            return op
-
-        if isinstance(inst, I.AddrOf):
-
-            def op(env, cells, depth, d=inst.dst, var=inst.var):
-                env[d] = Pointer(cells(var))
-
-            return op
-
-        if isinstance(inst, I.Elem):
-            gi = _int_getter(inst.index)
-
-            def op(env, cells, depth, d=inst.dst, array=inst.array, gi=gi):
-                idx = gi(env)
-                c = cells(array)
-                _bounds_check(array, idx, c)
-                env[d] = Pointer(c, idx)
-
-            return op
-
-        if isinstance(inst, I.PtrLoad):
-            gp = _ptr_getter(inst.ptr)
-
-            def op(env, cells, depth, d=inst.dst, gp=gp):
-                env[d] = gp(env).read()
-                result.ptr_loads += 1
-
-            return op
-
-        if isinstance(inst, I.PtrStore):
-            gp = _ptr_getter(inst.ptr)
-            gi = _int_getter(inst.value)
-
-            def op(env, cells, depth, gp=gp, gi=gi):
-                gp(env).write(gi(env))
-                result.ptr_stores += 1
-
-            return op
-
-        if isinstance(inst, I.ArrayLoad):
-            gi = _int_getter(inst.index)
-
-            def op(env, cells, depth, d=inst.dst, array=inst.array, gi=gi):
-                idx = gi(env)
-                c = cells(array)
-                _bounds_check(array, idx, c)
-                env[d] = c[idx]
-                result.array_loads += 1
-
-            return op
-
-        if isinstance(inst, I.ArrayStore):
-            gi = _int_getter(inst.index)
-            gv = _int_getter(inst.value)
-
-            def op(env, cells, depth, array=inst.array, gi=gi, gv=gv):
-                idx = gi(env)
-                c = cells(array)
-                _bounds_check(array, idx, c)
-                c[idx] = gv(env)
-                result.array_stores += 1
-
-            return op
-
-        if isinstance(inst, I.Call):
-            getters = [_getter(a) for a in inst.operands]
-            functions = self.interp.module.functions
-            externals = self.interp.externals
-            call = self.call
-
-            def op(
-                env,
-                cells,
-                depth,
-                d=inst.dst,
-                name=inst.callee,
-                getters=getters,
-                functions=functions,
-                externals=externals,
-                call=call,
-            ):
-                result.calls += 1
-                args = [g(env) for g in getters]
-                callee = functions.get(name)
-                if callee is not None:
-                    ret = call(callee, args, depth + 1)
-                elif name in externals:
-                    value = externals[name](*args)
-                    ret = int(value) if value is not None else 0
-                else:
-                    raise InterpreterError(f"unknown callee @{name}")
-                if d is not None:
-                    env[d] = ret
-
-            return op
-
-        if isinstance(inst, I.DummyAliasedLoad):
-
-            def op(env, cells, depth):
-                pass
-
-            return op
-
-        if isinstance(inst, I.Print):
-            igetters = [_int_getter(v) for v in inst.operands]
-
-            def op(env, cells, depth, igetters=igetters):
-                result.output.append(tuple(g(env) for g in igetters))
-
-            return op
-
-        if isinstance(inst, I.Jump):
-
-            def op(env, cells, depth, t=inst.target):
-                return t
-
-            return op
-
-        if isinstance(inst, I.CondBr):
-            gc = _int_getter(inst.cond)
-
-            def op(env, cells, depth, gc=gc, t=inst.if_true, f=inst.if_false):
-                return t if gc(env) != 0 else f
-
-            return op
-
-        if isinstance(inst, I.Ret):
-            if inst.value is not None:
-                gi = _int_getter(inst.value)
-
-                def op(env, cells, depth, self=self, gi=gi):
-                    self.retval = gi(env)
-                    return _RETURN
-
-                return op
-
-            def op(env, cells, depth, self=self):
-                self.retval = 0
-                return _RETURN
-
-            return op
-
-        def unknown(env, cells, depth, kind=type(inst).__name__):
-            raise InterpreterError(f"cannot execute {kind}")
-
-        return unknown

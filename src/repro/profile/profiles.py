@@ -46,7 +46,9 @@ class ProfileData:
         return sum(self.freq(b) for b in blocks)
 
     def items(self) -> Iterable[Tuple[BasicBlock, int]]:
-        """(block, count) pairs, in recording order."""
+        """(block, count) pairs.  Their order is not significant: the
+        tiered interpreter records source-tier counts after classic
+        ones, and every consumer looks counts up by block."""
         return self._counts.items()
 
     def covered(self, module: Module) -> int:

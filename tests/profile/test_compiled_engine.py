@@ -1,73 +1,152 @@
-"""The compiled engine must match the classic dispatch loop exactly.
+"""Three-way differential: classic vs tiered vs always-source.
 
-``compiled=False`` is the executable specification; ``compiled=True`` is
-the optimization the timing harness measures. They must agree on every
-observable: output, return value, step accounting, operation counts, the
-block-count profile, and errors.
+``compiled=False`` runs only the classic dispatch loop, the executable
+specification.  ``compiled=True`` runs tiered: functions start in the
+classic loop and move to generated Python source once hot.  The third
+engine is the tiered one with the tier-up threshold at zero, so every
+function runs as source from its first call.  All three must agree on
+every observable: output, return value, step total, every operation
+counter, the block-count profile, the final globals, and the type and
+message of any error.
 """
+
+from contextlib import contextmanager
+from unittest import mock
 
 import pytest
 
 from repro.bench.workloads import ORDER, WORKLOADS
 from repro.frontend.lower import compile_source
+from repro.ir import instructions as I
 from repro.ir.parser import parse_module
-from repro.profile.interp import Interpreter, InterpreterError, InterpreterLimitError
+from repro.ir.values import Value, VReg
+from repro.memory.resources import MemoryVar
+from repro.profile import codegen
+from repro.profile.interp import Interpreter
+from repro.promotion.pipeline import PromotionPipeline
+from repro.ssa.destruct import destruct_ssa
 
+from tests.property.genprog import random_program
 from tests.support import nested_loops, simple_loop
 
+ENGINES = ("classic", "tiered", "source")
+COUNTERS = (
+    "steps",
+    "loads",
+    "stores",
+    "ptr_loads",
+    "ptr_stores",
+    "array_loads",
+    "array_stores",
+    "calls",
+    "copies",
+)
 
-def _run_both(module, entry="main", args=(), **kwargs):
-    legacy = Interpreter(module, compiled=False, **kwargs).run(entry, args)
-    compiled = Interpreter(module, compiled=True, **kwargs).run(entry, args)
-    return legacy, compiled
+
+@contextmanager
+def _engine(name):
+    if name == "source":
+        with mock.patch.object(codegen, "_TIER_UP", 0):
+            yield
+    else:
+        yield
 
 
-def _assert_equivalent(legacy, compiled):
-    assert compiled.output == legacy.output
-    assert compiled.return_value == legacy.return_value
-    assert compiled.steps == legacy.steps
-    assert compiled.loads == legacy.loads
-    assert compiled.stores == legacy.stores
-    assert compiled.ptr_loads == legacy.ptr_loads
-    assert compiled.ptr_stores == legacy.ptr_stores
-    assert compiled.array_loads == legacy.array_loads
-    assert compiled.array_stores == legacy.array_stores
-    assert compiled.calls == legacy.calls
-    assert compiled.copies == legacy.copies
-    # Block names repeat across functions; key the profile comparison by
-    # (function, block).
-    def by_name(result):
-        return {
-            (b.function.name, b.name): count
-            for b, count in result.block_counts.items()
-        }
+def _outcome(module, engine, entry="main", args=(), **kwargs):
+    """Everything observable about one run, or the error it raised."""
+    interpreter = Interpreter(module, compiled=engine != "classic", **kwargs)
+    with _engine(engine):
+        try:
+            result = interpreter.run(entry, args)
+        except Exception as exc:  # noqa: BLE001 - the error is the outcome
+            return {"error": type(exc).__name__, "message": str(exc)}
+    observed = {name: getattr(result, name) for name in COUNTERS}
+    observed.update(
+        output=result.output,
+        return_value=result.return_value,
+        # Block names repeat across functions; key by (function, block).
+        block_counts={
+            (block.function.name, block.name): count
+            for block, count in result.block_counts.items()
+        },
+        globals=result.globals_snapshot(),
+    )
+    return observed
 
-    assert by_name(compiled) == by_name(legacy)
+
+def _agree(module, entry="main", args=(), **kwargs):
+    outcomes = {e: _outcome(module, e, entry, args, **kwargs) for e in ENGINES}
+    assert outcomes["tiered"] == outcomes["classic"]
+    assert outcomes["source"] == outcomes["classic"]
+    return outcomes["classic"]
+
+
+def _promoted(source, name, **kwargs):
+    module = compile_source(source, name)
+    PromotionPipeline(**kwargs).run(module)
+    return module
+
+
+# -- whole programs ------------------------------------------------------
 
 
 @pytest.mark.parametrize("name", ORDER)
 def test_engines_agree_on_every_workload(name):
     workload = WORKLOADS[name]
-    legacy = Interpreter(compile_source(workload.source, name), compiled=False).run(
-        workload.entry, workload.args
+    raw = compile_source(workload.source, name)
+    assert "error" not in _agree(raw, workload.entry, workload.args)
+    promoted = _promoted(
+        workload.source, name, entry=workload.entry, args=workload.args
     )
-    compiled = Interpreter(compile_source(workload.source, name), compiled=True).run(
-        workload.entry, workload.args
-    )
-    _assert_equivalent(legacy, compiled)
+    assert "error" not in _agree(promoted, workload.entry, workload.args)
+    # Out of SSA: copies, and registers with several definitions.
+    for function in promoted.functions.values():
+        destruct_ssa(function)
+    assert _agree(promoted, workload.entry, workload.args)["copies"]
+
+
+@pytest.mark.parametrize("max_steps", [10_000_000, 300])
+@pytest.mark.parametrize("first", range(0, 300, 50))
+def test_engines_agree_on_generated_programs(first, max_steps):
+    for seed in range(first, first + 50):
+        source = random_program(seed)
+        _agree(compile_source(source, f"g{seed}"), max_steps=max_steps)
+        _agree(_promoted(source, f"g{seed}"), max_steps=max_steps)
 
 
 def test_engines_agree_on_loops():
     for factory in (simple_loop, nested_loops):
         module, func = factory()
-        legacy, compiled = _run_both(module, entry=func.name)
-        _assert_equivalent(legacy, compiled)
+        _agree(module, entry=func.name)
 
 
 def test_engines_agree_on_globals_snapshot():
     module, func = simple_loop()
-    legacy, compiled = _run_both(module, entry=func.name)
-    assert compiled.globals_snapshot() == legacy.globals_snapshot()
+    assert _agree(module, entry=func.name)["globals"]
+
+
+def test_engines_agree_with_externals():
+    module = parse_module(
+        """
+        func @main() {
+        entry:
+          %a = call @ext(7)
+          %b = call @sink(%a)
+          print %a, %b
+          ret %a
+        }
+        """
+    )
+    outcome = _agree(module, externals={"ext": lambda x: x + 1, "sink": print})
+    assert outcome["output"] == [(8, 0)]
+
+
+# -- error paths -----------------------------------------------------------
+
+
+def _error(module, **kwargs):
+    outcome = _agree(module, **kwargs)
+    return outcome.get("error"), outcome.get("message")
 
 
 def test_engines_raise_the_same_runtime_error():
@@ -80,31 +159,393 @@ def test_engines_raise_the_same_runtime_error():
         }
         """
     )
-    with pytest.raises(InterpreterError) as legacy_exc:
-        Interpreter(module, compiled=False).run()
-    with pytest.raises(InterpreterError) as compiled_exc:
-        Interpreter(module, compiled=True).run()
-    assert str(compiled_exc.value) == str(legacy_exc.value)
+    assert _error(module) == ("InterpreterError", "expected pointer, got 5")
 
 
-def test_engines_enforce_the_same_step_limit():
-    module, func = simple_loop(trip_count=1000)
-    with pytest.raises(InterpreterLimitError):
-        Interpreter(module, max_steps=50, compiled=False).run(func.name)
-    with pytest.raises(InterpreterLimitError):
-        Interpreter(module, max_steps=50, compiled=True).run(func.name)
+UNASSIGNED = """
+func @main() {
+entry:
+  %c = lt 1, 2
+  br %c, skip, def
+def:
+  %x = add 1, 2
+  jmp skip
+skip:
+  %y = add %x, %never
+  ret %y
+}
+"""
 
 
-def test_engines_agree_with_externals():
+def test_unassigned_register_message_is_pinned():
+    # The source tier recovers the register from an UnboundLocalError
+    # without NameError.name, which Python 3.9 lacks.
+    assert _error(parse_module(UNASSIGNED)) == (
+        "InterpreterError",
+        "read of unassigned register %x",
+    )
+
+
+def test_register_never_defined_in_the_function():
+    module = parse_module(UNASSIGNED.replace("%x, %never", "%never, %x"))
+    assert _error(module) == ("InterpreterError", "read of unassigned register %never")
+
+
+def test_unassigned_register_in_a_phi_move():
     module = parse_module(
         """
         func @main() {
         entry:
-          %a = call @ext(7)
-          print %a
+          %c = lt 1, 2
+          br %c, join, def
+        def:
+          %x = add 1, 2
+          jmp join
+        join:
+          %p = phi [entry: %x, def: %x]
+          ret %p
+        }
+        """
+    )
+    assert _error(module) == ("InterpreterError", "read of unassigned register %x")
+
+
+def test_integer_type_check():
+    module = parse_module(
+        """
+        module m
+        global @x = 1
+        func @main() {
+        entry:
+          %p = addr @x
+          %q = add %p, 1
+          ret %q
+        }
+        """
+    )
+    message = "expected integer, got Pointer([1][0])"
+    assert _error(module) == ("InterpreterError", message)
+
+
+def test_type_checks_do_not_carry_across_blocks():
+    # "other" checks %p first in emission order, but never runs.
+    module = parse_module(
+        """
+        module m
+        global @x = 1
+        func @main() {
+        entry:
+          %p = addr @x
+          %c = lt 1, 2
+          br %c, use, other
+        other:
+          %q = add %p, 1
+          ret %q
+        use:
+          %r = add %p, 2
+          ret %r
+        }
+        """
+    )
+    message = "expected integer, got Pointer([1][0])"
+    assert _error(module) == ("InterpreterError", message)
+
+
+def test_pointer_type_check_on_a_register():
+    module = parse_module(
+        """
+        func @main() {
+        entry:
+          %v = add 2, 3
+          stp %v, 1
+          ret
+        }
+        """
+    )
+    assert _error(module) == ("InterpreterError", "expected pointer, got 5")
+
+
+@pytest.mark.parametrize(
+    "inst", ["%t = lda @A, %i", "sta @A, %i, 1", "%t = elem @A, %i"]
+)
+def test_bounds_checks(inst):
+    module = parse_module(
+        f"""
+        module m
+        array @A[2] = 0
+        func @main() {{
+        entry:
+          %i = add 1, 4
+          {inst}
+          ret
+        }}
+        """
+    )
+    assert _error(module) == ("InterpreterError", "index 5 out of bounds for @A[2]")
+
+
+def test_variable_without_storage():
+    module = parse_module(
+        """
+        module m
+        global @x = 1
+        func @main() {
+        entry:
+          st @x, 4
+          ret
+        }
+        """
+    )
+    store = module.functions["main"].entry.instructions[0]
+    store.var = MemoryVar("ghost")
+    assert _error(module) == ("InterpreterError", "variable @ghost has no storage")
+
+
+def test_unknown_callee():
+    module = parse_module(
+        """
+        func @main() {
+        entry:
+          %r = call @nowhere(1)
+          ret %r
+        }
+        """
+    )
+    assert _error(module) == ("InterpreterError", "unknown callee @nowhere")
+
+
+def test_unknown_operator():
+    module = parse_module(
+        """
+        func @main() {
+        entry:
+          %r = add 1, 2
+          ret %r
+        }
+        """
+    )
+    module.functions["main"].entry.instructions[0].op = "pow"
+    assert _error(module) == ("InterpreterError", "unknown binary op pow")
+
+
+def test_instruction_that_cannot_execute():
+    module = parse_module(
+        """
+        func @main() {
+        entry:
+          %r = add 1, 2
+          ret %r
+        }
+        """
+    )
+    block = module.functions["main"].entry
+    block.instructions.insert(1, I.Phi(VReg("stray"), []))
+    assert _error(module) == ("InterpreterError", "cannot execute Phi")
+
+
+def test_value_that_cannot_be_evaluated():
+    class Opaque(Value):
+        def __repr__(self):
+            return "Opaque()"
+
+    module = parse_module(
+        """
+        func @main() {
+        entry:
+          %r = copy 1
+          ret %r
+        }
+        """
+    )
+    module.functions["main"].entry.instructions[0].operands[0] = Opaque()
+    assert _error(module) == ("InterpreterError", "cannot evaluate Opaque()")
+
+
+def test_block_that_falls_through():
+    module = parse_module(
+        """
+        func @main() {
+        entry:
+          %r = add 1, 2
+          jmp next
+        next:
+          print %r
+          ret
+        }
+        """
+    )
+    module.functions["main"].blocks[1].instructions.pop()
+    assert _error(module) == ("InterpreterError", "block next fell through")
+
+
+def test_phi_without_the_taken_edge():
+    module = parse_module(
+        """
+        func @main() {
+        entry:
+          jmp join
+        join:
+          %p = phi [other: 1]
+          ret %p
+        other:
+          jmp join
+        }
+        """
+    )
+    assert _error(module) == (
+        "KeyError",
+        str(KeyError("phi has no incoming value for block entry")),
+    )
+
+
+def test_phi_in_entry_block():
+    module = parse_module(
+        """
+        func @main() {
+        entry:
+          %a = phi [entry: 1]
           ret %a
         }
         """
     )
-    legacy, compiled = _run_both(module, externals={"ext": lambda x: x + 1})
-    _assert_equivalent(legacy, compiled)
+    assert _error(module) == ("AssertionError", "phi in entry block")
+
+
+def test_engines_enforce_the_same_step_limit():
+    module, func = simple_loop(trip_count=1000)
+    outcome = _agree(module, entry=func.name, max_steps=50)
+    assert (outcome["error"], outcome["message"]) == (
+        "InterpreterLimitError",
+        "exceeded 50 steps",
+    )
+
+
+def test_recursion_depth_limit():
+    module = parse_module(
+        """
+        func @f(%n) {
+        entry:
+          %m = add %n, 1
+          %r = call @f(%m)
+          ret %r
+        }
+        func @main() {
+        entry:
+          %r = call @f(0)
+          ret %r
+        }
+        """
+    )
+    assert _error(module, max_depth=30) == (
+        "InterpreterLimitError",
+        "recursion deeper than 30",
+    )
+
+
+# -- tier-up ---------------------------------------------------------------
+
+FIB = """
+func @fib(%n) {
+entry:
+  %c = lt %n, 2
+  br %c, base, rec
+base:
+  ret %n
+rec:
+  %a = sub %n, 1
+  %x = call @fib(%a)
+  %b = sub %n, 2
+  %y = call @fib(%b)
+  %s = add %x, %y
+  ret %s
+}
+func @main() {
+entry:
+  %r = call @fib(15)
+  print %r
+  ret %r
+}
+"""
+
+
+def test_recursive_function_tiers_up_under_its_own_classic_activation():
+    module = parse_module(FIB)
+    compiled_under = []
+    original = codegen.TieredRun._compile
+
+    def spy(run, function, osr):
+        compiled_under.append((function.name, len(run.starts)))
+        return original(run, function, osr)
+
+    with mock.patch.object(codegen.TieredRun, "_compile", spy):
+        outcome = _outcome(module, "tiered")
+    # main plus at least one classic fib activation were on the stack.
+    assert compiled_under and compiled_under[0][0] == "fib"
+    assert compiled_under[0][1] >= 2
+    assert outcome == _outcome(module, "classic")
+    assert outcome["output"] == [(610,)]
+
+
+def test_long_running_activation_moves_to_source_mid_loop():
+    module, func = simple_loop(trip_count=2000)
+    compiled = []
+    original = codegen.TieredRun._compile
+
+    def spy(run, function, osr):
+        compiled.append((function.name, osr))
+        return original(run, function, osr)
+
+    with mock.patch.object(codegen.TieredRun, "_compile", spy):
+        outcome = _outcome(module, "tiered", entry=func.name)
+    assert compiled == [(func.name, True)]
+    assert outcome == _outcome(module, "classic", entry=func.name)
+
+
+def test_unassigned_register_after_moving_to_source_mid_loop():
+    module = parse_module(
+        """
+        func @main() {
+        entry:
+          %c = lt 1, 0
+          br %c, def, header
+        def:
+          %x = add 1, 2
+          jmp header
+        header:
+          %i = phi [entry: 0, def: 0, body: %j]
+          %more = lt %i, 500
+          br %more, body, done
+        body:
+          %j = add %i, 1
+          jmp header
+        done:
+          %y = add %x, %i
+          ret %y
+        }
+        """
+    )
+    outcome = _outcome(module, "tiered")
+    assert outcome == _outcome(module, "classic")
+    assert outcome["message"] == "read of unassigned register %x"
+
+
+def test_jump_out_of_the_function_keeps_it_classic():
+    module = parse_module(
+        """
+        func @f() {
+        entry:
+          jmp out
+        out:
+          ret 7
+        }
+        func @main() {
+        entry:
+          jmp done
+        done:
+          ret 1
+        }
+        """
+    )
+    foreign = module.functions["f"].blocks[1]
+    module.functions["main"].entry.instructions[-1].targets[0] = foreign
+    assert _agree(module)["return_value"] == 7
