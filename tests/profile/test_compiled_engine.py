@@ -58,7 +58,7 @@ def _outcome(module, engine, entry="main", args=(), **kwargs):
     with _engine(engine):
         try:
             result = interpreter.run(entry, args)
-        except Exception as exc:  # noqa: BLE001 - the error is the outcome
+        except Exception as exc:  # the error is the outcome
             return {"error": type(exc).__name__, "message": str(exc)}
     observed = {name: getattr(result, name) for name in COUNTERS}
     observed.update(
@@ -137,8 +137,10 @@ def test_engines_agree_with_externals():
         }
         """
     )
-    outcome = _agree(module, externals={"ext": lambda x: x + 1, "sink": print})
+    sink = []
+    outcome = _agree(module, externals={"ext": lambda x: x + 1, "sink": sink.append})
     assert outcome["output"] == [(8, 0)]
+    assert sink == [8, 8, 8]  # once per engine
 
 
 # -- error paths -----------------------------------------------------------
