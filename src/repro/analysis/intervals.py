@@ -117,13 +117,7 @@ class IntervalTree:
         _find_nested(rpo, set(), root, rpo_index)
         _assign_depths(root)
         tree = cls(function, root)
-        if domtree is None:
-            # Local import: this module is pulled in by the package
-            # __init__, which the cache's own imports traverse.
-            from repro.parallel import cache as analysis_cache
-
-            domtree = analysis_cache.dominator_tree(function)
-        tree.assign_preheaders(domtree)
+        tree.assign_preheaders(domtree or DominatorTree.compute(function))
         return tree
 
     def assign_preheaders(self, domtree: DominatorTree) -> None:

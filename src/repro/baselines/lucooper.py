@@ -28,7 +28,6 @@ from repro.analysis.dominance import DominatorTree
 from repro.analysis.intervals import Interval, IntervalTree
 from repro.ir.function import Function
 from repro.memory.memssa import MemorySSA
-from repro.parallel import cache as analysis_cache
 from repro.profile.profiles import ProfileData
 from repro.promotion.driver import FunctionPromotionStats
 from repro.promotion.webs import construct_ssa_webs
@@ -47,7 +46,7 @@ def lu_cooper_promote(
 ) -> FunctionPromotionStats:
     """Promote per Lu & Cooper: outermost unambiguous loop per variable."""
     stats = FunctionPromotionStats()
-    domtree = analysis_cache.dominator_tree(function)
+    domtree = DominatorTree.compute(function)
     for outer in interval_tree.root.children:
         _visit(function, mssa, outer, profile, domtree, stats)
     return stats

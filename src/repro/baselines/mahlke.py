@@ -30,7 +30,6 @@ from repro.analysis.dominance import DominatorTree
 from repro.analysis.intervals import Interval, IntervalTree
 from repro.ir.function import Function
 from repro.memory.memssa import MemorySSA
-from repro.parallel import cache as analysis_cache
 from repro.profile.profiles import ProfileData
 from repro.promotion.driver import FunctionPromotionStats
 from repro.promotion.webs import construct_ssa_webs
@@ -53,7 +52,7 @@ def mahlke_promote(
     hot_fraction: float = HOT_FRACTION,
 ) -> FunctionPromotionStats:
     stats = FunctionPromotionStats()
-    domtree = analysis_cache.dominator_tree(function)
+    domtree = DominatorTree.compute(function)
     for interval in interval_tree.bottom_up():
         if interval.is_root or interval.children:
             continue  # innermost loops only

@@ -85,13 +85,12 @@ def measure_workload(
     workload: Workload,
     promoter: str = "sastry-ju",
     options: Optional[PromotionOptions] = None,
-    use_cache: bool = True,
     resilience=None,
     observability=None,
 ) -> BenchmarkRow:
     """Compile a workload, run a promoter, return the counts row.
 
-    ``use_cache``/``resilience``/``observability`` configure the paper
+    ``resilience``/``observability`` configure the paper
     pipeline's execution layer only; the baselines have no supervised
     path (and their counts would be identical anyway).  Passing one
     ``observability`` bundle across
@@ -105,7 +104,6 @@ def measure_workload(
             options=options,
             entry=workload.entry,
             args=list(workload.args),
-            use_cache=use_cache,
             resilience=resilience,
             observability=observability,
         )

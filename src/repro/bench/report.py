@@ -106,7 +106,6 @@ def _surface_router_metrics(diagnostics_dir: str) -> None:
 
 def collect_rows(
     promoter: str = "sastry-ju",
-    use_cache: bool = True,
     resilience=None,
     observability=None,
 ):
@@ -114,7 +113,6 @@ def collect_rows(
         measure_workload(
             WORKLOADS[name],
             promoter,
-            use_cache=use_cache,
             resilience=resilience,
             observability=observability,
         )
@@ -122,17 +120,9 @@ def collect_rows(
     ]
 
 
-def collect_json(
-    use_cache: bool = True,
-    resilience=None,
-    observability=None,
-) -> dict:
+def collect_json(resilience=None, observability=None) -> dict:
     """All evaluation data as one JSON-serializable document."""
-    rows = collect_rows(
-        use_cache=use_cache,
-        resilience=resilience,
-        observability=observability,
-    )
+    rows = collect_rows(resilience=resilience, observability=observability)
     doc: dict = {"workloads": {}, "pressure": []}
     for row in rows:
         entry = {
@@ -273,11 +263,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         "workload each (0 = one per CPU; default 4)",
     )
     parser.add_argument(
-        "--no-cache",
-        action="store_true",
-        help="disable the per-function analysis cache",
-    )
-    parser.add_argument(
         "--timing",
         metavar="FILE",
         help="time the execution layers over the suite and write FILE",
@@ -326,7 +311,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         "/metrics document) its cluster summary is surfaced too",
     )
     options = parser.parse_args(argv)
-    use_cache = not options.no_cache
 
     observability = None
     if options.trace_out or options.metrics_out:
@@ -352,7 +336,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         metadata = build_metadata(
             profile_source=None,
             config={
-                "use_cache": use_cache,
                 "resilience": None if resilience is None else resilience.as_dict(),
             },
             tool="repro-report",
@@ -426,11 +409,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     if options.json:
         print(
             json.dumps(
-                collect_json(
-                    use_cache=use_cache,
-                    resilience=resilience,
-                    observability=observability,
-                ),
+                collect_json(resilience=resilience, observability=observability),
                 indent=2,
                 sort_keys=True,
             )
@@ -441,11 +420,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     sections: List[str] = []
     rows = None
     if options.table in ("1", "2", "all"):
-        rows = collect_rows(
-            use_cache=use_cache,
-            resilience=resilience,
-            observability=observability,
-        )
+        rows = collect_rows(resilience=resilience, observability=observability)
         bad = [r.name for r in rows if not r.output_matches]
         if bad:
             print(f"WARNING: behaviour changed for {bad}", file=sys.stderr)

@@ -4,11 +4,11 @@ Three arms over the 8-workload suite, compared on one machine in one
 process tree:
 
 ``baseline``
-    the classic execution layer — interpreter dispatch loop, no analysis
-    cache, serial (``jobs=1``);
+    the classic execution layer — interpreter dispatch loop only,
+    serial (``jobs=1``);
 ``serial``
-    the optimized layer, still serial — compiled interpreter dispatch
-    plus the per-function analysis cache;
+    the optimized layer, still serial — the tiered interpreter, which
+    compiles hot functions to Python source;
 ``parallel``
     the optimized layer fanned out over ``jobs`` worker processes at
     workload granularity: a plain ``ProcessPoolExecutor`` map in which
@@ -69,7 +69,6 @@ def run_workload_arm(name: str, arm: str) -> Dict[str, object]:
     pipeline = PromotionPipeline(
         entry=workload.entry,
         args=list(workload.args),
-        use_cache=optimized,
         compiled_interpreter=optimized,
     )
     started = time.perf_counter()
@@ -79,7 +78,6 @@ def run_workload_arm(name: str, arm: str) -> Dict[str, object]:
         "workload": name,
         "seconds": elapsed,
         "fingerprint": _fingerprint(module, result),
-        "cache": result.cache_stats.as_dict() if result.cache_stats else None,
     }
 
 
@@ -175,15 +173,6 @@ def time_suite(
         entry["workloads"] = {
             row["workload"]: round(row["seconds"], 4) for row in rows
         }
-        cache_rows = [row["cache"] for row in rows if row["cache"]]
-        if cache_rows:
-            hits = sum(c["total_hits"] for c in cache_rows)
-            misses = sum(c["total_misses"] for c in cache_rows)
-            entry["cache_hits"] = hits
-            entry["cache_misses"] = misses
-            entry["cache_hit_rate"] = (
-                round(hits / (hits + misses), 4) if hits + misses else 0.0
-            )
         arms[arm] = entry
 
     identical = all(

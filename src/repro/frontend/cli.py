@@ -85,11 +85,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         help="interpreter step budget for profiling and execution",
     )
     parser.add_argument(
-        "--no-cache",
-        action="store_true",
-        help="disable the per-function analysis cache",
-    )
-    parser.add_argument(
         "--timeout",
         type=float,
         default=None,
@@ -199,11 +194,6 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     result = None
     pipeline = None
-    if options.baseline is not None and options.no_cache:
-        print(
-            "repro-minic: note: --no-cache only applies to --promote",
-            file=sys.stderr,
-        )
     if options.baseline == "lucooper":
         from repro.baselines.lucooper import LuCooperPipeline
 
@@ -216,7 +206,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         from repro.promotion.pipeline import PromotionPipeline
 
         pipeline = PromotionPipeline(
-            use_cache=not options.no_cache,
             resilience=resilience,
             observability=observability,
             decisions=decisions,

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 from typing import Dict, Optional, Set, Tuple
 
+from repro.analysis.dominance import DominatorTree
 from repro.ir import instructions as I
 from repro.ir.basicblock import BasicBlock
 from repro.ir.function import Function
@@ -68,10 +69,14 @@ def verify_function(
     function: Function, check_ssa: bool = False, check_memssa: bool = False
 ) -> None:
     _check_structure(function)
+    if not (check_ssa or check_memssa):
+        return
+    # Neither check mutates the IR, so one tree serves both.
+    domtree = DominatorTree.compute(function)
     if check_ssa:
-        _check_register_ssa(function)
+        _check_register_ssa(function, domtree)
     if check_memssa:
-        _check_memory_ssa(function)
+        _check_memory_ssa(function, domtree)
 
 
 def _fail(
@@ -158,13 +163,7 @@ def _check_structure(function: Function) -> None:
                 )
 
 
-def _dominators(function: Function):
-    from repro.parallel import cache as analysis_cache
-
-    return analysis_cache.dominator_tree(function)
-
-
-def _check_register_ssa(function: Function) -> None:
+def _check_register_ssa(function: Function, domtree: DominatorTree) -> None:
     defs: Dict[VReg, I.Instruction] = {}
     for inst in function.instructions():
         if inst.dst is not None:
@@ -175,7 +174,6 @@ def _check_register_ssa(function: Function) -> None:
         if reg.def_inst is not inst:
             _fail(function, f"{reg} has stale def_inst backref", inst.block, "ssa")
 
-    domtree = _dominators(function)
     params = set(function.params)
     positions = _instruction_positions(function)
 
@@ -248,7 +246,7 @@ def _check_reg_use(
         )
 
 
-def _check_memory_ssa(function: Function) -> None:
+def _check_memory_ssa(function: Function, domtree: DominatorTree) -> None:
     defs: Dict[MemName, I.Instruction] = {}
     entry_names: Set[MemName] = set()
     for inst in function.instructions():
@@ -269,7 +267,6 @@ def _check_memory_ssa(function: Function) -> None:
                     "memssa",
                 )
 
-    domtree = _dominators(function)
     positions = _instruction_positions(function)
 
     for block in function.blocks:

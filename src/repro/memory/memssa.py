@@ -18,12 +18,12 @@ from __future__ import annotations
 from typing import Dict, List, Optional
 
 from repro.analysis.dominance import DominatorTree
+from repro.analysis.idf import iterated_dominance_frontier
 from repro.ir import instructions as I
 from repro.ir.basicblock import BasicBlock
 from repro.ir.function import Function
 from repro.memory.aliasing import AliasModel
 from repro.memory.resources import MemName, MemoryVar
-from repro.parallel import cache as analysis_cache
 
 
 class MemorySSA:
@@ -67,7 +67,7 @@ def build_memory_ssa(
     result.tracked = alias_model.tracked_vars(function)
     if not result.tracked:
         return result
-    domtree = domtree or analysis_cache.dominator_tree(function)
+    domtree = domtree or DominatorTree.compute(function)
 
     # Per-instruction effect sets (computed once; renaming reuses them).
     may_use: Dict[int, List[MemoryVar]] = {}
@@ -93,7 +93,7 @@ def build_memory_ssa(
                     def_blocks.append(block)
         if not def_blocks:
             continue
-        for block in analysis_cache.idf(function, domtree, def_blocks):
+        for block in iterated_dominance_frontier(domtree, def_blocks):
             phi_vars[id(block)].append(var)
 
     for block in domtree.reachable:

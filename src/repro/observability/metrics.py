@@ -2,15 +2,14 @@
 
 Instruments the *events* of a pipeline run — webs built and promoted,
 loads/stores deleted, compensating loads/stores inserted, phis placed by
-the incremental SSA updater vs. the CSS96 comparator, analysis-cache
-hits/misses, and the supervised worker's retry/timeout/quarantine
-counters — as named instruments with units, serializable to one JSON
+the incremental SSA updater vs. the CSS96 comparator, and the
+supervised worker's retry/timeout/quarantine counters — as named instruments with units, serializable to one JSON
 document (see :mod:`repro.observability.export`).
 
 Deep modules (:mod:`repro.ssa.incremental`, :mod:`repro.ssa.css96`)
 report through the **ambient** registry: :func:`activate` installs a
 registry on a :class:`contextvars.ContextVar` (the same pattern as
-:mod:`repro.parallel.cache`), and :func:`ambient` returns the installed
+:mod:`repro.observability.decisions`), and :func:`ambient` returns the installed
 registry or the no-op :data:`NULL_METRICS` — so instrumented code never
 tests whether metrics are on.
 

@@ -22,7 +22,6 @@ from repro.memory.memssa import MemorySSA
 from repro.observability import decisions as decision_journal
 from repro.profile.profiles import ProfileData
 from repro.promotion.profitability import plan_no_defs_web, plan_web
-from repro.parallel import cache as analysis_cache
 from repro.promotion.webpromote import WebPromotion
 from repro.promotion.webs import Web, construct_ssa_webs
 
@@ -130,7 +129,7 @@ def promote_function(
     instructions are inserted and deleted — so the interval tree and
     dominator tree stay valid throughout."""
     options = options or PromotionOptions()
-    domtree = analysis_cache.dominator_tree(function)
+    domtree = DominatorTree.compute(function)
     stats = FunctionPromotionStats()
     # The ambient decision journal (a null object when disabled) sees one
     # call per web, never per access — the disabled path stays cheap.

@@ -47,7 +47,6 @@ from repro.observability import (
     activate_metrics,
 )
 from repro.observability.export import SCHEMA_VERSION
-from repro.parallel.cache import AnalysisCache, CacheStats, activate
 from repro.parallel.transport import (
     FunctionPayload,
     ModulePayload,
@@ -138,10 +137,8 @@ class PipelineResult:
         self.profile: Optional[ProfileData] = None
         #: Per-function outcomes, warnings, and the bisection report.
         self.diagnostics = PipelineDiagnostics()
-        #: Analysis-cache hit/miss counters, aggregated over the parent
-        #: run and (when supervised, in module order) every worker
-        #: attempt.  ``None`` when caching was disabled.
-        self.cache_stats: Optional[CacheStats] = None
+        #: Always ``None`` (there is no analysis cache); the e2e layer split reads it.
+        self.cache_stats = None
         #: The tracer + metrics bundle the run recorded into
         #: (:data:`~repro.observability.NULL_OBSERVABILITY` when
         #: tracing was off) — exporters read the trace from here.
@@ -248,7 +245,6 @@ class _WorkerPromoter:
         options: PromotionOptions,
         alias_model_factory: Callable[[Module], AliasModel],
         verify: bool,
-        use_cache: bool,
         observe: bool,
         journal: bool,
         trace_id: Optional[str],
@@ -258,7 +254,6 @@ class _WorkerPromoter:
         self.options = options
         self.alias_model_factory = alias_model_factory
         self.verify = verify
-        self.use_cache = use_cache
         self.observe = observe
         self.journal = journal
         self.trace_id = trace_id
@@ -266,7 +261,6 @@ class _WorkerPromoter:
     def setup(self) -> None:
         self.module = self.module_payload.restore()
         self.model = self.alias_model_factory(self.module)
-        self.cache = AnalysisCache() if self.use_cache else None
 
     def promote(self, name: str) -> WorkerReply:
         function = self.module.functions[name]
@@ -277,8 +271,6 @@ class _WorkerPromoter:
         for block in function.blocks:
             if block.name in counts:
                 profile.set_freq(block, counts[block.name])
-        cache = self.cache
-        cache_before = cache.stats.copy() if cache is not None else None
         obs = (
             Observability.recording(trace_id=self.trace_id)
             if self.observe
@@ -286,7 +278,7 @@ class _WorkerPromoter:
         )
         journal = DecisionJournal() if self.journal else None
         started = time.perf_counter()
-        with activate(cache), activate_metrics(
+        with activate_metrics(
             obs.metrics if obs.enabled else None
         ), activate_decisions(journal):
             snap, stats, stage, error = promote_transaction(
@@ -315,8 +307,6 @@ class _WorkerPromoter:
                 reason=first_line(error),
                 duration_ms=duration_ms,
             )
-        if cache is not None:
-            reply.cache_stats = cache.stats.since(cache_before)
         if obs.enabled:
             reply.spans = obs.tracer.export()
             reply.metrics = obs.metrics.as_dict()
@@ -337,9 +327,6 @@ class PromotionPipeline:
     ``transactional=False`` the pipeline behaves like a classic
     all-or-nothing pass manager (no snapshot overhead, exceptions
     propagate, divergence is only recorded in ``output_matches``).
-
-    ``use_cache`` memoizes dominator trees, IDFs, and liveness across
-    phases.
 
     ``resilience`` (a :class:`~repro.robustness.ResilienceOptions`) runs
     phases 3+4 in one supervised worker process
@@ -364,12 +351,10 @@ class PromotionPipeline:
         verify: bool = True,
         max_steps: int = 50_000_000,
         transactional: bool = True,
-        use_cache: bool = True,
         compiled_interpreter: bool = True,
         resilience: Optional[ResilienceOptions] = None,
         observability: Optional[Observability] = None,
         decisions: Optional[DecisionJournal] = None,
-        analysis_cache: Optional[AnalysisCache] = None,
     ) -> None:
         self.options = options or PromotionOptions()
         self.alias_model_factory = alias_model or AliasModel.conservative
@@ -380,7 +365,6 @@ class PromotionPipeline:
         self.verify = verify
         self.max_steps = max_steps
         self.transactional = transactional
-        self.use_cache = use_cache
         #: False pins phases 2 and 5 to the interpreter's classic
         #: dispatch loop — the timing harness's baseline arm.
         self.compiled_interpreter = compiled_interpreter
@@ -400,34 +384,18 @@ class PromotionPipeline:
         #: The promotion decision journal; ``None`` (the default) keeps
         #: the driver's decision sites on the null path.
         self.decisions = decisions
-        #: A caller-owned cache to use instead of a fresh per-run one —
-        #: how a long-lived service keeps analyses warm across requests.
-        #: Entries are fingerprint-validated on every lookup, so reuse
-        #: can only change speed, never results.  Implies ``use_cache``.
-        self.analysis_cache = analysis_cache
 
     def run(self, module: Module) -> PipelineResult:
         result = PipelineResult(module)
         result.observability = self.observability
         obs = self.observability
-        if self.analysis_cache is not None:
-            cache = self.analysis_cache
-        else:
-            cache = AnalysisCache() if self.use_cache else None
-        if cache is not None:
-            result.cache_stats = CacheStats()
-        # A shared (cross-run) cache carries cumulative counters; report
-        # only this run's delta.
-        stats_before = cache.stats.copy() if cache is not None else None
         result.decisions = self.decisions
-        with activate(cache), activate_metrics(
+        with activate_metrics(
             obs.metrics if obs.enabled else None
         ), activate_decisions(self.decisions), obs.tracer.span(
             "pipeline", module=module.name
         ):
             self._run_phases(module, result)
-        if cache is not None:
-            result.cache_stats.absorb(cache.stats.since(stats_before))
         if obs.enabled:
             self._finalize_observability(result)
         if self.decisions is not None:
@@ -441,7 +409,6 @@ class PromotionPipeline:
         resilience = self.resilience
         stamp: Dict[str, object] = {
             "entry": self.entry,
-            "use_cache": self.use_cache,
             "compiled_interpreter": self.compiled_interpreter,
             "transactional": self.transactional,
             "max_steps": self.max_steps,
@@ -480,11 +447,6 @@ class PromotionPipeline:
         )
         for field, value in result.totals().as_dict().items():
             metrics.inc("promotion." + field, value)
-        if result.cache_stats is not None:
-            for kind, hits in result.cache_stats.hits.items():
-                metrics.inc(f"cache.{kind}.hits", hits)
-            for kind, misses in result.cache_stats.misses.items():
-                metrics.inc(f"cache.{kind}.misses", misses)
         diags = result.diagnostics
         diags.observability = {
             "version": SCHEMA_VERSION,
@@ -654,7 +616,6 @@ class PromotionPipeline:
                 self.options,
                 self.alias_model_factory,
                 self.verify,
-                self.use_cache,
                 observe=obs.enabled,
                 journal=self.decisions is not None,
                 trace_id=obs.tracer.trace_id,
@@ -702,8 +663,6 @@ class PromotionPipeline:
                 obs.metrics.absorb(reply.metrics)
                 if self.decisions is not None:
                     self.decisions.absorb(reply.decisions)
-                if reply.cache_stats is not None and result.cache_stats is not None:
-                    result.cache_stats.absorb(reply.cache_stats)
             attempts = outcome.history.attempts
             if outcome.status == FunctionOutcome.QUARANTINED:
                 # The worker never shipped a payload, so this module's

@@ -12,10 +12,10 @@ from __future__ import annotations
 
 from typing import Dict, List, Set
 
+from repro.analysis.liveness import Liveness
 from repro.ir import instructions as I
 from repro.ir.function import Function
 from repro.ir.values import VReg
-from repro.parallel import cache as analysis_cache
 
 
 class InterferenceGraph:
@@ -55,7 +55,7 @@ class InterferenceGraph:
 
 def build_interference_graph(function: Function) -> InterferenceGraph:
     graph = InterferenceGraph()
-    liveness = analysis_cache.liveness(function)
+    liveness = Liveness.compute(function)
 
     for param in function.params:
         graph.add_node(param)

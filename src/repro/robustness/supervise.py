@@ -149,9 +149,8 @@ class WorkerReply:
         #: (:class:`~repro.parallel.transport.FunctionPayload`).
         self.stats: Optional[Dict[str, int]] = None
         self.payload = None
-        #: This attempt's analysis-cache counters, span records, metrics
-        #: snapshot and decision document; ``None`` when that layer was off.
-        self.cache_stats = None
+        #: This attempt's span records, metrics snapshot and decision
+        #: document; ``None`` when that layer was off.
         self.spans: Optional[List[Dict[str, object]]] = None
         self.metrics: Optional[Dict[str, Dict[str, object]]] = None
         self.decisions: Optional[Dict[str, object]] = None

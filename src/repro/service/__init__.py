@@ -1,8 +1,7 @@
 """Promotion-as-a-service: a fault-tolerant async daemon.
 
-The pipeline, the supervised worker, and the analysis cache already
-exist as library layers; this package puts a long-lived process in
-front of them.  See :mod:`repro.service.daemon` for the architecture
+The pipeline and the supervised worker already exist as library
+layers; this package puts a long-lived process in front of them.  See :mod:`repro.service.daemon` for the architecture
 and ``docs/SERVICE.md`` for the wire protocol.
 """
 

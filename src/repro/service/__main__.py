@@ -34,7 +34,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         "--port", type=int, default=0, help="0 binds an ephemeral port"
     )
     parser.add_argument(
-        "--workers", type=int, default=2, help="warm worker threads"
+        "--workers", type=int, default=2, help="engine worker threads"
     )
     parser.add_argument(
         "--max-queue",

@@ -18,7 +18,7 @@ from repro.frontend.limits import InputLimits
 class ServiceConfig:
     """Tunables for :class:`~repro.service.daemon.PromotionDaemon`.
 
-    ``workers`` sizes the warm thread pool; resilient jobs (any of
+    ``workers`` sizes the engine's thread pool; resilient jobs (any of
     ``timeout_s``/``retries``/``chaos``) additionally start one
     supervised worker process underneath their pool thread.  ``max_queue`` bounds
     *waiting* admissions on top of the ``workers`` in-flight slots —

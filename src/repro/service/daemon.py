@@ -6,7 +6,7 @@ One process, one event loop, four moving parts:
   only, ``Connection: close`` per request) plus an optional
   stdio-JSONL transport for pipe-driven clients;
 * the :class:`~repro.service.admission.AdmissionController` in front of
-  the :class:`~repro.service.engine.PromotionEngine`'s warm worker
+  the :class:`~repro.service.engine.PromotionEngine`'s worker thread
   pool — bounded queueing, honest 429 shedding, drain-aware;
 * a :class:`~repro.service.breaker.CircuitBreaker` that opens after a
   storm of engine-level failures and half-opens after backoff;
@@ -25,8 +25,8 @@ admissions with 503s, give in-flight jobs a bounded grace to finish
 supervisor), then stop the loop.  The invariant the tests pin: nothing a
 client does — chaos, shedding, disconnects, poison jobs — changes any
 *completed* job's bytes versus a fresh serial run, because jobs are
-shared-nothing and every shared structure (analysis caches, result
-cache) is fingerprint- or full-payload-keyed.
+shared-nothing and the one shared structure, the result cache, is
+keyed by the full payload.
 """
 
 from __future__ import annotations

@@ -1,11 +1,10 @@
-"""The promotion engine: a warm worker pool behind the daemon.
+"""The promotion engine: a thread pool behind the daemon.
 
-Each pool thread owns a persistent :class:`AnalysisCache` — the warm
-state a long-lived service amortizes across requests.  The cache is
-fingerprint-keyed, so sharing it across unrelated jobs can only change
-speed, never results (a different program simply misses).  Jobs that
-set ``timeout_s``/``retries``/``chaos`` promote in one supervised worker
-process underneath their pool thread
+Every job builds its own module from source and runs a fresh
+:class:`~repro.promotion.pipeline.PromotionPipeline`; nothing a job
+builds outlives it except, for clean default runs, its printed result
+in the result cache.  Jobs that set ``timeout_s``/``retries``/``chaos``
+promote in one supervised worker process underneath their pool thread
 (:mod:`repro.robustness.supervise`), and the job's deadline is the
 per-function timeout unless ``timeout_s`` says otherwise, so a hung
 worker process is killed by the supervisor rather than orphaned.  The
@@ -17,8 +16,7 @@ caller gets a 504 immediately, the thread runs to completion in the
 background, and the engine accounts for it (``abandoned`` gauge, slot
 pressure visible in ``/healthz``).  An abandoned job's result is
 discarded, never cached; shared state stays consistent because every
-job builds its own module from source (shared-nothing) and the analysis
-caches validate by fingerprint.
+job builds its own module from source (shared-nothing).
 
 Failure taxonomy: anything the *client* caused (malformed source, input
 over limits, runtime error in the submitted program) raises a
@@ -50,7 +48,6 @@ from repro.frontend.lower import compile_source
 from repro.ir.module import Module
 from repro.ir.parser import IRParseError, parse_module
 from repro.ir.printer import print_module
-from repro.parallel.cache import AnalysisCache
 from repro.profile.interp import Interpreter, InterpreterError
 from repro.promotion.pipeline import PromotionPipeline
 from repro.robustness.supervise import ResilienceOptions
@@ -63,7 +60,7 @@ class EngineCrashError(RuntimeError):
 
 
 class PromotionEngine:
-    """Warm thread pool + per-thread analysis caches + result cache."""
+    """Thread pool + result cache."""
 
     def __init__(
         self,
@@ -76,7 +73,6 @@ class PromotionEngine:
         self._pool = ThreadPoolExecutor(
             max_workers=workers, thread_name_prefix="promotion-worker"
         )
-        self._thread_state = threading.local()
         self._result_cache: "collections.OrderedDict[str, JobResult]" = (
             collections.OrderedDict()
         )
@@ -96,13 +92,6 @@ class PromotionEngine:
         with self._counter_lock:
             self._job_seq += 1
             return f"job-{self._job_seq}"
-
-    def _thread_cache(self) -> AnalysisCache:
-        cache = getattr(self._thread_state, "analysis_cache", None)
-        if cache is None:
-            cache = AnalysisCache()
-            self._thread_state.analysis_cache = cache
-        return cache
 
     # -- the synchronous job body (runs in a pool thread) ----------------
 
@@ -169,7 +158,6 @@ class PromotionEngine:
                     degraded=hit.degraded,
                     quarantined=list(hit.quarantined),
                     rolled_back=list(hit.rolled_back),
-                    cache_stats=hit.cache_stats,
                     duration_ms=(time.perf_counter() - started) * 1e3,
                     cached=True,
                 )
@@ -222,17 +210,12 @@ class PromotionEngine:
         pipeline_kwargs: Dict[str, object] = dict(
             entry=job.entry,
             args=job.args,
-            use_cache=job.use_cache,
             resilience=self._resilience_for(job, deadline_s),
         )
         if observability is not None:
             pipeline_kwargs["observability"] = observability
         if job.max_steps is not None:
             pipeline_kwargs["max_steps"] = job.max_steps
-        if job.use_cache:
-            # The warm path: this thread's persistent fingerprint-keyed
-            # cache (a supervised worker keeps its own).
-            pipeline_kwargs["analysis_cache"] = self._thread_cache()
         pipeline = PromotionPipeline(**pipeline_kwargs)
         result = pipeline.run(module)
 
@@ -254,11 +237,6 @@ class PromotionEngine:
             degraded=diags.degraded,
             quarantined=list(diags.quarantined_functions),
             rolled_back=list(diags.rolled_back_functions),
-            cache_stats=(
-                result.cache_stats.as_dict()
-                if result.cache_stats is not None
-                else None
-            ),
             duration_ms=(time.perf_counter() - started) * 1e3,
         )
 

@@ -45,7 +45,6 @@ class JobRequest:
         "source",
         "entry",
         "args",
-        "use_cache",
         "deadline_s",
         "timeout_s",
         "retries",
@@ -60,7 +59,6 @@ class JobRequest:
         source: str,
         entry: str = "main",
         args: Optional[List[int]] = None,
-        use_cache: bool = True,
         deadline_s: Optional[float] = None,
         timeout_s: Optional[float] = None,
         retries: Optional[int] = None,
@@ -72,7 +70,6 @@ class JobRequest:
         self.source = source
         self.entry = entry
         self.args = list(args or [])
-        self.use_cache = use_cache
         self.deadline_s = deadline_s
         self.timeout_s = timeout_s
         self.retries = retries
@@ -99,11 +96,7 @@ class JobRequest:
         """True for a plain in-process job with no custom knobs — the
         only shape the engine's result cache may serve, so cached entries
         are always byte-identical to a fresh default run."""
-        return (
-            self.use_cache
-            and not self.wants_resilience
-            and self.max_steps is None
-        )
+        return not self.wants_resilience and self.max_steps is None
 
     def cache_key_material(self) -> str:
         return "\x00".join(
@@ -166,7 +159,6 @@ class JobRequest:
         options = payload.get("options", {})
         _require(isinstance(options, dict), "job field 'options' must be an object")
         known_options = {
-            "use_cache",
             "deadline_s",
             "timeout_s",
             "retries",
@@ -175,11 +167,6 @@ class JobRequest:
         }
         unknown = sorted(set(options) - known_options)
         _require(not unknown, f"unknown job option(s): {', '.join(unknown)}")
-
-        use_cache = options.get("use_cache", True)
-        _require(
-            isinstance(use_cache, bool), "job option 'use_cache' must be a boolean"
-        )
 
         deadline_s = _optional_number(options, "deadline_s")
         if deadline_s is not None:
@@ -223,7 +210,6 @@ class JobRequest:
             source=source,
             entry=entry,
             args=args,
-            use_cache=use_cache,
             deadline_s=deadline_s,
             timeout_s=timeout_s,
             retries=retries,
@@ -257,7 +243,6 @@ class JobResult:
         "degraded",
         "quarantined",
         "rolled_back",
-        "cache_stats",
         "duration_ms",
         "cached",
         "trace_id",
@@ -273,7 +258,6 @@ class JobResult:
         degraded: bool,
         quarantined: List[str],
         rolled_back: List[str],
-        cache_stats: Optional[Dict[str, object]],
         duration_ms: float,
         cached: bool = False,
         trace_id: Optional[str] = None,
@@ -286,7 +270,6 @@ class JobResult:
         self.degraded = degraded
         self.quarantined = quarantined
         self.rolled_back = rolled_back
-        self.cache_stats = cache_stats
         self.duration_ms = duration_ms
         self.cached = cached
         #: The distributed trace the job ran under; stamped by the
@@ -304,7 +287,6 @@ class JobResult:
             "degraded": self.degraded,
             "quarantined": list(self.quarantined),
             "rolled_back": list(self.rolled_back),
-            "cache_stats": self.cache_stats,
             "duration_ms": round(self.duration_ms, 3),
             "cached": self.cached,
             "trace_id": self.trace_id,

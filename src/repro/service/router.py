@@ -2,10 +2,10 @@
 
 ``repro-route`` scales the service horizontally: it speaks the same
 HTTP/1.1 job protocol as :mod:`repro.service.daemon` and fans out to N
-backend ``repro-serve`` instances.  One daemon owns analysis and
-result caches whose value comes entirely from seeing the same modules
-again — so the router keys placement on
-the **module fingerprint** of the submitted source
+backend ``repro-serve`` instances.  Each daemon owns a result cache
+whose value comes entirely from seeing the same programs again — so
+the router keys placement on the **module fingerprint** of the
+submitted source
 (:mod:`repro.service.routing`) and the same program always lands on the
 same shard while it is healthy.
 

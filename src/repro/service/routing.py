@@ -1,13 +1,13 @@
 """Sticky routing primitives: rendezvous hashing over module fingerprints.
 
 The front tier (:mod:`repro.service.router`) spreads jobs across many
-daemon instances, but each instance's performance story — the epoch
-board, the dispatch cache, the per-thread analysis caches — depends on
-seeing the *same modules* again (docs/PERFORMANCE.md).  The routing key
-is therefore the module fingerprint from
-:func:`repro.parallel.fingerprint.module_fingerprint`: two jobs that
-submit the same program land on the same shard, so its warm state keeps
-paying off, while unrelated programs spread out.
+daemon instances.  The one piece of state a daemon carries from job to
+job is its result cache, which only pays when the *same program* comes
+back to the same daemon.  The routing key is therefore the module
+fingerprint from :func:`repro.parallel.fingerprint.module_fingerprint`:
+two jobs that submit the same program land on the same shard, where a
+repeat can be served from that shard's result cache, while unrelated
+programs spread out.
 
 Two pieces, both pure enough to test exhaustively:
 
@@ -99,8 +99,8 @@ class FingerprintResolver:
         Returns ``(key, KEY_MODULE)`` when the source compiles/parses
         and ``(key, KEY_DIGEST)`` otherwise.  Only ``kind`` and
         ``source`` feed the key: the module *is* the locality unit —
-        the same program with different entry/args still wants the same
-        shard's warm caches.
+        the same program with different entry/args still goes to the
+        same shard.
         """
         if not isinstance(payload, dict) or not isinstance(
             payload.get("source"), str

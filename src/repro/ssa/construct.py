@@ -12,12 +12,13 @@ from __future__ import annotations
 
 from typing import Dict, List
 
+from repro.analysis.dominance import DominatorTree
+from repro.analysis.idf import iterated_dominance_frontier
 from repro.ir import instructions as I
 from repro.ir.basicblock import BasicBlock
 from repro.ir.function import Function
 from repro.ir.values import UNDEF, Value, VReg
 from repro.memory.resources import MemoryVar, VarKind
-from repro.parallel import cache as analysis_cache
 
 
 def promotable_locals(function: Function) -> List[MemoryVar]:
@@ -41,7 +42,7 @@ def construct_ssa(function: Function) -> int:
     if not candidates:
         return 0
     candidate_ids = {id(v) for v in candidates}
-    domtree = analysis_cache.dominator_tree(function)
+    domtree = DominatorTree.compute(function)
 
     # Phi placement at the IDF of each variable's store blocks.
     phi_var: Dict[int, MemoryVar] = {}
@@ -57,7 +58,7 @@ def construct_ssa(function: Function) -> int:
                 ):
                     seen.add(id(block))
                     def_blocks.append(block)
-        for block in analysis_cache.idf(function, domtree, def_blocks):
+        for block in iterated_dominance_frontier(domtree, def_blocks):
             phi = I.Phi(function.new_reg(var.name), [])
             block.insert_at_front(phi)
             phi_var[id(phi)] = var

@@ -36,12 +36,12 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.analysis.dominance import DominatorTree
+from repro.analysis.idf import iterated_dominance_frontier
 from repro.ir import instructions as I
 from repro.ir.basicblock import BasicBlock
 from repro.ir.function import Function
 from repro.memory.resources import MemName, MemoryVar
 from repro.observability.metrics import ambient
-from repro.parallel import cache as analysis_cache
 
 
 def names_of_var(
@@ -109,7 +109,7 @@ def update_ssa_for_cloned_resources(
             raise ValueError(
                 f"mixed variables in SSA update: {name} is not a name of {var.name}"
             )
-    domtree = domtree or analysis_cache.dominator_tree(function)
+    domtree = domtree or DominatorTree.compute(function)
     positions = _positions(function)
 
     # ---- Step 1: batched phi placement -------------------------------
@@ -123,7 +123,7 @@ def update_ssa_for_cloned_resources(
 
     phi_targets: List[MemName] = []
     new_phis: Set[int] = set()
-    for block in analysis_cache.idf(function, domtree, init_def_blocks):
+    for block in iterated_dominance_frontier(domtree, init_def_blocks):
         existing = _phi_for_var(block, var)
         if existing is not None:
             stats.phis_reused += 1

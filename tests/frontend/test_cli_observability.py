@@ -62,7 +62,6 @@ def test_trace_and_metrics_exports(source_file, tmp_path, capsys):
     before = doc["pipeline.static_before.loads"]["value"]
     after = doc["pipeline.static_after.loads"]["value"]
     assert isinstance(before, int) and isinstance(after, int)
-    assert metrics["metadata"]["config"]["use_cache"] is True
 
 
 def test_jsonl_suffix_writes_the_event_log(source_file, tmp_path):

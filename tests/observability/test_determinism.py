@@ -24,9 +24,9 @@ int main() {
 """
 
 #: Metrics that legitimately differ between in-process and supervised
-#: runs: cache hit/miss counts depend on process boundaries, and the
-#: supervisor's attempt counters describe the execution layer itself.
-EXECUTION_LAYER_PREFIXES = ("cache.", "resilience.")
+#: runs: the supervisor's attempt counters describe the execution layer
+#: itself.
+EXECUTION_LAYER_PREFIXES = ("resilience.",)
 
 
 def _span_tree(tracer, skip=()):

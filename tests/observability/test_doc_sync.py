@@ -208,10 +208,6 @@ def test_every_documented_metric_is_recorded():
             "promotion.webs_seen/.webs_promoted",
             ["promotion.webs_seen", "promotion.webs_promoted"],
         ),
-        (
-            "cache.<kind>.hits/.misses",
-            ["cache.<kind>.hits", "cache.<kind>.misses"],
-        ),
     ],
 )
 def test_shorthand_expansion(shorthand, expected):

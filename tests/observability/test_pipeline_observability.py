@@ -59,20 +59,12 @@ def test_metrics_exactly_match_the_result_report():
     assert doc["pipeline.output_matches"]["value"] == 1
 
 
-def test_cache_counters_match_cache_stats():
-    obs, result = _observed_run()
-    doc = obs.metrics.as_dict()
-    for kind, hits in result.cache_stats.hits.items():
-        assert doc[f"cache.{kind}.hits"]["value"] == hits
-
-
 def test_diagnostics_observability_section_is_versioned():
     obs, result = _observed_run()
     section = result.diagnostics.as_dict()["observability"]
     assert section["version"] == 1
     assert section["profile_source"] == "interpreter"
     assert section["config"]["resilience"] is None
-    assert section["config"]["use_cache"] is True
     assert section["spans"] == len(obs.tracer.records)
     assert "promotion.webs_promoted" in section["metrics"]
 
@@ -91,10 +83,10 @@ def test_result_carries_the_bundle_for_exporters():
 
 
 def test_config_stamp_covers_the_execution_layer():
-    pipeline = PromotionPipeline(use_cache=False)
+    pipeline = PromotionPipeline()
     stamp = pipeline.config_stamp()
     assert "jobs" not in stamp
-    assert stamp["use_cache"] is False
+    assert "use_cache" not in stamp
     assert stamp["resilience"] is None
     assert stamp["transactional"] is True
 

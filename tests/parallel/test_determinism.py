@@ -20,13 +20,12 @@ from repro.promotion.pipeline import PromotionPipeline
 from repro.robustness import ResilienceOptions
 
 
-def _run(name, resilience=None, use_cache=True):
+def _run(name, resilience=None):
     workload = WORKLOADS[name]
     module = compile_source(workload.source, name)
     pipeline = PromotionPipeline(
         entry=workload.entry,
         args=list(workload.args),
-        use_cache=use_cache,
         resilience=resilience,
     )
     result = pipeline.run(module)
@@ -67,9 +66,3 @@ def test_parallel_matches_serial(name):
     assert parallel["stats"] == serial["stats"]
     assert parallel["output_matches"] is True
     assert parallel["diagnostics_json"] == serial["diagnostics_json"]
-
-
-def test_cache_does_not_change_outputs():
-    cached = _run("compress", use_cache=True)
-    uncached = _run("compress", use_cache=False)
-    assert cached == uncached

@@ -32,5 +32,4 @@ def test_function_result_defaults():
     assert result.status == "promoted"
     assert result.stage is None
     assert result.payload is None
-    assert result.cache_stats is None
     assert result.duration_ms == 0.0

@@ -17,9 +17,6 @@ def test_arm_fingerprints_agree_on_one_workload():
     rows = {arm: run_workload_arm("compress", arm) for arm in ARMS}
     prints = {row["fingerprint"] for row in rows.values()}
     assert len(prints) == 1
-    # Only the optimized arms carry cache statistics.
-    assert rows["baseline"]["cache"] is None
-    assert rows["serial"]["cache"]["total_misses"] > 0
 
 
 def test_time_suite_structure_and_identity():

@@ -1,4 +1,4 @@
-"""The promotion engine: byte-identity, warm caches, deadlines.
+"""The promotion engine: byte-identity, the result cache, deadlines.
 
 The invariant under test everywhere: a job that completes through the
 engine yields the same IR text, printed output, and return value as a
@@ -6,12 +6,14 @@ fresh serial pipeline run of the same payload.
 """
 
 import asyncio
+import gc
 import time
 
 import pytest
 
 from repro.frontend.limits import InputLimits
 from repro.frontend.lower import compile_source
+from repro.ir.function import Function
 from repro.ir.printer import print_module
 from repro.profile.interp import Interpreter
 from repro.promotion.pipeline import PromotionPipeline
@@ -93,6 +95,29 @@ def test_result_cache_serves_identical_bytes(engine):
         first.return_value,
     )
     assert second.job_id == "job-2"  # identity is per-request, not cached
+
+
+def _live_functions():
+    gc.collect()
+    return sum(1 for obj in gc.get_objects() if isinstance(obj, Function))
+
+
+def test_served_jobs_leave_no_ir_alive():
+    """The engine keeps a job's printed result, never its IR: after a
+    warm-up, five distinct programs leave the live Function count as it
+    was."""
+    eng = PromotionEngine(workers=1)
+    try:
+        eng.execute(JobRequest("minic", PROGRAM), 30.0, "warm-up")
+        before = _live_functions()
+        for k in range(5):
+            source = PROGRAM.replace("i < 40", f"i < {41 + k}")
+            result = eng.execute(JobRequest("minic", source), 30.0, f"job-{k}")
+            assert not result.cached
+        del result
+        assert _live_functions() == before
+    finally:
+        eng.shutdown(wait=True)
 
 
 def test_non_default_jobs_bypass_the_result_cache(engine):

@@ -17,7 +17,6 @@ def test_minimal_payload_fills_defaults():
     assert job.kind == "minic"
     assert job.entry == "main"
     assert job.args == []
-    assert job.use_cache is True
     assert job.deadline_s is None
     assert not job.wants_resilience
     assert job.is_default_run
@@ -31,7 +30,6 @@ def test_full_payload_round_trips():
             "entry": "main",
             "args": [1, 2],
             "options": {
-                "use_cache": False,
                 "deadline_s": 5,
                 "timeout_s": 2.5,
                 "retries": 1,
@@ -40,7 +38,6 @@ def test_full_payload_round_trips():
             },
         }
     )
-    assert job.use_cache is False
     assert job.deadline_s == 5.0
     assert job.timeout_s == 2.5
     assert job.retries == 1
@@ -78,7 +75,7 @@ def test_trace_field_parses_into_a_trace_context():
         pytest.param({"source": PROGRAM, "options": {"jobs": 2}}, "unknown job option(s): jobs", id="unknown-option-jobs"),
         pytest.param({"source": PROGRAM, "options": {"jobs": True}}, "unknown job option(s): jobs", id="jobs-bool"),
         pytest.param({"source": PROGRAM, "options": {"jobs": 65}}, "unknown job option(s): jobs", id="jobs-flood"),
-        pytest.param({"source": PROGRAM, "options": {"use_cache": 1}}, "boolean", id="use-cache-int"),
+        pytest.param({"source": PROGRAM, "options": {"use_cache": True}}, "unknown job option(s): use_cache", id="unknown-option-use-cache"),
         pytest.param({"source": PROGRAM, "options": {"deadline_s": 0}}, "'deadline_s' must be > 0", id="zero-deadline"),
         pytest.param({"source": PROGRAM, "options": {"deadline_s": "fast"}}, "must be a number", id="deadline-string"),
         pytest.param({"source": PROGRAM, "options": {"timeout_s": -1}}, "'timeout_s' must be > 0", id="negative-timeout"),
@@ -108,7 +105,6 @@ def test_resilience_options_need_no_jobs():
 
 def test_default_run_is_narrow():
     assert not JobRequest("minic", PROGRAM, retries=1).is_default_run
-    assert not JobRequest("minic", PROGRAM, use_cache=False).is_default_run
     assert not JobRequest("minic", PROGRAM, max_steps=10).is_default_run
     # A custom deadline alone does not disqualify caching: it bounds
     # *when* the job may run, not what it computes.
