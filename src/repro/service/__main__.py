@@ -124,29 +124,14 @@ def main(argv: Optional[List[str]] = None) -> int:
         print(f"repro-serve: error: {exc}", file=sys.stderr)
         return 2
 
-    drained = {"clean": True}
-
     def announce(line: str) -> None:
         print(line, file=sys.stderr, flush=True)
 
-    async def run() -> None:
-        from repro.service.daemon import PromotionDaemon
-
-        daemon = PromotionDaemon(config)
-        host, port = await daemon.start()
-        daemon.install_signal_handlers()
-        announce(f"listening on {host}:{port}")
-        if options.stdio:
-            await daemon.serve_stdio()
-        else:
-            await daemon.serve_forever()
-        drained["clean"] = daemon.drained_clean is not False
-
     try:
-        asyncio.run(run())
+        clean = asyncio.run(run_daemon(config, options.stdio, announce))
     except KeyboardInterrupt:  # pragma: no cover - signal handler races
-        pass
-    return 0 if drained["clean"] else 3
+        clean = True
+    return 0 if clean else 3
 
 
 # Re-export for callers that want the coroutine form.

@@ -3,11 +3,9 @@
 :class:`ServiceClient` speaks the daemon's minimal HTTP/1.1 dialect
 (one request per connection, ``Connection: close``) with no third-party
 dependencies — it exists for tests, the smoke tool, and as executable
-documentation of the wire protocol.  The module-level
-:func:`send_request`/:func:`read_response` helpers are the one
-implementation of that dialect; the front-tier router
-(:mod:`repro.service.router`) reuses them for its upstream legs, so a
-router hop cannot drift from what a direct client would send.
+documentation of the wire protocol.  The wire itself lives in
+:mod:`repro.service.http`, shared with both servers and the router's
+upstream legs.
 
 :class:`ChaosTraffic` realizes :class:`ServiceChaosConfig` plans
 against a live daemon: for each request index it asks the config which
@@ -24,22 +22,15 @@ import json
 from typing import Dict, List, Optional, Tuple
 
 from repro.service.chaos import ServiceChaosConfig
-
-
-class ClientDisconnect(Exception):
-    """The server closed the connection without a complete response."""
-
-
-class Response:
-    __slots__ = ("status", "headers", "body")
-
-    def __init__(self, status: int, headers: Dict[str, str], body: bytes) -> None:
-        self.status = status
-        self.headers = headers
-        self.body = body
-
-    def json(self) -> object:
-        return json.loads(self.body.decode("utf-8"))
+from repro.service.http import (
+    ClientDisconnect,
+    Response,
+    close_quietly,
+    read_response,
+    read_response_head,
+    request_head,
+    send_request,
+)
 
 
 class ServiceClient:
@@ -67,11 +58,7 @@ class ServiceClient:
             await send_request(writer, method, path, body, headers)
             return await asyncio.wait_for(read_response(reader), self.timeout_s)
         finally:
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (ConnectionError, OSError):
-                pass
+            await close_quietly(writer)
 
     async def get(self, path: str) -> Response:
         return await self.request("GET", path)
@@ -93,9 +80,7 @@ class ServiceClient:
         reader, writer = await self._connect()
         try:
             await send_request(writer, "POST", "/v1/jobs?stream=1", body, headers)
-            await asyncio.wait_for(
-                reader.readuntil(b"\r\n\r\n"), timeout=self.timeout_s
-            )
+            await asyncio.wait_for(read_response_head(reader), self.timeout_s)
             events: List[object] = []
             while True:
                 line = await asyncio.wait_for(reader.readline(), self.timeout_s)
@@ -105,11 +90,7 @@ class ServiceClient:
                     events.append(json.loads(line))
             return events
         finally:
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (ConnectionError, OSError):
-                pass
+            await close_quietly(writer)
 
 
 class ChaosTraffic:
@@ -162,14 +143,7 @@ class ChaosTraffic:
         body = json.dumps(payload).encode("utf-8")
         reader, writer = await self.client._connect()
         try:
-            head = (
-                f"POST /v1/jobs HTTP/1.1\r\n"
-                f"Host: {self.client.host}\r\n"
-                f"Content-Type: application/json\r\n"
-                f"Content-Length: {len(body)}\r\n"
-                f"Connection: close\r\n\r\n"
-            ).encode("ascii")
-            writer.write(head)
+            writer.write(request_head("POST", "/v1/jobs", len(body)))
             await writer.drain()
             for chunk_start in range(0, len(body), 16):
                 writer.write(body[chunk_start : chunk_start + 16])
@@ -181,11 +155,7 @@ class ChaosTraffic:
         except (ConnectionError, OSError, ClientDisconnect, asyncio.TimeoutError):
             return None
         finally:
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (ConnectionError, OSError):
-                pass
+            await close_quietly(writer)
 
     async def _disconnect(self, payload: Dict[str, object]) -> None:
         """Send a complete streaming request, read one line, hang up —
@@ -201,11 +171,7 @@ class ChaosTraffic:
         except (ConnectionError, OSError):
             pass
         finally:
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (ConnectionError, OSError):
-                pass
+            await close_quietly(writer)
         return None
 
     async def _malformed(self, index: int):
@@ -219,45 +185,3 @@ class ChaosTraffic:
         ]
         body = shapes[index % len(shapes)]
         return await self.client.request("POST", "/v1/jobs", body)
-
-
-# -- wire helpers ---------------------------------------------------------
-
-
-async def send_request(
-    writer: asyncio.StreamWriter,
-    method: str,
-    path: str,
-    body: Optional[bytes] = None,
-    headers: Optional[Dict[str, str]] = None,
-) -> None:
-    body = body or b""
-    lines = [f"{method} {path} HTTP/1.1", "Host: localhost"]
-    if body:
-        lines.append("Content-Type: application/json")
-    lines.append(f"Content-Length: {len(body)}")
-    lines.append("Connection: close")
-    for name, value in (headers or {}).items():
-        lines.append(f"{name}: {value}")
-    writer.write(("\r\n".join(lines) + "\r\n\r\n").encode("ascii") + body)
-    await writer.drain()
-
-
-async def read_response(reader: asyncio.StreamReader) -> Response:
-    head = await reader.readuntil(b"\r\n\r\n")
-    lines = head.decode("latin-1").split("\r\n")
-    parts = lines[0].split(" ", 2)
-    if len(parts) < 2 or not parts[0].startswith("HTTP/1."):
-        raise ClientDisconnect(f"malformed status line {lines[0]!r}")
-    status = int(parts[1])
-    headers: Dict[str, str] = {}
-    for line in lines[1:]:
-        if not line:
-            continue
-        name, _, value = line.partition(":")
-        headers[name.strip().lower()] = value.strip()
-    if "content-length" in headers:
-        body = await reader.readexactly(int(headers["content-length"]))
-    else:
-        body = await reader.read()
-    return Response(status, headers, body)

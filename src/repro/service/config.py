@@ -15,6 +15,32 @@ from typing import Dict, Optional
 from repro.frontend.limits import InputLimits
 
 
+def validate_edge(
+    breaker_threshold: int,
+    breaker_reset_s: float,
+    drain_grace_s: float,
+    header_timeout_s: float,
+    body_timeout_s: float,
+    max_body_bytes: int,
+) -> None:
+    """The checks on the fields every HTTP front has — the daemon's
+    :class:`ServiceConfig` and the router's
+    :class:`~repro.service.router.RouterConfig`; ValueError on the
+    first bad one."""
+    if breaker_threshold < 1:
+        raise ValueError(f"breaker_threshold must be >= 1, got {breaker_threshold}")
+    for name, value in (
+        ("breaker_reset_s", breaker_reset_s),
+        ("drain_grace_s", drain_grace_s),
+        ("header_timeout_s", header_timeout_s),
+        ("body_timeout_s", body_timeout_s),
+    ):
+        if value <= 0:
+            raise ValueError(f"{name} must be > 0, got {value}")
+    if max_body_bytes < 1:
+        raise ValueError(f"max_body_bytes must be >= 1, got {max_body_bytes}")
+
+
 class ServiceConfig:
     """Tunables for :class:`~repro.service.daemon.PromotionDaemon`.
 
@@ -63,19 +89,16 @@ class ServiceConfig:
                 f"default_deadline_s ({default_deadline_s}) exceeds "
                 f"max_deadline_s ({max_deadline_s})"
             )
-        if breaker_threshold < 1:
-            raise ValueError(f"breaker_threshold must be >= 1, got {breaker_threshold}")
-        for name, value in (
-            ("breaker_reset_s", breaker_reset_s),
-            ("drain_grace_s", drain_grace_s),
-            ("heartbeat_s", heartbeat_s),
-            ("header_timeout_s", header_timeout_s),
-            ("body_timeout_s", body_timeout_s),
-        ):
-            if value <= 0:
-                raise ValueError(f"{name} must be > 0, got {value}")
-        if max_body_bytes < 1:
-            raise ValueError(f"max_body_bytes must be >= 1, got {max_body_bytes}")
+        validate_edge(
+            breaker_threshold=breaker_threshold,
+            breaker_reset_s=breaker_reset_s,
+            drain_grace_s=drain_grace_s,
+            header_timeout_s=header_timeout_s,
+            body_timeout_s=body_timeout_s,
+            max_body_bytes=max_body_bytes,
+        )
+        if heartbeat_s <= 0:
+            raise ValueError(f"heartbeat_s must be > 0, got {heartbeat_s}")
         if result_cache_size < 0:
             raise ValueError(f"result_cache_size must be >= 0, got {result_cache_size}")
         self.host = host

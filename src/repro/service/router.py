@@ -1,11 +1,13 @@
 """The front tier: a fingerprint-sticky router over many daemons.
 
-``repro-route`` scales the service horizontally: it speaks the same
-HTTP/1.1 job protocol as :mod:`repro.service.daemon` and fans out to N
-backend ``repro-serve`` instances.  Each daemon owns a result cache
-whose value comes entirely from seeing the same programs again — so
-the router keys placement on the **module fingerprint** of the
-submitted source
+``repro-route`` scales the service horizontally: it fans out to N
+backend ``repro-serve`` instances and speaks their HTTP/1.1 job
+protocol by construction — both fronts are users of
+:class:`~repro.service.http.HttpFront`, so head and target parsing,
+body limits, introspection routes and drain triggers are one code path.
+Each daemon owns a result cache whose value comes entirely from seeing
+the same programs again — so the router keys placement on the **module
+fingerprint** of the submitted source
 (:mod:`repro.service.routing`) and the same program always lands on the
 same shard while it is healthy.
 
@@ -34,15 +36,19 @@ Moving parts:
   the same result and mutates no cross-request state — so failing over
   a job that may already have started on a dying backend is safe.  The
   router asserts the precondition (the whole body is in hand before the
-  first attempt) and never fails over a *streaming* job once a single
-  response byte has been relayed, so a client can never observe two
-  interleaved timelines.
+  first attempt) and decides on failover from the upstream status line
+  alone, before a single response byte is relayed, so a client can
+  never observe two interleaved timelines.
+* **One relay path** — plain and streamed jobs go through the same
+  :meth:`PromotionRouter._attempt`: the upstream head is read, a 5xx
+  fails over, anything else is relayed as a byte pass-through with an
+  ``X-Repro-Backend`` header (and, on a 200 NDJSON stream, the router's
+  own ``router:relay`` span line first), so a streamed job keeps a
+  single span timeline end to end.
 * **Router-level observability** — ``/healthz``, ``/readyz``, and
   ``/metrics`` export ``router.*`` counters (per-backend jobs,
   failovers, drain/down/circuit skips, stickiness hit-rate) through the
-  shared :class:`~repro.observability.metrics.MetricsRegistry`, and
-  ``POST /v1/jobs?stream=1`` is a byte-level NDJSON pass-through so a
-  streamed job keeps a single span timeline end to end.
+  shared :class:`~repro.observability.metrics.MetricsRegistry`.
 """
 
 from __future__ import annotations
@@ -50,7 +56,6 @@ from __future__ import annotations
 import asyncio
 import json
 import os
-import signal
 import sys
 import time
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -59,28 +64,47 @@ from repro.observability import FlightRecorder, TraceContext
 from repro.observability import flightrecorder as flightrecorder_mod
 from repro.observability.metrics import MetricsRegistry
 from repro.observability.prometheus import (
-    CONTENT_TYPE as PROMETHEUS_CONTENT_TYPE,
-)
-from repro.observability.prometheus import (
     Sample,
     document_samples,
     exposition,
     registry_samples,
-    wants_text,
 )
 from repro.service.breaker import CircuitBreaker
-from repro.service.client import read_response, send_request
-from repro.service.daemon import _REASONS, _parse_head, _write_raw
-from repro.service.errors import (
-    JobValidationError,
-    PayloadTooLargeError,
-    RequestTimeoutError,
-    ServiceError,
-    ServiceUnavailableError,
+from repro.service.client import ServiceClient
+from repro.service.config import validate_edge
+from repro.service.errors import ServiceUnavailableError
+from repro.service.http import (
+    JSON,
+    NDJSON,
+    ClientDisconnect,
+    HttpFront,
+    _response_head,
+    _send_error,
+    _send_json,
+    _write_raw,
+    close_quietly,
+    read_body,
+    read_response_head,
+    send_request,
 )
 from repro.service.routing import KEY_MODULE, FingerprintResolver, hrw_order
 
-_HEADER_LIMIT = 65536
+#: Bound on each health probe and backend ``/metrics`` scrape.
+PROBE_TIMEOUT_S = 2.0
+#: Bound on each dispatch connect.
+CONNECT_TIMEOUT_S = 2.0
+#: Bound on each upstream read (jobs carry their own deadlines, clamped
+#: by the daemon).
+UPSTREAM_TIMEOUT_S = 180.0
+#: Upstream trouble before a response is relayed: fail over.
+_UPSTREAM_ERRORS = (
+    OSError,
+    asyncio.TimeoutError,
+    asyncio.IncompleteReadError,
+    asyncio.LimitOverrunError,
+    ClientDisconnect,
+)
+_RELAY_CHUNK = 65536
 
 HEALTHY = "healthy"
 DRAINING = "draining"
@@ -91,14 +115,11 @@ class RouterConfig:
     """Tunables for :class:`PromotionRouter`.
 
     ``backends`` is the static shard list — (host, port) pairs, at
-    least one.  ``poll_interval_s``/``probe_timeout_s`` drive the
-    health tracker; ``down_after`` consecutive probe strikes (connect
-    failures or not-ready answers) mark a backend ``down``.
-    ``connect_timeout_s`` bounds each dispatch connect;
-    ``upstream_timeout_s`` bounds reading a backend's response (jobs
-    already carry their own deadlines, clamped by the daemon).
-    Breaker/drain/slow-loris knobs mirror
-    :class:`~repro.service.config.ServiceConfig`.
+    least one.  ``poll_interval_s`` drives the health tracker;
+    ``down_after`` consecutive probe strikes (connect failures or
+    not-ready answers) mark a backend ``down``.  Breaker/drain/slow-loris
+    knobs mirror :class:`~repro.service.config.ServiceConfig` and pass
+    the same checks.
     """
 
     def __init__(
@@ -107,17 +128,13 @@ class RouterConfig:
         host: str = "127.0.0.1",
         port: int = 0,
         poll_interval_s: float = 2.0,
-        probe_timeout_s: float = 2.0,
         down_after: int = 2,
-        connect_timeout_s: float = 2.0,
-        upstream_timeout_s: float = 180.0,
         header_timeout_s: float = 5.0,
         body_timeout_s: float = 10.0,
         max_body_bytes: int = 2_500_000,
         breaker_threshold: int = 3,
         breaker_reset_s: float = 5.0,
         drain_grace_s: float = 10.0,
-        fingerprint_cache_size: int = 256,
         artifacts_dir: Optional[str] = None,
     ) -> None:
         backends = list(backends)
@@ -128,43 +145,27 @@ class RouterConfig:
             raise ValueError(f"duplicate backends in {ids}")
         if down_after < 1:
             raise ValueError(f"down_after must be >= 1, got {down_after}")
-        if breaker_threshold < 1:
-            raise ValueError(
-                f"breaker_threshold must be >= 1, got {breaker_threshold}"
-            )
-        for name, value in (
-            ("poll_interval_s", poll_interval_s),
-            ("probe_timeout_s", probe_timeout_s),
-            ("connect_timeout_s", connect_timeout_s),
-            ("upstream_timeout_s", upstream_timeout_s),
-            ("header_timeout_s", header_timeout_s),
-            ("body_timeout_s", body_timeout_s),
-            ("breaker_reset_s", breaker_reset_s),
-            ("drain_grace_s", drain_grace_s),
-        ):
-            if value <= 0:
-                raise ValueError(f"{name} must be > 0, got {value}")
-        if max_body_bytes < 1:
-            raise ValueError(f"max_body_bytes must be >= 1, got {max_body_bytes}")
-        if fingerprint_cache_size < 0:
-            raise ValueError(
-                f"fingerprint_cache_size must be >= 0, got {fingerprint_cache_size}"
-            )
+        if poll_interval_s <= 0:
+            raise ValueError(f"poll_interval_s must be > 0, got {poll_interval_s}")
+        validate_edge(
+            breaker_threshold=breaker_threshold,
+            breaker_reset_s=breaker_reset_s,
+            drain_grace_s=drain_grace_s,
+            header_timeout_s=header_timeout_s,
+            body_timeout_s=body_timeout_s,
+            max_body_bytes=max_body_bytes,
+        )
         self.backends = backends
         self.host = host
         self.port = port
         self.poll_interval_s = poll_interval_s
-        self.probe_timeout_s = probe_timeout_s
         self.down_after = down_after
-        self.connect_timeout_s = connect_timeout_s
-        self.upstream_timeout_s = upstream_timeout_s
         self.header_timeout_s = header_timeout_s
         self.body_timeout_s = body_timeout_s
         self.max_body_bytes = max_body_bytes
         self.breaker_threshold = breaker_threshold
         self.breaker_reset_s = breaker_reset_s
         self.drain_grace_s = drain_grace_s
-        self.fingerprint_cache_size = fingerprint_cache_size
         #: Flight-recorder dump directory (crash/drain forensics);
         #: ``None`` keeps the ring memory-only.
         self.artifacts_dir = artifacts_dir
@@ -175,17 +176,13 @@ class RouterConfig:
             "port": self.port,
             "backends": [f"{h}:{p}" for h, p in self.backends],
             "poll_interval_s": self.poll_interval_s,
-            "probe_timeout_s": self.probe_timeout_s,
             "down_after": self.down_after,
-            "connect_timeout_s": self.connect_timeout_s,
-            "upstream_timeout_s": self.upstream_timeout_s,
             "header_timeout_s": self.header_timeout_s,
             "body_timeout_s": self.body_timeout_s,
             "max_body_bytes": self.max_body_bytes,
             "breaker_threshold": self.breaker_threshold,
             "breaker_reset_s": self.breaker_reset_s,
             "drain_grace_s": self.drain_grace_s,
-            "fingerprint_cache_size": self.fingerprint_cache_size,
             "artifacts_dir": self.artifacts_dir,
         }
 
@@ -250,14 +247,10 @@ class HealthTracker:
     """
 
     def __init__(
-        self,
-        backends: Dict[str, BackendState],
-        down_after: int = 2,
-        probe_timeout_s: float = 2.0,
+        self, backends: Dict[str, BackendState], down_after: int = 2
     ) -> None:
         self.backends = backends
         self.down_after = down_after
-        self.probe_timeout_s = probe_timeout_s
         self.transitions_total = 0
         self.polls_total = 0
 
@@ -322,15 +315,10 @@ class HealthTracker:
         )
 
     async def _probe(self, state: BackendState) -> None:
-        from repro.service.client import ServiceClient
-
-        client = ServiceClient(state.host, state.port, timeout_s=self.probe_timeout_s)
+        client = ServiceClient(state.host, state.port, timeout_s=PROBE_TIMEOUT_S)
         try:
             health_resp = await client.get("/healthz")
             ready_resp = await client.get("/readyz")
-        except (OSError, asyncio.TimeoutError, asyncio.IncompleteReadError) as exc:
-            self.apply_probe(state, None, None, None, error=type(exc).__name__)
-            return
         except Exception as exc:  # noqa: BLE001 - a probe must never kill the loop
             self.apply_probe(state, None, None, None, error=type(exc).__name__)
             return
@@ -350,11 +338,14 @@ class HealthTracker:
         return doc
 
 
-class PromotionRouter:
-    """The asyncio front tier: listener, health poller, relay engine."""
+class PromotionRouter(HttpFront):
+    """The asyncio front tier: health poller and relay engine behind the
+    shared HTTP edge."""
 
     def __init__(self, config: RouterConfig) -> None:
-        self.config = config
+        super().__init__(
+            config, FlightRecorder("router", artifacts_dir=config.artifacts_dir)
+        )
         self.backends: Dict[str, BackendState] = {}
         for host, port in config.backends:
             state = BackendState(
@@ -362,94 +353,23 @@ class PromotionRouter:
             )
             self.backends[state.id] = state
         self.backend_ids = list(self.backends)
-        self.tracker = HealthTracker(
-            self.backends,
-            down_after=config.down_after,
-            probe_timeout_s=config.probe_timeout_s,
-        )
-        self.resolver = FingerprintResolver(
-            cache_size=config.fingerprint_cache_size
-        )
+        self.tracker = HealthTracker(self.backends, down_after=config.down_after)
+        self.resolver = FingerprintResolver()
         self.metrics = MetricsRegistry()
-        self._server: Optional[asyncio.AbstractServer] = None
-        self._poller_task: Optional[asyncio.Task] = None
-        self._done: Optional[asyncio.Event] = None
-        self._draining = False
-        self._started_at = 0.0
-        self._inflight = 0
-        self._idle: Optional[asyncio.Event] = None
-        self.drained_clean: Optional[bool] = None
-        #: Crash flight recorder: routing decisions, failovers, and
-        #: backend transitions, dumped on drain or breaker trip.
-        self.flight = FlightRecorder(
-            "router", artifacts_dir=config.artifacts_dir
-        )
 
     # -- lifecycle -------------------------------------------------------
 
     async def start(self) -> Tuple[str, int]:
-        self._done = asyncio.Event()
-        self._idle = asyncio.Event()
-        self._idle.set()
-        self._started_at = time.monotonic()
         # Backend breakers (repro.service.breaker) record their trips
-        # into whatever recorder is ambient — make it this router's.
-        flightrecorder_mod.install(self.flight)
+        # into whatever recorder is ambient — _listen makes it this
+        # router's before the poller first runs.
         self.flight.record("router.start", backends=list(self.backend_ids))
-        self._poller_task = asyncio.ensure_future(self._poll_loop())
-        self._server = await asyncio.start_server(
-            self._handle_conn,
-            self.config.host,
-            self.config.port,
-            limit=_HEADER_LIMIT,
-        )
-        sock = self._server.sockets[0]
-        host, port = sock.getsockname()[:2]
-        return host, port
+        self._background = asyncio.ensure_future(self._poll_loop())
+        return await self._listen()
 
-    def install_signal_handlers(self) -> None:
-        loop = asyncio.get_event_loop()
-
-        def _on_signal(signum: int, frame: object) -> None:
-            loop.call_soon_threadsafe(
-                lambda: asyncio.ensure_future(self.drain_and_stop())
-            )
-
-        for sig in (signal.SIGTERM, signal.SIGINT):
-            signal.signal(sig, _on_signal)
-
-    async def serve_forever(self) -> None:
-        assert self._done is not None
-        await self._done.wait()
-
-    async def drain_and_stop(self) -> None:
-        """Stop accepting, let in-flight relays finish (bounded by the
-        grace period), stop the poller."""
-        if self._draining:
-            return
-        self._draining = True
-        self.flight.record(
-            "router.drain", uptime_s=time.monotonic() - self._started_at
-        )
-        if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
-        assert self._idle is not None
-        if self._inflight:
-            try:
-                await asyncio.wait_for(
-                    self._idle.wait(), timeout=self.config.drain_grace_s
-                )
-                self.drained_clean = True
-            except asyncio.TimeoutError:
-                self.drained_clean = False
-        else:
-            self.drained_clean = True
-        self.flight.dump("sigterm-drain")
-        if self._poller_task is not None:
-            self._poller_task.cancel()
-        if self._done is not None:
-            self._done.set()
+    async def _drain(self) -> bool:
+        """Let in-flight relays finish, bounded by the grace period."""
+        return await self._connections_idle(self.config.drain_grace_s)
 
     async def _poll_loop(self) -> None:
         while True:
@@ -484,135 +404,18 @@ class PromotionRouter:
             return "circuit"
         return None
 
-    # -- connection handling --------------------------------------------
-
-    async def _handle_conn(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        self._inflight += 1
-        assert self._idle is not None
-        self._idle.clear()
-        try:
-            await self._handle_request(reader, writer)
-        except (ConnectionError, asyncio.IncompleteReadError):
-            pass
-        finally:
-            self._inflight -= 1
-            if self._inflight == 0:
-                self._idle.set()
-            try:
-                writer.close()
-                await writer.wait_closed()
-            except (ConnectionError, OSError):
-                pass
-
-    async def _handle_request(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        try:
-            head = await asyncio.wait_for(
-                reader.readuntil(b"\r\n\r\n"),
-                timeout=self.config.header_timeout_s,
-            )
-        except asyncio.TimeoutError:
-            await self._send_error(
-                writer, RequestTimeoutError("request head did not arrive in time")
-            )
-            return
-        except asyncio.LimitOverrunError:
-            await self._send_error(
-                writer, JobValidationError("request head exceeds the size limit")
-            )
-            return
-        except (asyncio.IncompleteReadError, ConnectionError):
-            return
-
-        try:
-            method, target, headers = _parse_head(head)
-        except ValueError as exc:
-            await self._send_error(writer, JobValidationError(str(exc)))
-            return
-
-        path, _, query = target.partition("?")
-        if method == "GET" and path == "/healthz":
-            await self._send_json(writer, 200, self.health())
-            return
-        if method == "GET" and path == "/readyz":
-            status, body = self.readiness()
-            await self._send_json(writer, status, body)
-            return
-        if method == "GET" and path == "/metrics":
-            if wants_text(headers.get("accept")):
-                await self._send_text(
-                    writer,
-                    200,
-                    await self.prometheus_metrics(),
-                    PROMETHEUS_CONTENT_TYPE,
-                )
-            else:
-                await self._send_json(writer, 200, self.metrics_doc())
-            return
-        if method != "POST" or path != "/v1/jobs":
-            await self._send_json(
-                writer,
-                404,
-                {"error": "not-found", "message": f"no route for {method} {path}"},
-            )
-            return
-
-        try:
-            body = await self._read_body(reader, headers)
-        except ServiceError as exc:
-            await self._send_error(writer, exc)
-            return
-
-        stream = False
-        for pair in query.split("&"):
-            name, _, value = pair.partition("=")
-            if name == "stream" and value not in ("0", "", "false"):
-                stream = True
-        # Adopt the caller's distributed trace or start one at the edge;
-        # every backend leg carries it as a ``traceparent`` header.
-        trace = TraceContext.from_traceparent(headers.get("traceparent"))
-        await self._route_job(writer, body, stream, trace or TraceContext.new())
-
-    async def _read_body(
-        self, reader: asyncio.StreamReader, headers: Dict[str, str]
-    ) -> bytes:
-        try:
-            length = int(headers.get("content-length", "0"))
-        except ValueError:
-            raise JobValidationError("content-length is not an integer") from None
-        if length < 0:
-            raise JobValidationError("content-length is negative")
-        if length > self.config.max_body_bytes:
-            raise PayloadTooLargeError(
-                f"request body of {length} bytes exceeds the "
-                f"{self.config.max_body_bytes}-byte limit"
-            )
-        try:
-            return await asyncio.wait_for(
-                reader.readexactly(length), timeout=self.config.body_timeout_s
-            )
-        except asyncio.TimeoutError:
-            raise RequestTimeoutError(
-                f"request body did not arrive within "
-                f"{self.config.body_timeout_s:g}s"
-            ) from None
-        except asyncio.IncompleteReadError:
-            raise JobValidationError(
-                "connection closed before the declared body arrived"
-            ) from None
-
     # -- the relay engine ------------------------------------------------
 
-    async def _route_job(
+    async def _serve_job(
         self,
         writer: asyncio.StreamWriter,
         body: bytes,
         stream: bool,
-        trace: TraceContext,
+        trace: Optional[TraceContext],
     ) -> None:
+        # Adopt the caller's distributed trace or start one at the edge;
+        # every backend leg carries it as a ``traceparent`` header.
+        trace = trace or TraceContext.new()
         # Idempotency precondition: every attempt re-sends this exact
         # buffered envelope, so failover can never split a job across
         # two half-delivered requests.
@@ -658,23 +461,24 @@ class PromotionRouter:
                     backend=backend_id,
                     attempt=attempts,
                 )
-            outcome, last_error = await self._attempt(
-                writer, state, body, stream, last_error, trace, hop
+            served, error = await self._attempt(
+                writer, state, body, stream, trace, hop
             )
-            if outcome == "served":
+            if served:
                 self.metrics.inc("router.sticky.routed")
                 if backend_id == order[0]:
                     self.metrics.inc("router.sticky.hits")
                 return
-            # "failed": fall through to the next backend in HRW order.
+            # Not served: fall through to the next backend in HRW order.
+            last_error = error or last_error
         self.metrics.inc("router.jobs.unrouted")
         self.flight.record("router.unrouted", trace_id=trace.trace_id, key=key)
         if last_error is not None:
             # Every backend was tried and the last wire answer was an
             # error document: relay it rather than masking the cause.
-            await self._send_json(writer, last_error[0], last_error[1])
+            await _send_json(writer, last_error[0], last_error[1])
             return
-        await self._send_error(
+        await _send_error(
             writer,
             ServiceUnavailableError(
                 "no healthy backend is available for this job",
@@ -689,181 +493,114 @@ class PromotionRouter:
         state: BackendState,
         body: bytes,
         stream: bool,
-        last_error: Optional[Tuple[int, Dict[str, object]]],
         trace: TraceContext,
         hop: TraceContext,
-    ) -> Tuple[str, Optional[Tuple[int, Dict[str, object]]]]:
-        """One dispatch to one backend.  Returns ("served"|"failed",
-        last_error); "served" means a response reached the client (or
-        streaming bytes started flowing, after which failover is off
-        the table)."""
-        if stream:
-            outcome = await self._relay_stream(writer, state, body, trace, hop)
-            if outcome == "relayed":
-                state.jobs_total += 1
-                state.breaker.record_success()
-                self.metrics.inc(f"router.backend.{state.id}.jobs")
-                return "served", last_error
-            state.failures_total += 1
-            self.tracker.note_connect_failure(state)
-            state.breaker.record_failure()
-            return "failed", last_error
+    ) -> Tuple[bool, Optional[Tuple[int, Dict[str, object]]]]:
+        """One dispatch to one backend, plain or streamed alike.
+        Returns ``(served, error)``: ``served`` once the upstream head
+        was relayed to the client, after which failover is off the
+        table (a second backend would fork the span timeline);
+        otherwise ``error`` is the upstream's 5xx ``(status, doc)``, or
+        None when it never produced a response head.
 
+        Only the status line decides: a 5xx — a 503 ``draining``
+        included — is read in full and fails over before any byte
+        reaches the client.  Anything else is relayed as-is: 4xx is the
+        client's fault and 429 carries the shard's own honest
+        retry-after hint.  The relayed head gains ``X-Repro-Backend``;
+        on a 200 NDJSON stream the first line the client sees is the
+        router's own ``router:relay`` span, same ``trace_id`` as every
+        span the backend streams after it."""
+        started_s = time.time()
         try:
-            response = await self._forward(state, body, hop)
-        except Exception:  # noqa: BLE001 - connect/read trouble: fail over
-            state.failures_total += 1
-            self.tracker.note_connect_failure(state)
-            state.breaker.record_failure()
-            return "failed", last_error
-
-        doc = _json_or_none(response.body)
-        doc = doc if isinstance(doc, dict) else {"error": "upstream-error"}
-        if response.status == 503 and doc.get("reason") == "draining":
-            # The backend is leaving; reroute this job and stop feeding
-            # the shard before the next poll even runs.
-            self.tracker.note_draining(state)
-            self.metrics.inc("router.drains.observed")
-            return "failed", (response.status, doc)
-        if response.status >= 500:
-            state.failures_total += 1
-            state.breaker.record_failure()
-            return "failed", (response.status, doc)
-
-        # 2xx/4xx/429 reach the client as-is: 4xx is the client's fault
-        # and 429 carries the shard's own honest retry-after hint.
-        state.jobs_total += 1
-        if response.status < 400:
-            state.breaker.record_success()
-            self.metrics.inc("router.jobs.relayed")
-        else:
-            state.breaker.record_neutral()
-            self.metrics.inc("router.jobs.rejected")
-        self.metrics.inc(f"router.backend.{state.id}.jobs")
-        await self._relay_response(writer, response, state.id, trace)
-        return "served", last_error
-
-    async def _forward(
-        self, state: BackendState, body: bytes, hop: TraceContext
-    ):
-        reader, writer = await asyncio.wait_for(
-            asyncio.open_connection(state.host, state.port),
-            timeout=self.config.connect_timeout_s,
-        )
-        try:
-            await send_request(
-                writer,
-                "POST",
-                "/v1/jobs",
-                body,
-                headers={"traceparent": hop.to_traceparent()},
-            )
-            return await asyncio.wait_for(
-                read_response(reader), timeout=self.config.upstream_timeout_s
-            )
-        finally:
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (ConnectionError, OSError):
-                pass
-
-    async def _relay_stream(
-        self,
-        writer: asyncio.StreamWriter,
-        state: BackendState,
-        body: bytes,
-        trace: TraceContext,
-        hop: TraceContext,
-    ) -> str:
-        """Byte-level NDJSON pass-through.  Returns "relayed" once any
-        upstream byte reached (or was offered to) the client — from that
-        point failover is forbidden, a second backend would fork the
-        span timeline — or "connect-failed" when the backend never
-        produced a response head.
-
-        The relayed head gains an ``X-Repro-Backend`` attribution
-        header, and the first NDJSON line the client sees is the
-        router's own ``router:relay`` span — same ``trace_id`` as every
-        span the backend streams after it, so the whole hop is one
-        connected tree."""
-        try:
-            up_reader, up_writer = await asyncio.wait_for(
+            reader, upstream = await asyncio.wait_for(
                 asyncio.open_connection(state.host, state.port),
-                timeout=self.config.connect_timeout_s,
+                timeout=CONNECT_TIMEOUT_S,
             )
         except (OSError, asyncio.TimeoutError):
-            return "connect-failed"
-        started_s = time.time()
+            self._note_unreachable(state)
+            return False, None
         try:
             try:
                 await send_request(
-                    up_writer,
+                    upstream,
                     "POST",
-                    "/v1/jobs?stream=1",
+                    "/v1/jobs?stream=1" if stream else "/v1/jobs",
                     body,
                     headers={"traceparent": hop.to_traceparent()},
                 )
-                head = await asyncio.wait_for(
-                    up_reader.readuntil(b"\r\n\r\n"),
-                    timeout=self.config.upstream_timeout_s,
+                status, headers, length = await asyncio.wait_for(
+                    read_response_head(reader), timeout=UPSTREAM_TIMEOUT_S
                 )
-            except (
-                OSError,
-                asyncio.TimeoutError,
-                asyncio.IncompleteReadError,
-            ):
-                return "connect-failed"
-            head = (
-                head[:-2]
-                + f"X-Repro-Backend: {state.id}\r\n\r\n".encode("ascii")
+            except _UPSTREAM_ERRORS:
+                self._note_unreachable(state)
+                return False, None
+
+            if status >= 500:
+                try:
+                    raw = await asyncio.wait_for(
+                        read_body(reader, length), timeout=UPSTREAM_TIMEOUT_S
+                    )
+                except _UPSTREAM_ERRORS:
+                    raw = b""
+                doc = _json_or_none(raw)
+                doc = doc if isinstance(doc, dict) else {"error": "upstream-error"}
+                if status == 503 and doc.get("reason") == "draining":
+                    # The backend is leaving; reroute this job and stop
+                    # feeding the shard before the next poll even runs.
+                    self.tracker.note_draining(state)
+                    self.metrics.inc("router.drains.observed")
+                else:
+                    state.failures_total += 1
+                    state.breaker.record_failure()
+                return False, (status, doc)
+
+            state.jobs_total += 1
+            if status < 400:
+                state.breaker.record_success()
+                self.metrics.inc("router.jobs.relayed")
+            else:
+                state.breaker.record_neutral()
+                self.metrics.inc("router.jobs.rejected")
+            self.metrics.inc(f"router.backend.{state.id}.jobs")
+            content_type = headers.get("content-type", JSON)
+            head = _response_head(
+                status,
+                content_type,
+                length,
+                {"X-Repro-Backend": state.id, "X-Repro-Trace-Id": trace.trace_id},
             )
+            if status == 200 and content_type == NDJSON:
+                head += _router_span_line(trace, hop, state.id, started_s)
             client_ok = await _write_raw(writer, head)
-            if client_ok:
-                client_ok = await _write_raw(
-                    writer, _router_span_line(trace, hop, state.id, started_s)
-                )
-            while True:
+            remaining = length
+            while remaining is None or remaining > 0:
+                size = min(_RELAY_CHUNK, remaining or _RELAY_CHUNK)
                 try:
                     chunk = await asyncio.wait_for(
-                        up_reader.read(8192),
-                        timeout=self.config.upstream_timeout_s,
+                        reader.read(size), timeout=UPSTREAM_TIMEOUT_S
                     )
                 except (OSError, asyncio.TimeoutError):
                     break
                 if not chunk:
                     break
+                if remaining is not None:
+                    remaining -= len(chunk)
                 if client_ok:
                     # A vanished client stops receiving, but keep
                     # draining upstream so the backend's job/slot
                     # lifecycle is undisturbed (same semantics as the
                     # daemon's own streaming path).
                     client_ok = await _write_raw(writer, chunk)
-            return "relayed"
+            return True, None
         finally:
-            up_writer.close()
-            try:
-                await up_writer.wait_closed()
-            except (ConnectionError, OSError):
-                pass
+            await close_quietly(upstream)
 
-    async def _relay_response(
-        self,
-        writer: asyncio.StreamWriter,
-        response,
-        backend_id: str,
-        trace: TraceContext,
-    ) -> None:
-        head = (
-            f"HTTP/1.1 {response.status} "
-            f"{_REASONS.get(response.status, 'Status')}\r\n"
-            f"Content-Type: application/json\r\n"
-            f"Content-Length: {len(response.body)}\r\n"
-            f"X-Repro-Backend: {backend_id}\r\n"
-            f"X-Repro-Trace-Id: {trace.trace_id}\r\n"
-            f"Connection: close\r\n\r\n"
-        ).encode("ascii")
-        await _write_raw(writer, head + response.body)
+    def _note_unreachable(self, state: BackendState) -> None:
+        """A dispatch that got no response head: strike and trip."""
+        state.failures_total += 1
+        self.tracker.note_connect_failure(state)
+        state.breaker.record_failure()
 
     # -- introspection ---------------------------------------------------
 
@@ -880,7 +617,7 @@ class PromotionRouter:
             "config": self.config.as_dict(),
         }
 
-    def readiness(self) -> Tuple[int, Dict[str, object]]:
+    async def readiness(self) -> Tuple[int, Dict[str, object]]:
         if self._draining:
             return 503, {"ready": False, "reason": "draining"}
         counts = self.tracker.counts()
@@ -979,53 +716,13 @@ class PromotionRouter:
         shard is not."""
         if state.status == DOWN:
             return None
-        from repro.service.client import ServiceClient
-
-        client = ServiceClient(
-            state.host, state.port, timeout_s=self.config.probe_timeout_s
-        )
+        client = ServiceClient(state.host, state.port, timeout_s=PROBE_TIMEOUT_S)
         try:
             response = await client.get("/metrics")
         except Exception:  # noqa: BLE001 - a scrape must never break /metrics
             return None
         doc = _json_or_none(response.body)
         return doc if isinstance(doc, dict) else None
-
-    # -- plumbing --------------------------------------------------------
-
-    async def _send_error(
-        self, writer: asyncio.StreamWriter, error: ServiceError
-    ) -> None:
-        await self._send_json(writer, error.http_status, error.as_dict())
-
-    async def _send_json(
-        self, writer: asyncio.StreamWriter, status: int, body: Dict[str, object]
-    ) -> None:
-        payload = json.dumps(body).encode("utf-8")
-        head = (
-            f"HTTP/1.1 {status} {_REASONS.get(status, 'Status')}\r\n"
-            f"Content-Type: application/json\r\n"
-            f"Content-Length: {len(payload)}\r\n"
-            f"Connection: close\r\n\r\n"
-        ).encode("ascii")
-        await _write_raw(writer, head + payload)
-
-    async def _send_text(
-        self,
-        writer: asyncio.StreamWriter,
-        status: int,
-        text: str,
-        content_type: str,
-    ) -> None:
-        payload = text.encode("utf-8")
-        head = (
-            f"HTTP/1.1 {status} {_REASONS.get(status, 'Status')}\r\n"
-            f"Content-Type: {content_type}\r\n"
-            f"Content-Length: {len(payload)}\r\n"
-            f"Connection: close\r\n\r\n"
-        ).encode("ascii")
-        await _write_raw(writer, head + payload)
-
 
 def _router_span_line(
     trace: TraceContext, hop: TraceContext, backend_id: str, started_s: float
@@ -1131,19 +828,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         help="consecutive probe strikes before a backend is marked down",
     )
     parser.add_argument(
-        "--probe-timeout", type=float, default=2.0, metavar="SECONDS"
-    )
-    parser.add_argument(
-        "--connect-timeout", type=float, default=2.0, metavar="SECONDS"
-    )
-    parser.add_argument(
-        "--upstream-timeout",
-        type=float,
-        default=180.0,
-        metavar="SECONDS",
-        help="max time to wait for a backend's full response",
-    )
-    parser.add_argument(
         "--drain-grace",
         type=float,
         default=10.0,
@@ -1186,9 +870,6 @@ def main(argv: Optional[List[str]] = None) -> int:
             port=options.port,
             poll_interval_s=options.poll_interval,
             down_after=options.down_after,
-            probe_timeout_s=options.probe_timeout,
-            connect_timeout_s=options.connect_timeout,
-            upstream_timeout_s=options.upstream_timeout,
             drain_grace_s=options.drain_grace,
             artifacts_dir=options.artifacts_dir,
         )
@@ -1196,21 +877,14 @@ def main(argv: Optional[List[str]] = None) -> int:
         print(f"repro-route: error: {exc}", file=sys.stderr)
         return 2
 
-    drained = {"clean": True}
-
-    async def run() -> None:
-        router = PromotionRouter(config)
-        host, port = await router.start()
-        router.install_signal_handlers()
-        print(f"listening on {host}:{port}", file=sys.stderr, flush=True)
-        await router.serve_forever()
-        drained["clean"] = router.drained_clean is not False
+    def announce(line: str) -> None:
+        print(line, file=sys.stderr, flush=True)
 
     try:
-        asyncio.run(run())
+        clean = asyncio.run(PromotionRouter(config).run(announce))
     except KeyboardInterrupt:  # pragma: no cover - signal handler races
-        pass
-    return 0 if drained["clean"] else 3
+        clean = True
+    return 0 if clean else 3
 
 
 if __name__ == "__main__":  # pragma: no cover

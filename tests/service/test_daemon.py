@@ -17,6 +17,7 @@ from repro.profile.interp import Interpreter
 from repro.promotion.pipeline import PromotionPipeline
 from repro.service.config import ServiceConfig
 from repro.service.daemon import PromotionDaemon
+from repro.service.router import PromotionRouter, RouterConfig
 
 PROGRAM = """
 int total = 0;
@@ -58,6 +59,54 @@ async def running_daemon(**overrides):
         yield daemon, host, port
     finally:
         await daemon.drain_and_stop()
+
+
+@pytest.fixture(params=["daemon", "router"])
+def front(request):
+    """Both HTTP fronts behind one shape: ``front(**edge)`` runs a
+    daemon with those edge settings, or a router with them in front of
+    a default daemon, and yields its (host, port)."""
+
+    @contextlib.asynccontextmanager
+    async def run(**edge):
+        if request.param == "daemon":
+            async with running_daemon(workers=1, **edge) as (_, host, port):
+                yield host, port
+            return
+        async with running_daemon(workers=1) as (_, backend_host, backend_port):
+            router = PromotionRouter(
+                RouterConfig(
+                    [(backend_host, backend_port)], poll_interval_s=30.0, **edge
+                )
+            )
+            host, port = await router.start()
+            try:
+                yield host, port
+            finally:
+                await router.drain_and_stop()
+
+    return run
+
+
+async def exchange(host, port, raw):
+    """Send raw request bytes; returns (status, lowercase headers, body
+    bytes) once the server closes the connection."""
+    reader, writer = await asyncio.open_connection(host, port)
+    writer.write(raw)
+    await writer.drain()
+    data = await asyncio.wait_for(reader.read(-1), timeout=30)
+    writer.close()
+    try:
+        await writer.wait_closed()
+    except (ConnectionError, OSError):
+        pass
+    head, _, body = data.partition(b"\r\n\r\n")
+    lines = head.decode("latin-1").split("\r\n")
+    headers = {}
+    for line in lines[1:]:
+        key, _, value = line.partition(":")
+        headers[key.strip().lower()] = value.strip()
+    return int(lines[0].split(" ", 2)[1]), headers, body
 
 
 async def request(host, port, method, path, body=None, raw_body=None):
@@ -168,16 +217,48 @@ def test_structured_rejections():
     asyncio.run(body())
 
 
-def test_oversized_body_bounces_with_413():
+def test_oversized_body_bounces_with_413(front):
     async def body():
-        async with running_daemon(workers=1, max_body_bytes=64) as (
-            _,
-            host,
-            port,
-        ):
+        async with front(max_body_bytes=64) as (host, port):
             status, doc = await post_job(host, port, PROGRAM)
             assert status == 413
             assert doc["error"] == "payload-too-large"
+
+    asyncio.run(body())
+
+
+def test_malformed_request_line_is_a_400(front):
+    async def body():
+        async with front() as (host, port):
+            status, _, raw = await exchange(host, port, b"GARBAGE\r\n\r\n")
+            assert status == 400
+            assert json.loads(raw)["error"] == "invalid-job"
+
+    asyncio.run(body())
+
+
+def test_body_that_never_arrives_is_a_408(front):
+    async def body():
+        async with front(body_timeout_s=0.2) as (host, port):
+            head = b"POST /v1/jobs HTTP/1.1\r\nContent-Length: 100\r\n\r\n"
+            status, _, raw = await exchange(host, port, head)
+            assert status == 408
+            assert json.loads(raw)["error"] == "request-timeout"
+
+    asyncio.run(body())
+
+
+def test_metrics_answer_prometheus_text_on_accept(front):
+    async def body():
+        async with front() as (host, port):
+            status, headers, raw = await exchange(
+                host,
+                port,
+                b"GET /metrics HTTP/1.1\r\nAccept: text/plain\r\n\r\n",
+            )
+            assert status == 200
+            assert headers["content-type"].startswith("text/plain")
+            assert b"# TYPE " in raw
 
     asyncio.run(body())
 

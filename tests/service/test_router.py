@@ -342,6 +342,62 @@ def test_garbage_payload_routes_by_digest_and_relays_4xx():
     asyncio.run(body())
 
 
+def test_garbage_stream_payload_relays_the_daemons_4xx_intact():
+    async def body():
+        async with running_daemons(1) as daemons:
+            _, host, port = daemons[0]
+            direct = await ServiceClient(host, port).request(
+                "POST", "/v1/jobs?stream=1", b"{not json at all"
+            )
+            async with running_router([(host, port)]) as (router, client):
+                response = await client.request(
+                    "POST", "/v1/jobs?stream=1", b"{not json at all"
+                )
+                assert direct.status == 400
+                assert response.status == 400
+                # The body framed by Content-Length is the daemon's own
+                # error document: no span line is spliced into a 4xx.
+                assert response.body == direct.body
+                assert response.headers["x-repro-backend"] == f"{host}:{port}"
+                assert counter(router, "router.jobs.rejected") == 1
+
+    asyncio.run(body())
+
+
+@pytest.mark.parametrize(
+    "target",
+    [
+        "/v1/jobs",
+        "/v1/jobs?stream=1&stream=0",
+        "/v1/jobs?stream=0&stream=1",
+        "/v1/jobs?stream=%31",
+        "http://{address}/v1/jobs",
+        "/v1/jobs#frag",
+    ],
+)
+def test_router_reads_request_targets_like_the_daemon(target):
+    envelope = json.dumps(payload_for("int main() { print(3); return 3; }")).encode()
+
+    async def body():
+        async with running_daemons(1) as daemons:
+            _, host, port = daemons[0]
+            async with running_router([(host, port)]) as (_, client):
+                fronts = [ServiceClient(host, port), client]
+                answers = []
+                for front in fronts:
+                    path = target.format(address=f"{front.host}:{front.port}")
+                    answers.append(await front.request("POST", path, envelope))
+                daemon_answer, router_answer = answers
+                assert daemon_answer.status == 200
+                assert router_answer.status == daemon_answer.status
+                assert (
+                    router_answer.headers["content-type"]
+                    == daemon_answer.headers["content-type"]
+                )
+
+    asyncio.run(body())
+
+
 class TestHealthTracker:
     def make(self, down_after=2):
         state = BackendState("127.0.0.1", 9999, 3, 5.0)
