@@ -148,7 +148,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     if options.fingerprint:
         # The same key repro-route computes: the fingerprint of the
         # freshly compiled module, before any transformation.
-        from repro.parallel.fingerprint import module_fingerprint
+        from repro.service.routing import module_fingerprint
 
         print(module_fingerprint(module)[0])
         return 0

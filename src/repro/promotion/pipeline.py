@@ -30,12 +30,13 @@ The result object carries everything Tables 1 and 2 need.
 
 from __future__ import annotations
 
+import pickle
 import time
 from typing import Callable, Dict, List, Optional, Sequence
 
 from repro.analysis.intervals import IntervalTree, normalize_for_promotion
 from repro.ir.module import Module
-from repro.ir.verify import verify_function, verify_module
+from repro.ir.verify import verify_function
 from repro.memory.aliasing import AliasModel
 from repro.memory.memssa import build_memory_ssa
 from repro.observability import (
@@ -47,12 +48,6 @@ from repro.observability import (
     activate_metrics,
 )
 from repro.observability.export import SCHEMA_VERSION
-from repro.parallel.transport import (
-    FunctionPayload,
-    ModulePayload,
-    TransportError,
-    export_profile,
-)
 from repro.passes.copyprop import propagate_copies
 from repro.passes.dce import (
     dead_code_elimination,
@@ -82,6 +77,7 @@ from repro.robustness.diagnostics import (
 from repro.robustness.snapshot import (
     FunctionSnapshot,
     FunctionState,
+    TransportError,
     capture_state,
     snapshot_function,
 )
@@ -189,19 +185,17 @@ def promote_transaction(
     options: PromotionOptions,
     verify: bool,
     tracer,
-    transactional: bool = True,
 ):
     """Phases 3+4 on one function as one transaction: snapshot, memory
     SSA, promotion, cleanup, verification — rolled back on any failure.
 
     Returns ``(snapshot, stats, stage, error)``: ``error`` is ``None``
     when the transformation stands, and otherwise the exception raised
-    in ``stage`` after the snapshot was restored.  Without
-    ``transactional`` there is no snapshot and failures propagate.  The
-    in-process loop and the supervised worker both run this.
+    in ``stage`` after the snapshot was restored.  The in-process loop
+    and the supervised worker both run this.
     """
     name = function.name
-    snap = snapshot_function(function) if transactional else None
+    snap = snapshot_function(function)
     stage = "memssa"
     with tracer.span("function:" + name, category="promote") as fn_span:
         try:
@@ -221,8 +215,6 @@ def promote_transaction(
                 if verify:
                     verify_function(function, check_ssa=True, check_memssa=True)
         except Exception as exc:
-            if snap is None:
-                raise
             snap.restore()
             fn_span.set("status", "rolled_back").set("stage", stage)
             return snap, None, stage, exc
@@ -231,17 +223,35 @@ def promote_transaction(
         return snap, stats, stage, None
 
 
+def _block_counts(profile: ProfileData, module: Module) -> Dict[str, Dict[str, int]]:
+    """The profile keyed by ``{function: {block: count}}``.
+
+    ``ProfileData`` is keyed by block identity, which neither pickling
+    nor a snapshot restore (fresh block objects) preserves; block names
+    survive both.
+    """
+    return {
+        name: {block.name: profile.freq(block) for block in function.blocks}
+        for name, function in module.functions.items()
+    }
+
+
 class _WorkerPromoter:
     """The worker half of a supervised run (see
-    :mod:`repro.robustness.supervise`): shipped once with the pre-phase-3
+    :mod:`repro.robustness.supervise`): shipped with the pre-phase-3
     module, then promotes one function per request with
     :func:`promote_transaction` and restores its copy afterwards, so
-    every attempt starts from the module the parent prepared."""
+    every attempt starts from the module the parent prepared.
+
+    The module travels as bytes pickled once, here: the parent's module
+    changes as promoted images install, and a restarted worker must
+    still start from the prepared module.
+    """
 
     def __init__(
         self,
         module: Module,
-        profile: Optional[ProfileData],
+        profile: ProfileData,
         options: PromotionOptions,
         alias_model_factory: Callable[[Module], AliasModel],
         verify: bool,
@@ -249,8 +259,8 @@ class _WorkerPromoter:
         journal: bool,
         trace_id: Optional[str],
     ) -> None:
-        self.module_payload = ModulePayload.capture(module)
-        self.profile_map = export_profile(profile, module)
+        self.module_data = pickle.dumps(module, protocol=pickle.HIGHEST_PROTOCOL)
+        self.block_counts = _block_counts(profile, module)
         self.options = options
         self.alias_model_factory = alias_model_factory
         self.verify = verify
@@ -259,18 +269,15 @@ class _WorkerPromoter:
         self.trace_id = trace_id
 
     def setup(self) -> None:
-        self.module = self.module_payload.restore()
+        self.module = pickle.loads(self.module_data)
         self.model = self.alias_model_factory(self.module)
 
     def promote(self, name: str) -> WorkerReply:
         function = self.module.functions[name]
-        # ProfileData is keyed by block identity, and a snapshot restore
-        # replaces the function's blocks: bind a fresh slice every time.
-        profile = ProfileData()
-        counts = self.profile_map.get(name) or {}
-        for block in function.blocks:
-            if block.name in counts:
-                profile.set_freq(block, counts[block.name])
+        counts = self.block_counts[name]
+        profile = ProfileData(
+            {block: counts.get(block.name, 0) for block in function.blocks}
+        )
         obs = (
             Observability.recording(trace_id=self.trace_id)
             if self.observe
@@ -296,7 +303,7 @@ class _WorkerPromoter:
                 name, FunctionOutcome.PROMOTED, duration_ms=duration_ms
             )
             reply.stats = stats.as_dict()
-            reply.payload = FunctionPayload.capture(function)
+            reply.payload = snapshot_function(function)
             snap.restore()
         else:
             reply = WorkerReply(
@@ -320,24 +327,21 @@ class PromotionPipeline:
     """The user-facing transactional pass manager around
     :func:`promote_function`.
 
-    With ``transactional=True`` (the default) every function is
-    snapshotted before it is transformed; failures roll the function
-    back instead of aborting the run, and a phase-5 behaviour divergence
-    triggers bisection over the transformed functions.  With
-    ``transactional=False`` the pipeline behaves like a classic
-    all-or-nothing pass manager (no snapshot overhead, exceptions
-    propagate, divergence is only recorded in ``output_matches``).
+    Every function is snapshotted before it is transformed; failures
+    roll the function back instead of aborting the run, and a phase-5
+    behaviour divergence triggers bisection over the transformed
+    functions.
 
     ``resilience`` (a :class:`~repro.robustness.ResilienceOptions`) runs
     phases 3+4 in one supervised worker process
     (:mod:`repro.robustness.supervise`) with per-function deadlines,
     bounded retry with seeded backoff, crash recovery, poison-function
-    quarantine, and optional chaos injection; it requires
-    ``transactional=True``.  Results merge in module order, so a clean
-    supervised run is identical to an in-process one.  A quarantined
-    function keeps its pre-promotion IR — behaviour-preserving by
-    construction — and the run is reported as *degraded*
-    (``diagnostics.degraded``, CLI exit code 3) rather than failed.
+    quarantine, and optional chaos injection.  Results merge in module
+    order, so a clean supervised run is identical to an in-process one.
+    A quarantined function keeps its pre-promotion IR —
+    behaviour-preserving by construction — and the run is reported as
+    *degraded* (``diagnostics.degraded``, CLI exit code 3) rather than
+    failed.
     """
 
     def __init__(
@@ -350,7 +354,6 @@ class PromotionPipeline:
         run_mem2reg: bool = True,
         verify: bool = True,
         max_steps: int = 50_000_000,
-        transactional: bool = True,
         compiled_interpreter: bool = True,
         resilience: Optional[ResilienceOptions] = None,
         observability: Optional[Observability] = None,
@@ -364,19 +367,12 @@ class PromotionPipeline:
         self.run_mem2reg = run_mem2reg
         self.verify = verify
         self.max_steps = max_steps
-        self.transactional = transactional
         #: False pins phases 2 and 5 to the interpreter's classic
         #: dispatch loop — the timing harness's baseline arm.
         self.compiled_interpreter = compiled_interpreter
         #: When set, phases 3+4 run in a supervised worker process:
         #: per-function deadlines, retry with backoff, quarantine, and
-        #: (optionally) chaos injection.  The worker reports failures as
-        #: rollbacks, and quarantine and bisection need the snapshots.
-        if resilience is not None and not transactional:
-            raise ValueError(
-                "resilience options require transactional=True: the "
-                "supervised worker reports failures as per-function rollbacks"
-            )
+        #: (optionally) chaos injection.
         self.resilience = resilience
         #: The tracer + metrics bundle; :data:`NULL_OBSERVABILITY` (the
         #: default) makes every instrumentation point a no-op.
@@ -410,7 +406,6 @@ class PromotionPipeline:
         stamp: Dict[str, object] = {
             "entry": self.entry,
             "compiled_interpreter": self.compiled_interpreter,
-            "transactional": self.transactional,
             "max_steps": self.max_steps,
             "resilience": None if resilience is None else resilience.as_dict(),
         }
@@ -465,13 +460,6 @@ class PromotionPipeline:
         prepared: List[str] = []
         with tracer.span("phase:prepare", category="phase"):
             for function in list(module.functions.values()):
-                if not self.transactional:
-                    with tracer.span("prepare:" + function.name, category="prepare"):
-                        if self.run_mem2reg:
-                            construct_ssa(function)
-                        trees[function.name] = normalize_for_promotion(function)
-                    prepared.append(function.name)
-                    continue
                 started = time.perf_counter()
                 pre = snapshot_function(function)
                 with tracer.span(
@@ -496,8 +484,6 @@ class PromotionPipeline:
                         )
                     else:
                         prepared.append(function.name)
-            if self.verify and not self.transactional:
-                verify_module(module, check_ssa=True)
 
         result.static_before = StaticCounts.of_module(module)
 
@@ -578,7 +564,6 @@ class PromotionPipeline:
                 self.options,
                 self.verify,
                 self.observability.tracer,
-                self.transactional,
             )
             duration_ms = (time.perf_counter() - started) * 1e3
             if error is not None:
@@ -589,9 +574,8 @@ class PromotionPipeline:
                 )
                 continue
             result.stats[name] = stats
-            if snap is not None:
-                snapshots[name] = snap
-                committed[name] = capture_state(function)
+            snapshots[name] = snap
+            committed[name] = capture_state(function)
             diags.record_promoted(
                 name, duration_ms=duration_ms, webs_promoted=stats.webs_promoted
             )
@@ -621,9 +605,7 @@ class PromotionPipeline:
                 trace_id=obs.tracer.trace_id,
             )
             outcomes, report = Supervisor(promoter, self.resilience).run(prepared)
-        except (SupervisorError, TransportError) as exc:
-            if not isinstance(exc, SupervisorError):
-                exc = SupervisorError(type(exc).__name__, first_line(exc))
+        except SupervisorError as exc:
             diags.warn(str(exc))
             diags.fallback_reason = exc.as_dict()
             obs.tracer.add_record(
@@ -665,7 +647,7 @@ class PromotionPipeline:
                     self.decisions.absorb(reply.decisions)
             attempts = outcome.history.attempts
             if outcome.status == FunctionOutcome.QUARANTINED:
-                # The worker never shipped a payload, so this module's
+                # The worker never shipped an image, so this module's
                 # function still holds its pre-promotion IR — degraded
                 # but sound by construction.
                 result.stats[name] = FunctionPromotionStats()
@@ -686,7 +668,6 @@ class PromotionPipeline:
                 try:
                     reply.payload.install(module)
                 except TransportError as exc:
-                    snap.restore()
                     outcome.stage, outcome.reason = "install", first_line(exc)
                     outcome.error_type = type(exc).__name__
                 else:

@@ -6,9 +6,12 @@ module: promote what it can, roll back what it cannot, and explain why.
 This package supplies the pieces:
 
 ``snapshot``
-    Deep-clone snapshots of one function's IR that can be restored into
-    the original :class:`~repro.ir.function.Function` object, so every
-    promotion is a transaction.
+    Pickled images of one function's IR that share the function, its
+    module and the module's globals.  An image restores into the
+    original :class:`~repro.ir.function.Function` object, so every
+    promotion is a transaction, and installs into another module's
+    function of the same name, which is how the supervised worker ships
+    promoted IR back.
 
 ``diagnostics``
     Structured per-function outcomes (promoted / rolled_back / skipped),
@@ -59,6 +62,7 @@ from repro.robustness.retry import (
 from repro.robustness.snapshot import (
     FunctionSnapshot,
     FunctionState,
+    TransportError,
     capture_state,
     snapshot_function,
 )
@@ -90,6 +94,7 @@ __all__ = [
     "SupervisorReport",
     "TRANSIENT_ERROR_TYPES",
     "TransientFaultError",
+    "TransportError",
     "UnsoundAliasModel",
     "capture_state",
     "isolate_culprits",

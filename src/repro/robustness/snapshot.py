@@ -1,23 +1,40 @@
-"""Deep-clone snapshots of function IR for transactional passes.
+"""Pickled images of function IR, for rollback and for transport.
 
-A :class:`FunctionSnapshot` clones everything a pass may mutate — blocks,
-instructions, virtual registers, frame variables, naming counters — while
-*sharing* module-level objects: the owning :class:`~repro.ir.module.Module`
-and every global :class:`~repro.memory.resources.MemoryVar`.  Sharing is
-load-bearing: the interpreter maps storage by variable identity and the
-alias model hands out the module's own global objects, so a restored
-function must keep referencing them.
+A :class:`FunctionSnapshot` is a pickled image of everything a pass may
+mutate — blocks, instructions, virtual registers, frame variables, naming
+counters — that *shares* the module-level objects: the function itself,
+its :class:`~repro.ir.module.Module`, and every global
+:class:`~repro.memory.resources.MemoryVar`.  The pickler writes those as
+persistent ids instead of copying them.  Sharing is load-bearing: the
+interpreter maps storage by variable identity and the alias model hands
+out the module's own global objects, so restored IR must keep
+referencing them.
 
-Restoring installs the clone's state back into the *original*
-``Function`` object (rather than swapping objects in ``module.functions``)
-so that every external reference to the function stays valid.
+Loading an image installs the copy into an existing ``Function`` object
+(rather than swapping objects in ``module.functions``) so that every
+external reference to the function stays valid.  :meth:`restore` binds
+the ids to the original function and module; :meth:`install` binds them
+to the same-named function and globals of another module, which is how
+the supervised worker ships promoted IR back into the parent.  Every load
+builds fresh objects, so an image can be restored any number of times.
 """
 
 from __future__ import annotations
 
-import copy
+import io
+import pickle
+from typing import Optional
 
 from repro.ir.function import Function
+from repro.ir.module import Module
+
+#: Persistent ids of the function and its module; a global is its name.
+_FUNCTION = 0
+_MODULE = 1
+
+
+class TransportError(RuntimeError):
+    """An image could not be installed into a module."""
 
 
 class FunctionState:
@@ -64,30 +81,81 @@ def capture_state(function: Function) -> FunctionState:
     return FunctionState(function)
 
 
+class _ImagePickler(pickle.Pickler):
+    def __init__(self, file, function: Function) -> None:
+        super().__init__(file, protocol=pickle.HIGHEST_PROTOCOL)
+        self.shared = {id(function): _FUNCTION}
+        module = function.module
+        if module is not None:
+            self.shared[id(module)] = _MODULE
+            for name, var in module.globals.items():
+                self.shared[id(var)] = name
+
+    def persistent_id(self, obj):
+        return self.shared.get(id(obj))
+
+
+class _ImageUnpickler(pickle.Unpickler):
+    def __init__(self, file, function: Function) -> None:
+        super().__init__(file)
+        self.function = function
+
+    def persistent_load(self, pid):
+        module = self.function.module
+        if pid == _FUNCTION:
+            return self.function
+        if pid == _MODULE:
+            return module
+        var = module.globals.get(pid)
+        if var is None:
+            raise TransportError(
+                f"function {self.function.name} references unknown global @{pid}"
+            )
+        return var
+
+
 class FunctionSnapshot:
-    """A restorable deep clone of one function's IR."""
+    """A restorable, picklable image of one function's IR.
+
+    Only the name and the image bytes pickle, so a snapshot taken in one
+    process can be sent to another and installed there; an unpickled
+    snapshot has no original function to :meth:`restore` into.
+    """
+
+    __slots__ = ("name", "data", "_function")
 
     def __init__(self, function: Function) -> None:
         self.name = function.name
-        self._function = function
-        self._state = FunctionState(_clone(function))
+        self._function: Optional[Function] = function
+        buffer = io.BytesIO()
+        _ImagePickler(buffer, function).dump(FunctionState(function))
+        self.data = buffer.getvalue()
+
+    def __getstate__(self):
+        return self.name, self.data
+
+    def __setstate__(self, state) -> None:
+        self.name, self.data = state
+        self._function = None
 
     def restore(self) -> Function:
-        """Install the snapshotted IR back into the original function."""
-        self._state.install(self._function)
+        """Install a fresh copy of the image into the original function."""
+        self._load(self._function).install(self._function)
         return self._function
+
+    def install(self, module: Module) -> Function:
+        """Install a copy of the image into ``module``'s function of the
+        same name, bound to ``module`` and its globals (by name)."""
+        target = module.functions.get(self.name)
+        if target is None:
+            raise TransportError(f"module has no function {self.name}")
+        self._load(target).install(target)
+        return target
+
+    def _load(self, function: Function) -> FunctionState:
+        return _ImageUnpickler(io.BytesIO(self.data), function).load()
 
 
 def snapshot_function(function: Function) -> FunctionSnapshot:
-    """Deep-clone ``function`` (sharing its module and global variables)."""
+    """Image ``function`` (sharing its module and global variables)."""
     return FunctionSnapshot(function)
-
-
-def _clone(function: Function) -> Function:
-    memo: dict = {}
-    module = function.module
-    if module is not None:
-        memo[id(module)] = module
-        for var in module.globals.values():
-            memo[id(var)] = var
-    return copy.deepcopy(function, memo)

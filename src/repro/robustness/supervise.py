@@ -145,8 +145,8 @@ class WorkerReply:
         self.error_type = error_type
         self.reason = reason
         self.duration_ms = duration_ms
-        #: Promoted only: the stats dict and the transformed IR
-        #: (:class:`~repro.parallel.transport.FunctionPayload`).
+        #: Promoted only: the stats dict and the transformed IR as an
+        #: image (:class:`~repro.robustness.snapshot.FunctionSnapshot`).
         self.stats: Optional[Dict[str, int]] = None
         self.payload = None
         #: This attempt's span records, metrics snapshot and decision

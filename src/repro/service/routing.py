@@ -4,12 +4,20 @@ The front tier (:mod:`repro.service.router`) spreads jobs across many
 daemon instances.  The one piece of state a daemon carries from job to
 job is its result cache, which only pays when the *same program* comes
 back to the same daemon.  The routing key is therefore the module
-fingerprint from :func:`repro.parallel.fingerprint.module_fingerprint`:
-two jobs that submit the same program land on the same shard, where a
-repeat can be served from that shard's result cache, while unrelated
-programs spread out.
+fingerprint (:func:`module_fingerprint`): two jobs that submit the
+same program land on the same shard, where a repeat can be served from
+that shard's result cache, while unrelated programs spread out.
 
-Two pieces, both pure enough to test exhaustively:
+Three pieces, all pure enough to test exhaustively:
+
+* :func:`content_fingerprint` / :func:`module_fingerprint` — stable
+  sha256 digests of everything promotion reads from a function: the
+  printed IR, the frame-variable table (including ``address_taken``,
+  which the printer does not show), and the naming counters (two
+  textually identical functions with different ``_next_reg`` would
+  promote to differently *named* registers).  They depend on no
+  process state, so every router instance computes the same key, and
+  ``repro-minic --fingerprint`` prints a key a client can route on.
 
 * :func:`hrw_order` — highest-random-weight (rendezvous) hashing.  For
   a key and a set of backend ids it produces a total order; the first
@@ -33,14 +41,78 @@ from __future__ import annotations
 import collections
 import hashlib
 import threading
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.frontend.limits import InputLimits
+from repro.ir.function import Function
 
 #: How a routing key was derived: a real module fingerprint, or the
 #: stable digest fallback for payloads the frontend rejects.
 KEY_MODULE = "module"
 KEY_DIGEST = "digest"
+
+
+def _var_tuple(var) -> tuple:
+    """Every :class:`MemoryVar` field promotion can observe."""
+    return (
+        var.name,
+        var.kind.value,
+        var.initial,
+        var.size,
+        tuple(var.initial_values) if var.initial_values is not None else None,
+        bool(var.address_taken),
+    )
+
+
+def content_fingerprint(function: Function) -> str:
+    """A stable digest of one function's promotion-relevant content.
+
+    Covers the printed IR, the frame-variable table, and the naming
+    counters (``_next_reg``/``_next_block``/``_mem_versions``) — the
+    counters matter because promotion *names* new registers and blocks
+    from them, so two structurally identical functions with different
+    counters transform to textually different IR.  Equal fingerprints
+    imply promotion produces byte-identical results.
+    """
+    from repro.ir.printer import print_function
+
+    digest = hashlib.sha256()
+    digest.update(print_function(function).encode())
+    digest.update(repr((function._next_reg, function._next_block)).encode())
+    versions = sorted(
+        (var.name, version) for var, version in function._mem_versions.items()
+    )
+    digest.update(repr(versions).encode())
+    frame = [_var_tuple(var) for var in function.frame_vars.values()]
+    digest.update(repr(frame).encode())
+    return digest.hexdigest()
+
+
+def module_fingerprint(module) -> Tuple[str, Dict[str, str]]:
+    """(module key, per-function content keys).
+
+    The module key covers the module name, the globals table (names,
+    kinds, sizes, initials, address-taken bits: the alias model resolves
+    globals by name) and every function's content fingerprint in
+    declaration order; two modules with equal keys are IR-equivalent as
+    far as promotion is concerned, which is what makes the key a sound
+    sticky-routing key: the daemon that served a program before holds
+    its result in its result cache.
+    """
+    fps = {
+        name: content_fingerprint(function)
+        for name, function in module.functions.items()
+    }
+    globals_digest = hashlib.sha256(
+        repr([_var_tuple(v) for v in module.globals.values()]).encode()
+    ).hexdigest()
+    digest = hashlib.sha256()
+    digest.update(module.name.encode())
+    digest.update(globals_digest.encode())
+    for name, fp in fps.items():
+        digest.update(name.encode())
+        digest.update(fp.encode())
+    return digest.hexdigest(), fps
 
 
 def hrw_order(key: str, backend_ids: Sequence[str]) -> List[str]:
@@ -131,8 +203,6 @@ class FingerprintResolver:
         return entry
 
     def _fingerprint(self, kind: str, source: str, material: str) -> Tuple[str, str]:
-        from repro.parallel.fingerprint import module_fingerprint
-
         try:
             if kind == "minic":
                 from repro.frontend.lower import compile_source

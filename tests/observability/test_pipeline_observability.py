@@ -88,7 +88,7 @@ def test_config_stamp_covers_the_execution_layer():
     assert "jobs" not in stamp
     assert "use_cache" not in stamp
     assert stamp["resilience"] is None
-    assert stamp["transactional"] is True
+    assert "transactional" not in stamp
 
 
 def test_ssa_counters_record_through_the_ambient_registry():

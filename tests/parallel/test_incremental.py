@@ -2,7 +2,7 @@
 only the mutated function's key (what keeps routing sticky)."""
 
 from repro.frontend.lower import compile_source
-from repro.parallel.fingerprint import (
+from repro.service.routing import (
     content_fingerprint,
     module_fingerprint,
 )

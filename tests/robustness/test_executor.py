@@ -171,11 +171,6 @@ def test_chaos_runs_are_reproducible_from_their_seed():
     assert results[0] == results[1]
 
 
-def test_resilience_requires_transactional():
-    with pytest.raises(ValueError, match="require transactional=True"):
-        PromotionPipeline(transactional=False, resilience=ResilienceOptions())
-
-
 def test_resilience_options_validation():
     with pytest.raises(ValueError, match="timeout_s must be > 0"):
         ResilienceOptions(timeout_s=0)

@@ -2,12 +2,15 @@
 failures roll the affected function back and the rest of the module still
 promotes."""
 
-import pytest
-
+from repro.analysis.intervals import normalize_for_promotion
 from repro.ir.parser import parse_module
 from repro.memory.aliasing import AliasModel
+from repro.observability import NULL_OBSERVABILITY
+from repro.profile.estimator import estimate_profile
 from repro.profile.interp import run_module
-from repro.promotion.pipeline import PromotionPipeline
+from repro.promotion.driver import PromotionOptions
+from repro.promotion.pipeline import PromotionPipeline, promote_transaction
+from repro.ssa.construct import construct_ssa
 from repro.robustness import FaultInjector
 
 TEXT = """
@@ -96,13 +99,6 @@ def test_exception_rolls_back_one_function():
     assert after.globals_snapshot() == baseline.globals_snapshot()
 
 
-def test_non_transactional_mode_propagates_exceptions():
-    module = parse_module(TEXT)
-    pipeline = PromotionPipeline(alias_model=ExplodingAliasModel, transactional=False)
-    with pytest.raises(RuntimeError, match="alias oracle exploded"):
-        pipeline.run(module)
-
-
 def test_verification_failure_rolls_back(monkeypatch):
     import repro.promotion.pipeline as pipeline_module
 
@@ -160,12 +156,25 @@ def test_promotion_error_names_web_and_interval(monkeypatch):
     assert "bad" in outcome.reason
     assert result.output_matches
 
-    with pytest.raises(PromotionError) as excinfo:
-        PromotionPipeline(transactional=False).run(parse_module(TEXT))
-    error = excinfo.value
+    # The transaction hands back the structured error it rolled back.
+    module = parse_module(TEXT)
+    function = module.get_function("main")
+    construct_ssa(function)
+    tree = normalize_for_promotion(function)
+    _, stats, stage, error = promote_transaction(
+        function,
+        AliasModel.conservative(module),
+        estimate_profile(module),
+        tree,
+        PromotionOptions(),
+        True,
+        NULL_OBSERVABILITY.tracer,
+    )
+    assert stats is None and stage == "promote"
+    assert isinstance(error, PromotionError)
     # Calls are may-defs of @b under the conservative model, so main
-    # also carries a @b web and explodes first in module order.
-    assert error.function in ("main", "bad")
+    # also carries a @b web.
+    assert error.function == "main"
     assert error.var == "b"
     assert error.interval is not None
     assert isinstance(error.__cause__, KeyError)

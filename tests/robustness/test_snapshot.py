@@ -1,12 +1,33 @@
-"""Snapshot/rollback round-trips: restoring must reproduce the exact IR
-text and behaviour while keeping module-level identity (the interpreter
-keys storage by variable identity)."""
+"""Function images: restoring must reproduce the exact IR text and
+behaviour while keeping module-level identity (the interpreter keys
+storage by variable identity), and an image must install into another
+module's function of the same name, bound to that module's globals."""
 
+import enum
+import pickle
+
+import pytest
+
+from repro.analysis.intervals import normalize_for_promotion
+from repro.bench.workloads import ORDER, WORKLOADS
+from repro.frontend.lower import compile_source
+from repro.ir import Function, Module
 from repro.ir import instructions as I
 from repro.ir.parser import parse_module
-from repro.ir.printer import print_function
+from repro.ir.printer import print_function, print_module
+from repro.memory.resources import MemoryVar
 from repro.profile.interp import run_module
-from repro.robustness import FaultInjector, capture_state, snapshot_function
+from repro.promotion.pipeline import PromotionPipeline
+from repro.robustness import (
+    FaultInjector,
+    TransportError,
+    capture_state,
+    snapshot_function,
+)
+from repro.ssa.construct import construct_ssa
+
+from tests.property.genprog import random_program
+from tests.support import diamond
 
 TEXT = """
 module m
@@ -105,3 +126,151 @@ def test_restore_is_idempotent():
     snap.restore()
     assert print_function(function) == original
     assert run_module(module).return_value == 10
+
+
+def test_restores_hand_out_fresh_objects():
+    module = parse_module(TEXT)
+    function = module.get_function("main")
+    snap = snapshot_function(function)
+    snap.restore()
+    first = function.blocks
+    snap.restore()
+    assert function.blocks is not first
+    assert not {id(b) for b in first} & {id(b) for b in function.blocks}
+
+
+# -- transport: installing an image into another module --------------------
+
+
+def test_image_round_trips_through_pickle():
+    module, func = diamond()
+    copy = pickle.loads(pickle.dumps(module))
+    # Only the name and the bytes travel: not the function, its module
+    # or their globals.
+    image = pickle.loads(pickle.dumps(snapshot_function(func)))
+    image.install(copy)
+    assert print_module(copy) == print_module(module)
+
+
+def test_install_preserves_function_identity():
+    module, func = diamond()
+    copy = pickle.loads(pickle.dumps(module))
+    copy_func = copy.get_function("diamond")
+    # Perturb the copy so install visibly overwrites it.
+    copy_func.find_block("left").instructions.pop(0)
+    assert print_module(copy) != print_module(module)
+
+    installed = snapshot_function(func).install(copy)
+    # External references to the copy's Function stay valid.
+    assert installed is copy_func
+    assert print_module(copy) == print_module(module)
+
+
+def test_install_rebinds_globals_to_target_module():
+    module, func = diamond()
+    copy = pickle.loads(pickle.dumps(module))
+    snapshot_function(func).install(copy)
+    target_x = copy.get_global("x")
+    for inst in copy.get_function("diamond").instructions():
+        if isinstance(inst, (I.Load, I.Store)):
+            assert inst.var is target_x
+            assert inst.var is not module.get_global("x")
+
+
+def test_install_into_module_missing_function_fails():
+    module, func = diamond()
+    copy = pickle.loads(pickle.dumps(module))
+    image = snapshot_function(func)
+    image.name = "nonesuch"
+    with pytest.raises(TransportError, match="no function nonesuch"):
+        image.install(copy)
+
+
+def test_install_with_unknown_global_fails():
+    module, func = diamond()
+    copy = pickle.loads(pickle.dumps(module))
+    del copy.globals["x"]
+    before = print_module(copy)
+    with pytest.raises(TransportError, match="unknown global @x"):
+        snapshot_function(func).install(copy)
+    assert print_module(copy) == before  # a failed install changes nothing
+
+
+# -- differential: every function of the proxies and genprog seeds ---------
+
+
+def _reachable(function):
+    """id -> object for everything the function's mutable state reaches,
+    stopping at functions and modules."""
+    state = capture_state(function)
+    stack = [state.blocks, state.params, state.frame_vars, state.mem_versions]
+    seen = {}
+    while stack:
+        obj = stack.pop()
+        if obj is None or isinstance(obj, (int, str, float, enum.Enum)):
+            continue
+        if id(obj) in seen:
+            continue
+        seen[id(obj)] = obj
+        if isinstance(obj, (Function, Module)):
+            continue
+        if isinstance(obj, dict):
+            stack.extend(obj)
+            stack.extend(obj.values())
+        elif isinstance(obj, (list, tuple)):
+            stack.extend(obj)
+        else:
+            stack.extend(getattr(obj, "__dict__", {}).values())
+            for cls in type(obj).__mro__:
+                for slot in getattr(cls, "__slots__", ()):
+                    stack.append(getattr(obj, slot, None))
+    return seen
+
+
+def _check_images(module):
+    for name, function in module.functions.items():
+        text = print_function(function)
+        original = _reachable(function)
+        image = snapshot_function(function)
+
+        # Transport into a pickled copy of the module.
+        copy = pickle.loads(pickle.dumps(module))
+        image.install(copy)
+        target = copy.functions[name]
+        assert print_function(target) == text
+        for obj in _reachable(target).values():
+            assert obj is not module and obj is not function
+            if isinstance(obj, MemoryVar) and obj.name in module.globals:
+                if obj not in target.frame_vars.values():
+                    assert obj is copy.globals[obj.name]
+
+        # Rollback: a fresh copy that shares only the function, the
+        # module and the module's globals with the original.
+        image.restore()
+        assert print_function(function) == text
+        shared = set(original) & set(_reachable(function))
+        allowed = {id(function), id(module)}
+        allowed.update(id(var) for var in module.globals.values())
+        assert shared <= allowed, [original[i] for i in shared - allowed]
+
+
+def _differential(source, entry="main", args=()):
+    prepared = compile_source(source)
+    for function in prepared.functions.values():
+        construct_ssa(function)
+        normalize_for_promotion(function)
+    _check_images(prepared)
+    promoted = compile_source(source)
+    PromotionPipeline(entry=entry, args=list(args)).run(promoted)
+    _check_images(promoted)
+
+
+@pytest.mark.parametrize("name", ORDER)
+def test_images_of_proxy_functions(name):
+    workload = WORKLOADS[name]
+    _differential(workload.source, workload.entry, workload.args)
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_images_of_generated_functions(seed):
+    _differential(random_program(seed))

@@ -102,13 +102,3 @@ def test_pipeline_recovers_from_unsound_aliasing():
     text = result.report()
     assert "rolled back" in text
     assert "warning:" in text
-
-
-def test_non_transactional_pipeline_cannot_recover():
-    # The same unsound model without transactions: the run finishes (the
-    # promoted IR is verifier-clean) but behaviour is silently wrong.
-    module = parse_module(TEXT)
-    result = PromotionPipeline(
-        alias_model=UnsoundAliasModel, transactional=False
-    ).run(module)
-    assert not result.output_matches

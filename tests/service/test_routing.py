@@ -7,6 +7,10 @@ redistribution, digest fallback for hostile payloads — are pinned
 exhaustively.
 """
 
+import os
+import subprocess
+import sys
+
 import pytest
 
 from repro.service.routing import (
@@ -183,3 +187,37 @@ class TestFingerprintResolver:
     def test_negative_cache_size_rejected(self):
         with pytest.raises(ValueError):
             FingerprintResolver(cache_size=-1)
+
+
+#: Prints the routing key of every paper proxy, one per line.
+_PROXY_KEYS = """
+from repro.bench.workloads import ORDER, WORKLOADS
+from repro.frontend.lower import compile_source
+from repro.service.routing import module_fingerprint
+for name in ORDER:
+    print(name, module_fingerprint(compile_source(WORKLOADS[name].source, name))[0])
+"""
+
+
+def test_module_fingerprints_ignore_the_hash_seed():
+    # Every router instance must agree on a key, so the key may not
+    # depend on per-process state such as string hash randomization.
+    root = os.path.dirname(
+        os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    )
+    outputs = []
+    for seed in ("0", "1"):
+        env = dict(os.environ, PYTHONHASHSEED=seed)
+        env["PYTHONPATH"] = os.path.join(root, "src")
+        proc = subprocess.run(
+            [sys.executable, "-c", _PROXY_KEYS],
+            capture_output=True,
+            text=True,
+            env=env,
+            cwd=root,
+            timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        outputs.append(proc.stdout)
+    assert len(outputs[0].splitlines()) == 8
+    assert outputs[0] == outputs[1]
