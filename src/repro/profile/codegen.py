@@ -6,6 +6,17 @@ edges.  Block entries count ``C[k] += 1`` and check a local copy of
 ``result.steps`` against the limit (so a limit error can come a block
 early); other counters are derived as Σ block count × static count.
 Every other check keeps the classic loop's exception type and message.
+
+Integer operands are checked only in registers that can hold a non-int.
+A register is a known int unless it is a parameter or some definition
+can yield a pointer: ``addr``, ``elem``, ``ld`` and ``ldp`` (a scalar
+cell can hold a pointer), ``lda`` on a scalar, or a copy or phi of such
+a register.  Arithmetic, calls (returns are checked, externals go
+through ``int()``) and ``lda`` on an array (its cells only take checked
+ints) cannot.  A tier-up restores only the registers some block reads
+before defining them; every other read follows a definition in its
+block.  ``div`` and ``rem`` by a positive constant are inline; other
+divisors go through truncating helpers.
 """
 
 from __future__ import annotations
@@ -14,7 +25,7 @@ import math
 import re
 import traceback
 from functools import partial
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Set
 
 from repro.ir import instructions as I
 from repro.ir.function import Function
@@ -23,7 +34,6 @@ from repro.profile.interp import (
     InterpreterError,
     InterpreterLimitError,
     Pointer,
-    _binop,
     _bounds_check,
 )
 
@@ -181,13 +191,29 @@ def _fail(error, message, *evaluated):
     raise error(message)
 
 
+def _div(a: int, b: int) -> int:
+    """``div``: truncates toward zero; 0 for a zero divisor."""
+    if not b:
+        return 0
+    q = abs(a) // abs(b)
+    return q if (a >= 0) == (b >= 0) else -q
+
+
+def _rem(a: int, b: int) -> int:
+    """``rem``: ``a - b * div(a, b)``, so it takes the dividend's sign."""
+    if not b:
+        return 0
+    r = abs(a) % abs(b)
+    return r if a >= 0 else -r
+
+
 _HELPERS = {
     "CI": partial(_check, cls=int),
     "CP": partial(_check, cls=Pointer),
     "FAIL": _fail,
     "IE": InterpreterError,
-    "DIV": partial(_binop, "div"),
-    "REM": partial(_binop, "rem"),
+    "DIV": _div,
+    "REM": _rem,
     "BOUNDS": _bounds_check,
     "P": Pointer,
 }
@@ -211,6 +237,12 @@ _BINOPS = {
     "ne": "1 if {} != {} else 0",
 }
 _UNOPS = {"neg": "-{}", "not": "1 if {} == 0 else 0", "bnot": "~{}"}
+# Truncating division of dividend {0} by a constant {2} > 0.  The sign
+# test {1} runs first: it is the dividend, or binds its checked form to t.
+_BY_POSITIVE = {
+    "div": "-(-{0} // {2}) if {1} < 0 else {0} // {2}",
+    "rem": "-(-{0} % {2}) if {1} < 0 else {0} % {2}",
+}
 
 
 class _Unit:
@@ -237,6 +269,9 @@ class _Unit:
                 if inst.dst is not None:
                     registers.setdefault(inst.dst, f"r{len(registers)}")
         self.checked: Dict[VReg, str] = {}  # checked earlier in this block
+        self.ints = _known_ints(function)
+        # Built here: translate() turns any KeyError into "stays classic".
+        self.exposed = _upward_exposed(function)
 
     def out(self, line: str) -> None:
         self.lines.append("    " * self.indent + line)
@@ -268,6 +303,8 @@ class _Unit:
             return f"FAIL(IE, {f'read of unassigned register {v}'!r})"
         if kind == _ANY or self.checked.get(v) == kind:
             return name
+        if kind == _INT and v in self.ints:  # nothing to check
+            return name
         self.checked[v] = kind
         checker = "CI" if kind == _INT else "CP"
         return f"({name} if {name}.__class__ is {kind} else {checker}({name}))"
@@ -294,8 +331,9 @@ class _Unit:
         if self.osr:  # continue a classic activation: its frame and registers
             self.out("    else:")
             for reg, name in self.registers.items():
-                key = self.bind(reg, "V")
-                self.out(f"        if {key} in E: {name} = E[{key}]")
+                if reg in self.exposed:
+                    key = self.bind(reg, "V")
+                    self.out(f"        if {key} in E: {name} = E[{key}]")
             for key, name in self.frame.items():
                 if name:
                     self.out(f"        {name} = FS[{key}]")
@@ -366,6 +404,12 @@ class _Unit:
                 kind = "binary" if binary else "unary"
                 self.fail(f"unknown {kind} op {inst.op}", *args)
                 return False
+            inline = _BY_POSITIVE.get(inst.op)
+            if inline and isinstance(inst.rhs, Const) and inst.rhs.value > 0:
+                test = dividend = args[0]
+                if dividend.startswith("("):  # checked: check once, read t
+                    test, dividend = f"(t := {dividend})", "t"
+                template, args = inline, [dividend, test, args[1]]
             out(f"{dst} = {template.format(*args)}")
         elif isinstance(inst, (I.Load, I.Store, I.AddrOf)):
             cells = self.cells(inst.var)
@@ -441,6 +485,56 @@ class _Unit:
             self.fail(f"unknown callee @{inst.callee}", *([args] if args else []))
             return False
         return True
+
+
+def _known_ints(function: Function) -> Set[VReg]:
+    """The registers that can only ever hold an int: the largest set of
+    non-parameters each of whose definitions yields one, given the set."""
+    defs: Dict[VReg, List[I.Instruction]] = {}
+    for block in function.blocks:
+        for inst in block.instructions:
+            if inst.dst is not None:
+                defs.setdefault(inst.dst, []).append(inst)
+    known = set(defs).difference(function.params)
+
+    def yields_int(inst) -> bool:
+        if isinstance(inst, (I.BinOp, I.UnOp, I.Call)):  # calls check or int()
+            return True
+        if isinstance(inst, I.ArrayLoad):  # ``lda`` on a scalar reads its cell
+            return not inst.array.is_scalar
+        if isinstance(inst, (I.Copy, I.Phi)):
+            operands = inst.operands
+            return all(isinstance(v, (Const, Undef)) or v in known for v in operands)
+        return False
+
+    while True:
+        dropped = {reg for reg in known if not all(map(yields_int, defs[reg]))}
+        if not dropped:
+            return known
+        known -= dropped
+
+
+def _upward_exposed(function: Function) -> Set[VReg]:
+    """Registers some block reads before a non-phi definition in it: the
+    only ones a tier-up can find live.  A phi's incoming value is read at
+    the end of its predecessor; a phi's own block has already run it."""
+    exposed: Set[VReg] = set()
+    local: Dict[object, Set[VReg]] = {}
+    for block in function.blocks:
+        defined = local[block] = set()
+        for inst in _executed(block):
+            exposed.update(
+                v for v in inst.operands if isinstance(v, VReg) and v not in defined
+            )
+            if inst.dst is not None:
+                defined.add(inst.dst)
+    for block in function.blocks:
+        for phi in block.instructions[: _leading_phis(block)]:
+            if isinstance(phi, I.Phi):
+                for pred, v in phi.incoming:
+                    if isinstance(v, VReg) and v not in local.get(pred, ()):
+                        exposed.add(v)
+    return exposed
 
 
 def _leading_phis(block) -> int:

@@ -10,6 +10,7 @@ counter, the block-count profile, the final globals, and the type and
 message of any error.
 """
 
+import re
 from contextlib import contextmanager
 from unittest import mock
 
@@ -22,7 +23,7 @@ from repro.ir.parser import parse_module
 from repro.ir.values import Value, VReg
 from repro.memory.resources import MemoryVar
 from repro.profile import codegen
-from repro.profile.interp import Interpreter
+from repro.profile.interp import Interpreter, _binop
 from repro.promotion.pipeline import PromotionPipeline
 from repro.ssa.destruct import destruct_ssa
 
@@ -223,6 +224,66 @@ def test_integer_type_check():
           %q = add %p, 1
           ret %q
         }
+        """
+    )
+    message = "expected integer, got Pointer([1][0])"
+    assert _error(module) == ("InterpreterError", message)
+
+
+# Ways a pointer reaches an integer operand that the source tier must
+# still check: only registers that can never hold a non-int go unchecked.
+POINTER_PATHS = {
+    "copy": """
+        %c = copy %p
+        %q = add %c, 1
+        ret %q
+    """,
+    "phi": """
+        jmp loop
+    loop:
+        %v = phi [entry: %p, loop: %w]
+        %w = add %v, 1
+        %more = lt %w, 10
+        br %more, loop, done
+    done:
+        ret %w
+    """,
+    "parameter": """
+        %q = call @f(%p)
+        ret %q
+    """,
+    "scalar-ld": """
+        st @y, %p
+        %v = ld @y
+        %q = add %v, 1
+        ret %q
+    """,
+    "lda-on-a-scalar": """
+        st @y, %p
+        %v = lda @y, 0
+        %q = add %v, 1
+        ret %q
+    """,
+}
+
+
+@pytest.mark.parametrize("path", POINTER_PATHS)
+def test_integer_type_check_survives(path):
+    module = parse_module(
+        f"""
+        module m
+        global @x = 1
+        global @y = 0
+        func @f(%a) {{
+        entry:
+          %q = add %a, 1
+          ret %q
+        }}
+        func @main() {{
+        entry:
+          %p = addr @x
+          {POINTER_PATHS[path]}
+        }}
         """
     )
     message = "expected integer, got Pointer([1][0])"
@@ -444,6 +505,68 @@ def test_recursion_depth_limit():
     )
 
 
+# -- division --------------------------------------------------------------
+
+DIVISION_INPUTS = [0, 1, -1, 2, -2, 3, -3, 7, -7, 12, -12, 2**70, -(2**70)]
+
+
+@pytest.mark.parametrize("op", ["div", "rem"])
+def test_truncating_division_matches_the_classic_loop(op):
+    helper = codegen._HELPERS[op.upper()]
+    for a in DIVISION_INPUTS:
+        for b in DIVISION_INPUTS:
+            expected = _binop(op, a, b)
+            assert helper(a, b) == expected, (a, b)
+            if b > 0:  # by a constant: the inline form, bare and checked
+                template = codegen._BY_POSITIVE[op]
+                assert eval(template.format("a", "a", b)) == expected, (a, b)
+                checked = template.format("t", "(t := a)", b)
+                assert eval(checked, {"a": a}) == expected, (a, b)
+
+
+def test_division_after_tier_up():
+    # 300 trips: main tiers up mid-loop, then divides negative dividends
+    # (some checked, loaded from @neg) by constants and by divisors that
+    # cycle through -2, -1, 0 and 1.
+    module = parse_module(
+        """
+        module m
+        global @neg = -9
+        func @main() {
+        entry:
+          jmp header
+        header:
+          %i = phi [entry: 0, body: %inext]
+          %c = lt %i, 300
+          br %c, body, done
+        body:
+          %n = sub -7, %i
+          %big = mul %n, 1180591620717411303424
+          %l = ld @neg
+          %a = div %n, 3
+          %b = rem %n, 5
+          %e = div %big, 7
+          %g = rem %l, 4
+          %h = div %l, 2
+          %r = rem %i, 4
+          %d = sub %r, 2
+          %x = div %n, %d
+          %y = rem %big, %d
+          print %a, %b, %e, %g, %h, %x, %y
+          %m = sub %l, 1
+          st @neg, %m
+          %inext = add %i, 1
+          jmp header
+        done:
+          ret %i
+        }
+        """
+    )
+    outcome = _agree(module)
+    assert len(outcome["output"]) == 300
+    assert outcome["output"][0] == (-2, -2, -1180591620717411303424, -1, -4, 3, 0)
+
+
 # -- tier-up ---------------------------------------------------------------
 
 FIB = """
@@ -489,18 +612,55 @@ def test_recursive_function_tiers_up_under_its_own_classic_activation():
 
 
 def test_long_running_activation_moves_to_source_mid_loop():
-    module, func = simple_loop(trip_count=2000)
-    compiled = []
+    # After entry the loop reads %step, defined before it; %i, the phi,
+    # only in its own block; and %inext, at the end of body for the phi.
+    # %c, %t and %t2 are block-local.
+    module = parse_module(
+        """
+        module m
+        global @x = 0
+        func @loop() {
+        entry:
+          %step = add 1, 1
+          jmp header
+        header:
+          %i = phi [entry: 0, body: %inext]
+          %inext = add %i, 1
+          %c = lt %i, 2000
+          br %c, body, exitb
+        body:
+          %t = ld @x
+          %t2 = add %t, %step
+          st @x, %t2
+          jmp header
+        exitb:
+          ret 0
+        }
+        """
+    )
+    compiled, restored = [], []
     original = codegen.TieredRun._compile
+    translate = codegen._Unit.translate
 
     def spy(run, function, osr):
         compiled.append((function.name, osr))
         return original(run, function, osr)
 
+    def prologue(unit):
+        translate(unit)
+        names = {name: str(reg) for reg, name in unit.registers.items()}
+        for line in unit.lines:
+            match = re.fullmatch(r"\s*if V\d+ in E: (r\d+) = E\[V\d+\]", line)
+            if match:
+                restored.append(names[match.group(1)])
+
     with mock.patch.object(codegen.TieredRun, "_compile", spy):
-        outcome = _outcome(module, "tiered", entry=func.name)
-    assert compiled == [(func.name, True)]
-    assert outcome == _outcome(module, "classic", entry=func.name)
+        with mock.patch.object(codegen._Unit, "translate", prologue):
+            outcome = _outcome(module, "tiered", entry="loop")
+    assert compiled == [("loop", True)]
+    assert sorted(restored) == ["%i", "%inext", "%step"]
+    assert outcome == _outcome(module, "classic", entry="loop")
+    assert outcome["globals"] == {"x": 4000}
 
 
 def test_unassigned_register_after_moving_to_source_mid_loop():
