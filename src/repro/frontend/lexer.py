@@ -1,7 +1,14 @@
-"""Tokenizer for mini-C."""
+"""Tokenizer for mini-C.
+
+One compiled pattern is matched at each position of the source, and the
+group that matched says what the text is.  Only block comments and
+characters that start no token leave the pattern: the first is closed
+with ``str.find``, the second is a :class:`CompileError`.
+"""
 
 from __future__ import annotations
 
+import re
 from typing import List, NamedTuple, Optional
 
 from repro.frontend.errors import CompileError
@@ -13,7 +20,8 @@ KEYWORDS = {
     "return", "break", "continue", "print",
 }
 
-#: Multi-character operators, longest first so maximal munch works.
+#: Operators, longest first so that maximal munch works (the pattern's
+#: alternation takes the first that matches).
 OPERATORS = [
     "<<=", ">>=",
     "==", "!=", "<=", ">=", "&&", "||", "++", "--",
@@ -33,10 +41,26 @@ class Token(NamedTuple):
         return f"{self.kind}:{self.text}@{self.line}"
 
 
+#: One alternative per token class, tried in this order at each position.
+#: Numbers are decimal digits (of any script: exactly what ``int`` reads);
+#: identifiers continue with ``\w``, which is ``str.isalnum`` or ``_``.
+#: An identifier led by a non-ASCII character is a *word*, checked for
+#: ``str.isalpha`` on its first character by :func:`tokenize`.
+_TOKEN = re.compile(
+    r"(\n)|([ \t\r]+)|(//[^\n]*)|(/\*)|(\d+)|([A-Za-z_]\w*)|("
+    + "|".join(re.escape(op) for op in OPERATORS)
+    + r")|(\w+)"
+)
+_NEWLINE, _BLANK, _LINE_COMMENT, _BLOCK_COMMENT, _NUM, _IDENT, _OP, _WORD = range(1, 9)
+
+
 def tokenize(source: str, limits: Optional[InputLimits] = None) -> List[Token]:
     limits = limits or DEFAULT_LIMITS
     limits.check_source(source)
+    max_tokens = limits.max_tokens
     tokens: List[Token] = []
+    append = tokens.append
+    match = _TOKEN.match
     i = 0
     line = 1
     n = len(source)
@@ -44,48 +68,34 @@ def tokenize(source: str, limits: Optional[InputLimits] = None) -> List[Token]:
         # Checked inside the scan loop so a pathological input is
         # rejected as soon as it crosses the cap, not after buffering
         # every token.
-        if len(tokens) >= limits.max_tokens:
+        if len(tokens) >= max_tokens:
             limits.check_tokens(len(tokens) + 1, line)
-        ch = source[i]
-        if ch == "\n":
+        m = match(source, i)
+        if m is None:
+            raise CompileError(f"unexpected character {source[i]!r}", line)
+        group = m.lastindex
+        i = m.end()
+        if group == _BLANK or group == _LINE_COMMENT:
+            continue
+        if group == _OP:
+            append(Token("op", m[0], line))
+        elif group == _IDENT:
+            text = m[0]
+            append(Token("kw" if text in KEYWORDS else "ident", text, line))
+        elif group == _NEWLINE:
             line += 1
-            i += 1
-            continue
-        if ch in " \t\r":
-            i += 1
-            continue
-        if source.startswith("//", i):
-            while i < n and source[i] != "\n":
-                i += 1
-            continue
-        if source.startswith("/*", i):
-            end = source.find("*/", i + 2)
+        elif group == _NUM:
+            append(Token("num", m[0], line))
+        elif group == _BLOCK_COMMENT:
+            end = source.find("*/", i)
             if end == -1:
                 raise CompileError("unterminated block comment", line)
             line += source.count("\n", i, end)
             i = end + 2
-            continue
-        if ch.isdigit():
-            j = i
-            while j < n and source[j].isdigit():
-                j += 1
-            tokens.append(Token("num", source[i:j], line))
-            i = j
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < n and (source[j].isalnum() or source[j] == "_"):
-                j += 1
-            text = source[i:j]
-            tokens.append(Token("kw" if text in KEYWORDS else "ident", text, line))
-            i = j
-            continue
-        for op in OPERATORS:
-            if source.startswith(op, i):
-                tokens.append(Token("op", op, line))
-                i += len(op)
-                break
-        else:
-            raise CompileError(f"unexpected character {ch!r}", line)
+        else:  # _WORD: every keyword is ASCII, so this is an identifier
+            text = m[0]
+            if not text[0].isalpha():
+                raise CompileError(f"unexpected character {text[0]!r}", line)
+            append(Token("ident", text, line))
     tokens.append(Token("eof", "", line))
     return tokens

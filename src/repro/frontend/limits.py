@@ -15,10 +15,12 @@ resource axes:
 ``max_depth``
     combined statement/expression nesting depth in the recursive-descent
     parser.  Lowering recurses over the AST the parser built, so this
-    one cap bounds the whole frontend's stack depth.  Each depth unit
-    costs roughly a dozen Python frames (the parser descends through
-    every binary-precedence level), so the default stays far below the
-    interpreter's recursion limit.
+    one cap bounds the whole frontend's stack depth.  A depth unit costs
+    the parser 2 Python frames in a unary chain, 2.5 in nested
+    parentheses, 5 in nested blocks, and at most 7.5 (parentheses
+    behind a rising operator at every one of the ten precedence
+    levels), so the default stays far below the interpreter's
+    recursion limit.
 
 The defaults are generous for every legitimate workload in the repo;
 services tighten them per deployment (``ServiceConfig.limits``).

@@ -12,7 +12,8 @@ Grammar sketch::
                  unary - ! ~ * &, and no assignment-as-expression
 
 Assignments are statements (including ``+=``-style compound forms and
-postfix ``++``/``--``), matching how the workloads are written.
+postfix ``++``/``--``), matching how the workloads are written.  Binary
+operators are parsed by precedence climbing over ``_BINARY_LEVELS``.
 """
 
 from __future__ import annotations
@@ -38,6 +39,8 @@ _BINARY_LEVELS = [
     ["+", "-"],
     ["*", "/", "%"],
 ]
+#: Binding level of each binary operator (higher binds tighter).
+_PREC = {op: level for level, ops in enumerate(_BINARY_LEVELS) for op in ops}
 
 # fmt: off
 _OP_NAMES = {
@@ -61,9 +64,9 @@ class _Parser:
         #: Combined statement + expression nesting depth.  Guarded in
         #: every recursive production so a hostile input fails with a
         #: structured FrontendLimitError long before Python's own
-        #: RecursionError (each depth unit costs ~a dozen frames in the
-        #: precedence climb).  Lowering recurses over the AST this
-        #: parser built, so the same cap bounds its stack too.
+        #: RecursionError (each depth unit costs at most 7.5 frames;
+        #: see repro.frontend.limits).  Lowering recurses over the AST
+        #: this parser built, so the same cap bounds its stack too.
         self.depth = 0
 
     def _descend(self) -> None:
@@ -360,18 +363,22 @@ class _Parser:
         finally:
             self.depth -= 1
 
-    def _binary(self, level: int) -> A.Expr:
-        if level >= len(_BINARY_LEVELS):
-            return self.unary()
-        lhs = self._binary(level + 1)
-        while self.tok.kind == "op" and self.tok.text in _BINARY_LEVELS[level]:
-            op = self.advance()
+    def _binary(self, min_level: int) -> A.Expr:
+        # Precedence climbing: operators at ``min_level`` or tighter
+        # extend ``lhs``; each right operand binds strictly tighter, so
+        # every level is left-associative.
+        lhs = self.unary()
+        while True:
+            op = self.tok
+            level = _PREC.get(op.text) if op.kind == "op" else None
+            if level is None or level < min_level:
+                return lhs
+            self.advance()
             rhs = self._binary(level + 1)
             if op.text in ("&&", "||"):
                 lhs = A.ShortCircuit(line=op.line, op=op.text, lhs=lhs, rhs=rhs)
             else:
                 lhs = A.Binary(line=op.line, op=_OP_NAMES[op.text], lhs=lhs, rhs=rhs)
-        return lhs
 
     def unary(self) -> A.Expr:
         # Unary chains recurse without passing through expression(), so

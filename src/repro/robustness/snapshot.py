@@ -4,8 +4,10 @@ A :class:`FunctionSnapshot` is a pickled image of everything a pass may
 mutate — blocks, instructions, virtual registers, frame variables, naming
 counters — that *shares* the module-level objects: the function itself,
 its :class:`~repro.ir.module.Module`, and every global
-:class:`~repro.memory.resources.MemoryVar`.  The pickler writes those as
-persistent ids instead of copying them.  Sharing is load-bearing: the
+:class:`~repro.memory.resources.MemoryVar`.  The pickler writes each of
+those as a reference by key (``_shared(key)``) instead of copying it;
+only those three types reduce through Python, so pickling every other
+object stays in the C pickler.  Sharing is load-bearing: the
 interpreter maps storage by variable identity and the alias model hands
 out the module's own global objects, so restored IR must keep
 referencing them.
@@ -13,7 +15,7 @@ referencing them.
 Loading an image installs the copy into an existing ``Function`` object
 (rather than swapping objects in ``module.functions``) so that every
 external reference to the function stays valid.  :meth:`restore` binds
-the ids to the original function and module; :meth:`install` binds them
+the keys to the original function and module; :meth:`install` binds them
 to the same-named function and globals of another module, which is how
 the supervised worker ships promoted IR back into the parent.  Every load
 builds fresh objects, so an image can be restored any number of times.
@@ -21,14 +23,16 @@ builds fresh objects, so an image can be restored any number of times.
 
 from __future__ import annotations
 
+import copyreg
 import io
 import pickle
-from typing import Optional
+from typing import Dict, Optional, Tuple
 
 from repro.ir.function import Function
 from repro.ir.module import Module
+from repro.memory.resources import MemoryVar
 
-#: Persistent ids of the function and its module; a global is its name.
+#: Keys of the function and its module; a global's key is its name.
 _FUNCTION = 0
 _MODULE = 1
 
@@ -81,6 +85,19 @@ def capture_state(function: Function) -> FunctionState:
     return FunctionState(function)
 
 
+def _shared(key):
+    """Stand-in for a shared object in an image.
+
+    The pickler reduces the function, its module and its globals to a
+    call of this function; :class:`_ImageUnpickler` resolves it to its
+    own :meth:`~_ImageUnpickler.persistent_load`.  Reached any other way
+    (a plain :func:`pickle.loads`), there is nothing to bind to.
+    """
+    raise TransportError(
+        f"image key {key!r} binds only through FunctionSnapshot.restore or .install"
+    )
+
+
 class _ImagePickler(pickle.Pickler):
     def __init__(self, file, function: Function) -> None:
         super().__init__(file, protocol=pickle.HIGHEST_PROTOCOL)
@@ -90,15 +107,38 @@ class _ImagePickler(pickle.Pickler):
             self.shared[id(module)] = _MODULE
             for name, var in module.globals.items():
                 self.shared[id(var)] = name
+        # Only these three types can be shared, so only they call back
+        # into Python, and the memo limits that to once per object.
+        self.dispatch_table = copyreg.dispatch_table.copy()
+        for cls in (Function, Module, MemoryVar):
+            self.dispatch_table[cls] = self._reduce
 
-    def persistent_id(self, obj):
-        return self.shared.get(id(obj))
+    def _reduce(self, obj):
+        key = self.shared.get(id(obj))
+        if key is None:
+            return obj.__reduce_ex__(pickle.HIGHEST_PROTOCOL)
+        return _shared, (key,)
+
+
+#: The classes images name, by (module, name).  The default lookup goes
+#: through the import system on every call, which costs more than
+#: loading a small function's objects.
+_GLOBALS: Dict[Tuple[str, str], object] = {}
 
 
 class _ImageUnpickler(pickle.Unpickler):
     def __init__(self, file, function: Function) -> None:
         super().__init__(file)
         self.function = function
+
+    def find_class(self, module, name):
+        if module == __name__ and name == "_shared":
+            return self.persistent_load
+        key = module, name
+        found = _GLOBALS.get(key)
+        if found is None:
+            found = _GLOBALS[key] = super().find_class(module, name)
+        return found
 
     def persistent_load(self, pid):
         module = self.function.module
@@ -128,7 +168,9 @@ class FunctionSnapshot:
         self.name = function.name
         self._function: Optional[Function] = function
         buffer = io.BytesIO()
-        _ImagePickler(buffer, function).dump(FunctionState(function))
+        # The image leads with the function's key, so a load that cannot
+        # bind it fails before it builds any IR.
+        _ImagePickler(buffer, function).dump((function, FunctionState(function)))
         self.data = buffer.getvalue()
 
     def __getstate__(self):
@@ -153,7 +195,7 @@ class FunctionSnapshot:
         return target
 
     def _load(self, function: Function) -> FunctionState:
-        return _ImageUnpickler(io.BytesIO(self.data), function).load()
+        return _ImageUnpickler(io.BytesIO(self.data), function).load()[1]
 
 
 def snapshot_function(function: Function) -> FunctionSnapshot:

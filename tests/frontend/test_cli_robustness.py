@@ -42,6 +42,17 @@ def test_parse_error_exits_2(tmp_path, capsys):
     assert "broken.c" in captured.err
 
 
+def test_non_decimal_digit_exits_2(tmp_path, capsys):
+    # "²" passes str.isdigit() but not int(): a lexical error, not a crash.
+    path = tmp_path / "digit.c"
+    path.write_text("int main() { return 2²; }", encoding="utf-8")
+    code = main([str(path)])
+    captured = capsys.readouterr()
+    assert code == 2
+    expected = f"repro-minic: error: {path}: line 1: unexpected character '²'\n"
+    assert captured.err == expected
+
+
 def test_sema_error_exits_2(tmp_path, capsys):
     path = tmp_path / "sema.c"
     path.write_text("int main() { return nope; }")

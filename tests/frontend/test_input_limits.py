@@ -48,8 +48,8 @@ def test_token_flood_rejected_mid_scan():
 
 
 def test_deep_unary_chain_trips_the_default_depth_cap():
-    # 300 stacked unary operators would recurse ~a dozen Python frames
-    # per level in the parser; the cap must fire first.  ("!" rather
+    # 300 stacked unary operators would recurse 2 Python frames per
+    # level in the parser (600 in all); the cap must fire first.  ("!" rather
     # than "-": the lexer max-munches "--" into a different token.)
     deep = "int main() { return " + "!" * 300 + "1; }"
     with pytest.raises(FrontendLimitError) as excinfo:

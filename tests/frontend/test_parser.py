@@ -1,8 +1,14 @@
+import random
+
 import pytest
 
 from repro.frontend import cast as A
 from repro.frontend.errors import CompileError
-from repro.frontend.parser import parse_program
+from repro.frontend.lexer import tokenize
+from repro.frontend.limits import DEFAULT_LIMITS, InputLimits
+from repro.frontend.parser import _BINARY_LEVELS, _OP_NAMES, _Parser, parse_program
+
+from tests.frontend import corpus
 
 
 def test_globals_and_arrays():
@@ -155,3 +161,71 @@ def test_syntax_errors():
         parse_program("struct s { };")
     with pytest.raises(CompileError, match="unexpected token"):
         parse_program("float x;")
+
+
+# -- differential: the level-by-level recursive descent this parser replaced
+
+
+class _RecursiveParser(_Parser):
+    """The previous ``_binary``, frozen: one recursive call per
+    precedence level for every operand."""
+
+    def _binary(self, level):
+        if level >= len(_BINARY_LEVELS):
+            return self.unary()
+        lhs = self._binary(level + 1)
+        while self.tok.kind == "op" and self.tok.text in _BINARY_LEVELS[level]:
+            op = self.advance()
+            rhs = self._binary(level + 1)
+            if op.text in ("&&", "||"):
+                lhs = A.ShortCircuit(line=op.line, op=op.text, lhs=lhs, rhs=rhs)
+            else:
+                lhs = A.Binary(line=op.line, op=_OP_NAMES[op.text], lhs=lhs, rhs=rhs)
+        return lhs
+
+
+def _expression_sources():
+    """Every pair of binary operators, and seeded longer chains mixing
+    all levels, unary operators and parentheses."""
+    ops = [op for level in _BINARY_LEVELS for op in level]
+    for first in ops:
+        for second in ops:
+            yield f"a {first} b {second} c"
+    rng = random.Random(7)
+    operands = ["a", "b", "-c", "!a", "(a + b)", "(b || c)", "f(a, b && c)", "A[a | b]"]
+    for _ in range(400):
+        parts = [rng.choice(operands)]
+        for _ in range(rng.randint(1, 7)):
+            parts += [rng.choice(ops), rng.choice(operands)]
+        yield " ".join(parts)
+
+
+def _parse_outcome(parser_class, tokens, limits):
+    try:
+        return repr(parser_class(tokens, limits).program())
+    except CompileError as exc:
+        return type(exc), str(exc), exc.line
+
+
+@pytest.mark.parametrize(
+    "limits",
+    [DEFAULT_LIMITS, InputLimits(max_depth=6)],
+    ids=["default-limits", "max-depth-6"],
+)
+def test_parser_matches_the_recursive_descent(limits):
+    sources = [source for _, source in corpus.sources()]
+    prologue = "int A[4]; int f(int a, int b) { return a; }\n"
+    sources += [
+        prologue + f"int g(int a, int b, int c) {{ return {expr}; }}"
+        for expr in _expression_sources()
+    ]
+    parsed = 0
+    for source in sources:
+        try:
+            tokens = tokenize(source, limits)
+        except CompileError:
+            continue
+        new = _parse_outcome(_Parser, tokens, limits)
+        assert new == _parse_outcome(_RecursiveParser, tokens, limits), source
+        parsed += isinstance(new, str)
+    assert parsed > len(sources) // 3

@@ -4,6 +4,7 @@ storage by variable identity), and an image must install into another
 module's function of the same name, bound to that module's globals."""
 
 import enum
+import io
 import pickle
 
 import pytest
@@ -24,6 +25,7 @@ from repro.robustness import (
     capture_state,
     snapshot_function,
 )
+from repro.robustness.snapshot import _ImagePickler
 from repro.ssa.construct import construct_ssa
 
 from tests.property.genprog import random_program
@@ -194,6 +196,47 @@ def test_install_with_unknown_global_fails():
     with pytest.raises(TransportError, match="unknown global @x"):
         snapshot_function(func).install(copy)
     assert print_module(copy) == before  # a failed install changes nothing
+
+
+def test_plain_unpickling_fails_before_building_ir():
+    module, func = diamond()
+    data = snapshot_function(func).data
+    with pytest.raises(TransportError):
+        pickle.loads(data)
+    # The image leads with the function's key: nothing else, not even
+    # a class, is looked up before the load fails.
+    resolved = []
+
+    class Recording(pickle.Unpickler):
+        def find_class(self, module_name, name):
+            resolved.append(name)
+            return super().find_class(module_name, name)
+
+    with pytest.raises(TransportError):
+        Recording(io.BytesIO(data)).load()
+    assert resolved == ["_shared"]
+
+
+@pytest.mark.parametrize("name", ORDER[:2])
+def test_capture_reduces_each_shareable_object_once(name, monkeypatch):
+    calls = []
+    reduce = _ImagePickler._reduce
+
+    def spy(self, obj):
+        calls.append(obj)
+        return reduce(self, obj)
+
+    monkeypatch.setattr(_ImagePickler, "_reduce", spy)
+    module = compile_source(WORKLOADS[name].source)
+    for function in module.functions.values():
+        construct_ssa(function)
+        calls.clear()
+        snapshot_function(function)
+        reached = _reachable(function)
+        assert all(isinstance(obj, (Function, Module, MemoryVar)) for obj in calls)
+        assert len({id(obj) for obj in calls}) == len(calls)
+        assert {id(obj) for obj in calls} <= set(reached)
+        assert function in calls
 
 
 # -- differential: every function of the proxies and genprog seeds ---------

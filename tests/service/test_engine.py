@@ -144,6 +144,16 @@ def test_compile_error_is_a_client_fault(engine):
     assert engine.failed_total == 1
 
 
+def test_non_decimal_digit_is_a_client_fault(engine):
+    # "²" passes str.isdigit() but not int(); it must reach the client
+    # as a compile error, not as an engine crash.
+    source = "int main() { return 2²; }"
+    with pytest.raises(JobInputError) as excinfo:
+        engine.execute(JobRequest("minic", source), 30.0, "job-1")
+    assert excinfo.value.http_status == 422
+    assert "unexpected character '²'" in str(excinfo.value)
+
+
 def test_frontend_limit_trip_names_the_limit():
     engine = PromotionEngine(workers=1, limits=InputLimits(max_source_bytes=16))
     try:
