@@ -7,7 +7,6 @@ Usage::
     repro-report --table 3      # register pressure
     repro-report --compare      # ours vs Lu-Cooper vs Mahlke
     repro-report --timing BENCH_pipeline.json   # time the exec layers
-    repro-report --timing out.json --jobs 2     # parallel-arm width
     repro-report --timing out.json --perf-baseline benchmarks/BENCH_baseline.json
     repro-report --chaos "crash=0.15,seed=1234" --timeout 10
 
@@ -167,29 +166,19 @@ def collect_json(resilience=None, observability=None) -> dict:
     return doc
 
 
-def run_timing(
-    out_path: str,
-    jobs: int,
-    perf_baseline: Optional[str] = None,
-) -> int:
+def run_timing(out_path: str, perf_baseline: Optional[str] = None) -> int:
     """``--timing``: benchmark the execution layers, optionally gate."""
     from repro.bench.overhead import check_overhead, measure_overhead
-    from repro.bench.timing import (
-        check_against_baseline,
-        parallel_gate_skip_reason,
-        time_suite,
-        write_bench,
-    )
+    from repro.bench.timing import check_against_baseline, time_suite, write_bench
 
-    bench = time_suite(jobs=jobs)
+    bench = time_suite()
     bench["overhead"] = measure_overhead(list(bench["suite"]))
     write_bench(out_path, bench)
     speedup = bench["speedup"]
     print(
         f"wrote {out_path}: "
-        f"serial {speedup['serial_vs_baseline']}x, "
-        f"parallel {speedup['parallel_vs_baseline']}x vs baseline "
-        f"(jobs={bench['jobs']}, cpus={bench['cpu_count']}); "
+        f"serial {speedup['serial_vs_baseline']}x vs baseline "
+        f"(cpus={bench['cpu_count']}); "
         f"outputs identical: {bench['outputs_identical']}; "
         f"instrumentation overhead (disabled, estimated): "
         f"{bench['overhead']['worst_estimated_overhead_pct']}% worst-case",
@@ -220,22 +209,6 @@ def run_timing(
                 file=sys.stderr,
             )
             return 2
-        baseline_cpus = baseline.get("cpu_count")
-        if baseline_cpus is not None and not isinstance(baseline_cpus, int):
-            print(
-                f"repro-report: malformed perf baseline {perf_baseline}: "
-                f"cpu_count must be an integer, got "
-                f"{type(baseline_cpus).__name__}",
-                file=sys.stderr,
-            )
-            return 2
-        skip_reason = parallel_gate_skip_reason(bench, baseline)
-        if skip_reason:
-            print(
-                f"repro-report: perf gate: skipping parallel speedup checks: "
-                f"{skip_reason}",
-                file=sys.stderr,
-            )
         failures = check_against_baseline(bench, baseline)
         for failure in failures:
             print(f"repro-report: perf gate: {failure}", file=sys.stderr)
@@ -253,14 +226,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     )
     parser.add_argument(
         "--json", action="store_true", help="emit machine-readable JSON instead"
-    )
-    parser.add_argument(
-        "--jobs",
-        type=int,
-        default=None,
-        metavar="N",
-        help="with --timing: worker processes of the parallel arm, one "
-        "workload each (0 = one per CPU; default 4)",
     )
     parser.add_argument(
         "--timing",
@@ -364,13 +329,6 @@ def main(argv: Optional[List[str]] = None) -> int:
                     file=sys.stderr,
                 )
 
-    if options.jobs is not None and not options.timing:
-        print(
-            "repro-report: --jobs sets the --timing parallel-arm width; "
-            "it requires --timing",
-            file=sys.stderr,
-        )
-        return 2
     try:
         resilience = ResilienceOptions.from_flags(
             options.timeout, options.retries, options.chaos
@@ -396,12 +354,7 @@ def main(argv: Optional[List[str]] = None) -> int:
             )
 
     if options.timing:
-        jobs = 4 if options.jobs is None else options.jobs
-        return run_timing(
-            options.timing,
-            jobs=jobs,
-            perf_baseline=options.perf_baseline,
-        )
+        return run_timing(options.timing, perf_baseline=options.perf_baseline)
     if options.perf_baseline:
         print("repro-report: --perf-baseline requires --timing", file=sys.stderr)
         return 2

@@ -487,8 +487,8 @@ class PromotionPipeline:
 
         result.static_before = StaticCounts.of_module(module)
 
-        # Phase 2: profile (step-limit exhaustion falls back to the
-        # static estimate instead of aborting the run).
+        # Phase 2: profile (a run that trips the step limit or traps
+        # falls back to the static estimate instead of aborting the run).
         before_run: Optional[ExecutionResult] = None
         with tracer.span("phase:profile", category="phase") as profile_span:
             if self.use_interpreter_profile and self.entry in module.functions:
@@ -498,9 +498,13 @@ class PromotionPipeline:
                         max_steps=self.max_steps,
                         compiled=self.compiled_interpreter,
                     ).run(self.entry, self.args)
-                except InterpreterLimitError as exc:
+                except InterpreterError as exc:
+                    if isinstance(exc, InterpreterLimitError):
+                        cause = f"hit the interpreter limit ({exc})"
+                    else:
+                        cause = f"failed ({type(exc).__name__}: {exc})"
                     diags.warn(
-                        f"profiling run hit the interpreter limit ({exc}); "
+                        f"profiling run {cause}; "
                         "falling back to the static profile estimate"
                     )
                     result.profile = estimate_profile(module)
@@ -604,7 +608,7 @@ class PromotionPipeline:
                 journal=self.decisions is not None,
                 trace_id=obs.tracer.trace_id,
             )
-            outcomes, report = Supervisor(promoter, self.resilience).run(prepared)
+            replies, report = Supervisor(promoter, self.resilience).run(prepared)
         except SupervisorError as exc:
             diags.warn(str(exc))
             diags.fallback_reason = exc.as_dict()
@@ -618,15 +622,14 @@ class PromotionPipeline:
             return False
         diags.resilience = report.as_dict()
         diags.resilience["options"] = self.resilience.as_dict()
-        for outcome in outcomes:
-            name = outcome.name
+        for reply, history in replies:
+            name = reply.name
             function = module.functions[name]
-            reply = outcome.reply
-            diags.attempt_histories[name] = outcome.history.as_dict()
+            diags.attempt_histories[name] = history.as_dict()
             # One synthetic span per attempt (reconstructed from the
             # retry history — earlier attempts left no live spans), then
             # the final attempt's real worker spans.
-            for rec in outcome.history.records:
+            for rec in history.records:
                 obs.tracer.add_record(
                     "attempt:" + name,
                     category="attempt",
@@ -640,13 +643,12 @@ class PromotionPipeline:
                 obs.metrics.inc("resilience.attempts")
                 if rec.outcome not in ("promoted", "rolled_back"):
                     obs.metrics.inc("resilience." + rec.outcome.replace("-", "_"))
-            if reply is not None:
-                obs.tracer.merge(reply.spans)
-                obs.metrics.absorb(reply.metrics)
-                if self.decisions is not None:
-                    self.decisions.absorb(reply.decisions)
-            attempts = outcome.history.attempts
-            if outcome.status == FunctionOutcome.QUARANTINED:
+            obs.tracer.merge(reply.spans)
+            obs.metrics.absorb(reply.metrics)
+            if self.decisions is not None:
+                self.decisions.absorb(reply.decisions)
+            attempts = history.attempts
+            if reply.status == FunctionOutcome.QUARANTINED:
                 # The worker never shipped an image, so this module's
                 # function still holds its pre-promotion IR — degraded
                 # but sound by construction.
@@ -655,21 +657,21 @@ class PromotionPipeline:
                 self._mark_decision(name, "quarantined")
                 diags.record_quarantine(
                     name,
-                    reason=outcome.reason,
-                    error_type=outcome.error_type,
-                    stage=outcome.stage,
-                    duration_ms=outcome.duration_ms,
+                    reason=reply.reason,
+                    error_type=reply.error_type,
+                    stage=reply.stage,
+                    duration_ms=reply.duration_ms,
                     attempts=attempts,
                 )
                 continue
             stats = FunctionPromotionStats()
-            if outcome.status == FunctionOutcome.PROMOTED:
+            if reply.status == FunctionOutcome.PROMOTED:
                 snap = snapshot_function(function)
                 try:
                     reply.payload.install(module)
                 except TransportError as exc:
-                    outcome.stage, outcome.reason = "install", first_line(exc)
-                    outcome.error_type = type(exc).__name__
+                    reply.stage, reply.reason = "install", first_line(exc)
+                    reply.error_type = type(exc).__name__
                 else:
                     stats.absorb(reply.stats)
                     result.stats[name] = stats
@@ -677,7 +679,7 @@ class PromotionPipeline:
                     committed[name] = capture_state(function)
                     record = diags.record_promoted(
                         name,
-                        duration_ms=outcome.duration_ms,
+                        duration_ms=reply.duration_ms,
                         webs_promoted=stats.webs_promoted,
                     )
                     record.attempts = attempts
@@ -686,10 +688,10 @@ class PromotionPipeline:
             self._mark_decision(name, "rolled_back")
             record = diags.record_rollback(
                 name,
-                stage=outcome.stage,
-                reason=outcome.reason,
-                error_type=outcome.error_type,
-                duration_ms=outcome.duration_ms,
+                stage=reply.stage,
+                reason=reply.reason,
+                error_type=reply.error_type,
+                duration_ms=reply.duration_ms,
             )
             record.attempts = attempts
         return True

@@ -30,13 +30,13 @@ This package supplies the pieces:
     transient exception) for exercising the supervised worker
     end-to-end.
 
-``supervise`` / ``retry`` / ``quarantine``
+``supervise`` / ``retry``
     Resilient promotion: phases 3+4 run in one supervised worker
     process with per-function wall-clock deadlines, bounded retry with
     seeded exponential backoff (:class:`RetryPolicy`), a fresh worker
-    after every crash or hang, and a poison-function
-    :class:`Quarantine` that degrades repeat offenders to their
-    original unpromoted IR instead of failing the module.  Enabled via
+    after every crash or hang, and quarantine: a function still failing
+    when its attempts run out keeps its original unpromoted IR instead
+    of failing the module.  Enabled via
     ``PromotionPipeline(resilience=ResilienceOptions(...))``.
 """
 
@@ -52,7 +52,6 @@ from repro.robustness.faults import (
     TransientFaultError,
     UnsoundAliasModel,
 )
-from repro.robustness.quarantine import Quarantine, QuarantineEntry
 from repro.robustness.retry import (
     AttemptHistory,
     AttemptRecord,
@@ -68,7 +67,6 @@ from repro.robustness.snapshot import (
 )
 from repro.robustness.supervise import (
     ResilienceOptions,
-    SupervisedOutcome,
     Supervisor,
     SupervisorError,
     SupervisorReport,
@@ -84,11 +82,8 @@ __all__ = [
     "FunctionSnapshot",
     "FunctionState",
     "PipelineDiagnostics",
-    "Quarantine",
-    "QuarantineEntry",
     "ResilienceOptions",
     "RetryPolicy",
-    "SupervisedOutcome",
     "Supervisor",
     "SupervisorError",
     "SupervisorReport",

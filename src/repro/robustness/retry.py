@@ -1,7 +1,7 @@
 """Bounded retry with exponential backoff and seeded jitter.
 
 Promotion is an optimization: a transient worker fault (an injected
-chaos exception, a broken pipe to a dying pool, a timeout) should cost
+chaos exception, a broken pipe to a dead worker, a timeout) should cost
 one backoff-delayed re-attempt, not the function's promotion — and a
 *deterministic* failure (a verification error, a promotion bug) should
 cost exactly one attempt, because re-running deterministic code can only
@@ -17,8 +17,9 @@ can be reconstructed offline.
 
 from __future__ import annotations
 
-import hashlib
 from typing import Dict, FrozenSet, List, Optional
+
+from repro.robustness.faults import SeededChaos
 
 #: Error *type names* treated as transient (worth retrying).  Names, not
 #: classes: worker failures cross a process boundary and only the
@@ -26,7 +27,6 @@ from typing import Dict, FrozenSet, List, Optional
 TRANSIENT_ERROR_TYPES: FrozenSet[str] = frozenset(
     {
         "TransientFaultError",  # injected chaos
-        "BrokenProcessPool",
         "BrokenPipeError",
         "ConnectionError",
         "ConnectionResetError",
@@ -34,12 +34,6 @@ TRANSIENT_ERROR_TYPES: FrozenSet[str] = frozenset(
         "TimeoutError",
     }
 )
-
-
-def _seeded_fraction(seed: int, name: str, attempt: int) -> float:
-    """Deterministic uniform draw in ``[0, 1)`` from (seed, name, attempt)."""
-    digest = hashlib.sha256(f"{seed}:{name}:{attempt}".encode()).digest()
-    return int.from_bytes(digest[:8], "big") / 2**64
 
 
 class RetryPolicy:
@@ -60,7 +54,6 @@ class RetryPolicy:
         backoff_base_s: float = 0.05,
         backoff_max_s: float = 2.0,
         seed: int = 0,
-        transient_error_types: FrozenSet[str] = TRANSIENT_ERROR_TYPES,
     ) -> None:
         if max_attempts < 1:
             raise ValueError(f"max_attempts must be >= 1, got {max_attempts}")
@@ -70,24 +63,17 @@ class RetryPolicy:
         self.backoff_base_s = backoff_base_s
         self.backoff_max_s = backoff_max_s
         self.seed = seed
-        self.transient_error_types = frozenset(transient_error_types)
 
     def is_transient(self, error_type: Optional[str]) -> bool:
-        return error_type in self.transient_error_types
+        return error_type in TRANSIENT_ERROR_TYPES
 
     def backoff_s(self, name: str, attempt: int) -> float:
         """Delay before re-attempting ``name`` after failed ``attempt``."""
         if attempt < 1:
             raise ValueError(f"attempt numbers start at 1, got {attempt}")
         full = min(self.backoff_base_s * (2 ** (attempt - 1)), self.backoff_max_s)
-        return full * (0.5 + 0.5 * _seeded_fraction(self.seed, name, attempt))
-
-    def schedule(self, name: str) -> List[float]:
-        """The full backoff schedule (one delay per non-final attempt)."""
-        return [
-            self.backoff_s(name, attempt)
-            for attempt in range(1, self.max_attempts)
-        ]
+        jitter = SeededChaos.draw_key(f"{self.seed}:{name}:{attempt}")
+        return full * (0.5 + 0.5 * jitter)
 
     def as_dict(self) -> Dict[str, object]:
         return {
@@ -157,14 +143,6 @@ class AttemptHistory:
     @property
     def attempts(self) -> int:
         return len(self.records)
-
-    @property
-    def retries(self) -> int:
-        return max(0, len(self.records) - 1)
-
-    @property
-    def final_outcome(self) -> Optional[str]:
-        return self.records[-1].outcome if self.records else None
 
     def as_dict(self) -> Dict[str, object]:
         return {

@@ -23,7 +23,8 @@ process instead of in the caller, and the parent supervises it:
   reply whose error type :class:`~repro.robustness.retry.RetryPolicy`
   calls transient — back off by the seeded schedule and try again.  A
   deterministic failure is one rolled-back attempt, as in process.
-  When attempts run out the function is quarantined and keeps its
+  When attempts run out the parent writes the function's final reply
+  itself, with status ``quarantined``; the function keeps its
   pre-promotion IR.
 """
 
@@ -36,7 +37,6 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.robustness.diagnostics import FunctionOutcome, first_line
 from repro.robustness.faults import ChaosConfig
-from repro.robustness.quarantine import Quarantine
 from repro.robustness.retry import AttemptHistory, AttemptRecord, RetryPolicy
 
 
@@ -128,7 +128,9 @@ class SupervisorError(RuntimeError):
 
 class WorkerReply:
     """What the worker produced for one attempt at one function;
-    ``status`` is :attr:`FunctionOutcome.PROMOTED` or ``ROLLED_BACK``."""
+    ``status`` is :attr:`FunctionOutcome.PROMOTED` or ``ROLLED_BACK``
+    (or ``QUARANTINED`` in the reply the parent writes when attempts
+    run out)."""
 
     def __init__(
         self,
@@ -154,32 +156,6 @@ class WorkerReply:
         self.spans: Optional[List[Dict[str, object]]] = None
         self.metrics: Optional[Dict[str, Dict[str, object]]] = None
         self.decisions: Optional[Dict[str, object]] = None
-
-
-class SupervisedOutcome:
-    """What the supervisor concluded for one function; ``status`` is a
-    :class:`FunctionOutcome` status (promoted, rolled back, quarantined)."""
-
-    def __init__(
-        self,
-        name: str,
-        status: str,
-        history: AttemptHistory,
-        reply: Optional[WorkerReply] = None,
-        stage: Optional[str] = None,
-        error_type: Optional[str] = None,
-        reason: Optional[str] = None,
-        duration_ms: float = 0.0,
-    ) -> None:
-        self.name = name
-        self.status = status
-        self.history = history
-        #: The final attempt's reply; ``None`` when it never replied.
-        self.reply = reply
-        self.stage = stage
-        self.error_type = error_type
-        self.reason = reason
-        self.duration_ms = duration_ms
 
 
 class SupervisorReport:
@@ -257,7 +233,6 @@ class Supervisor:
         self.promoter = promoter
         self.resilience = resilience
         self.policy: RetryPolicy = resilience.retry_policy
-        self.quarantine = Quarantine(resilience.max_attempts)
         self.report = SupervisorReport()
         self._proc = None
         self._conn = None
@@ -267,9 +242,9 @@ class Supervisor:
 
     def run(
         self, names: Sequence[str]
-    ) -> Tuple[List[SupervisedOutcome], SupervisorReport]:
-        """One outcome per name, in order.  Raises :class:`SupervisorError`
-        when a worker cannot start or set up."""
+    ) -> Tuple[List[Tuple[WorkerReply, AttemptHistory]], SupervisorReport]:
+        """Each name's final reply and attempt history, in order.  Raises
+        :class:`SupervisorError` when a worker cannot start or set up."""
         try:
             return [self._promote(name) for name in names], self.report
         finally:
@@ -277,7 +252,7 @@ class Supervisor:
 
     # -- one function ------------------------------------------------------
 
-    def _promote(self, name: str) -> SupervisedOutcome:
+    def _promote(self, name: str) -> Tuple[WorkerReply, AttemptHistory]:
         history = AttemptHistory(name)
         while True:
             attempt = history.attempts + 1
@@ -324,20 +299,11 @@ class Supervisor:
                 )
             history.add(record)
             if record.outcome in (AttemptRecord.PROMOTED, AttemptRecord.ROLLED_BACK):
-                return SupervisedOutcome(
-                    name,
-                    record.outcome,
-                    history,
-                    reply,
-                    stage=reply.stage,
-                    error_type=reply.error_type,
-                    reason=reply.reason,
-                    duration_ms=reply.duration_ms,
-                )
+                return reply, history
             stage = None if reply is _TIMEOUT or reply is _CRASH else reply.stage
             self._note_failure(record, name, stage)
-            if self.quarantine.exhausted(attempt):
-                return self._quarantine(history, record, stage)
+            if attempt >= self.policy.max_attempts:
+                return self._quarantine(name, record, stage), history
             record.backoff_s = self.policy.backoff_s(name, attempt)
             self.report.retries += 1
             time.sleep(record.backoff_s)
@@ -366,20 +332,15 @@ class Supervisor:
         )
 
     def _quarantine(
-        self, history: AttemptHistory, record: AttemptRecord, stage: Optional[str]
-    ) -> SupervisedOutcome:
+        self, name: str, record: AttemptRecord, stage: Optional[str]
+    ) -> WorkerReply:
+        """The final reply for a function out of attempts: it keeps its
+        pre-promotion IR, and the reason names the last failure."""
         from repro.observability import flightrecorder
 
-        name = history.name
-        entry = self.quarantine.admit(
-            name,
-            record.attempt,
-            reason=(
-                f"{record.attempt} failed attempt(s), last: "
-                f"{record.outcome} ({record.error_type}: {record.reason})"
-            ),
-            last_error_type=record.error_type,
-            last_outcome=record.outcome,
+        reason = (
+            f"{record.attempt} failed attempt(s), last: "
+            f"{record.outcome} ({record.error_type}: {record.reason})"
         )
         self.report.quarantined.append(name)
         recorder = flightrecorder.ambient()
@@ -387,16 +348,15 @@ class Supervisor:
             "supervisor.quarantine",
             function=name,
             attempts=record.attempt,
-            reason=entry.reason,
+            reason=reason,
         )
         recorder.dump(f"quarantine-{name}")
-        return SupervisedOutcome(
+        return WorkerReply(
             name,
             FunctionOutcome.QUARANTINED,
-            history,
             stage=stage,
             error_type=record.error_type,
-            reason=entry.reason,
+            reason=reason,
             duration_ms=record.duration_ms,
         )
 

@@ -6,7 +6,9 @@ drives the full robustness story against it:
 1. health and readiness answer;
 2. a concurrent batch — healthy jobs, one poisoned job (worker-level
    chaos ``crash=1.0`` on a named function → quarantine, degraded), one
-   over-deadline job (must come back 504, never hang);
+   over-deadline job (must come back 504, never hang), and one program
+   that traps at run time (a client fault: 4xx, the daemon stays
+   ready);
 3. a burst past the admission bound — at least one 429 with a
    ``retry_after_s`` hint and at least one success;
 4. optionally, seeded service-level chaos traffic (``--chaos``):
@@ -83,6 +85,12 @@ int main() {
     return 0;
 }
 """
+
+
+#: Reads far past ``a``, so the interpreter traps ("expected integer").
+TRAPPING_PROGRAM = (
+    "int main() { int *p; int a; p = &a; a = 3; return *(p + 100000); }"
+)
 
 
 def healthy_payload(program: str = HEALTHY_PROGRAM) -> Dict[str, object]:
@@ -201,7 +209,7 @@ async def run_checks(
     check(ready.status == 200, f"readyz says {ready.status}")
     print("smoke: health/readiness ok")
 
-    # 2. Concurrent batch: healthy + poisoned + over-deadline.
+    # 2. Concurrent batch: healthy + poisoned + over-deadline + trapping.
     healthy = healthy_payload()
     second = healthy_payload(SECOND_PROGRAM)
     batch = await asyncio.gather(
@@ -209,6 +217,7 @@ async def run_checks(
         client.submit(second),
         client.submit(poisoned_payload()),
         client.submit(over_deadline_payload()),
+        client.submit(healthy_payload(TRAPPING_PROGRAM)),
     )
     healthy_doc = _result_doc(batch[0])
     second_doc = _result_doc(batch[1])
@@ -249,7 +258,19 @@ async def run_checks(
         deadline_resp.json()["error"] == "deadline-exceeded",
         "over-deadline job error code is wrong",
     )
-    print("smoke: batch ok (healthy byte-identical, poisoned degraded, 504 on time)")
+
+    trap_resp = batch[4]
+    check(
+        400 <= trap_resp.status < 500,
+        f"trapping program should be a 4xx client fault, got {trap_resp.status}: "
+        f"{trap_resp.body[:200]!r}",
+    )
+    ready = await client.get("/readyz")
+    check(ready.status == 200, f"readyz says {ready.status} after the batch")
+    print(
+        "smoke: batch ok (healthy byte-identical, poisoned degraded, 504 on time, "
+        "trap 4xx)"
+    )
 
     # 2b. One streaming job, captured as an NDJSON artifact: spans then
     # the final result.  Written before the burst/chaos phases so a

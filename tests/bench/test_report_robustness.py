@@ -16,21 +16,16 @@ from repro.bench.timing import check_against_baseline
 def fake_bench():
     return {
         "suite": ["go"],
-        "jobs": 2,
         "cpu_count": 4,
         "arms": {},
-        "speedup": {
-            "serial_vs_baseline": 1.5,
-            "parallel_vs_baseline": 2.0,
-            "parallel_vs_serial": 1.3,
-        },
+        "speedup": {"serial_vs_baseline": 1.5},
         "outputs_identical": True,
     }
 
 
 @pytest.fixture
 def stub_timing(monkeypatch):
-    monkeypatch.setattr(timing, "time_suite", lambda jobs, **kwargs: fake_bench())
+    monkeypatch.setattr(timing, "time_suite", lambda **kwargs: fake_bench())
 
 
 def run_timing_against(tmp_path, baseline_path):
@@ -82,10 +77,10 @@ def test_junk_speedup_values_do_not_crash_the_gate():
 
 
 def test_regressed_speedup_still_fails_the_gate():
-    baseline = {"speedup": {"parallel_vs_baseline": 4.0}}
+    baseline = {"speedup": {"serial_vs_baseline": 4.0}}
     failures = check_against_baseline(fake_bench(), baseline)
     assert len(failures) == 1
-    assert "parallel_vs_baseline regressed" in failures[0]
+    assert "serial_vs_baseline regressed" in failures[0]
 
 
 def test_good_baseline_passes(tmp_path, capsys, stub_timing):
@@ -102,8 +97,6 @@ def test_chaos_flags_are_incompatible_with_timing(tmp_path, capsys):
         [
             "--timing",
             str(tmp_path / "bench.json"),
-            "--jobs",
-            "2",
             "--chaos",
             "crash=0.1",
         ]
@@ -127,14 +120,6 @@ def test_chaos_flags_run_without_jobs(capsys, monkeypatch):
     assert code == 0
     assert seen["resilience"].chaos.seed == 4
     assert "0 function(s) quarantined" in captured.err
-
-
-def test_jobs_requires_timing(capsys):
-    code = main(["--table", "2", "--jobs", "2"])
-    captured = capsys.readouterr()
-    assert code == 2
-    assert "requires --timing" in captured.err
-    assert captured.err.count("\n") == 1
 
 
 def test_bad_chaos_spec_exits_2(capsys):

@@ -179,17 +179,12 @@ def test_report_unreadable_baseline_beats_gate_failure(
     # an unreadable baseline is a driver error and 2 wins.
     bench = {
         "suite": ["go"],
-        "jobs": 2,
         "cpu_count": 4,
         "arms": {},
-        "speedup": {
-            "serial_vs_baseline": 0.1,
-            "parallel_vs_baseline": 0.1,
-            "parallel_vs_serial": 0.1,
-        },
+        "speedup": {"serial_vs_baseline": 0.1},
         "outputs_identical": True,
     }
-    monkeypatch.setattr(timing, "time_suite", lambda jobs, **kwargs: bench)
+    monkeypatch.setattr(timing, "time_suite", lambda **kwargs: bench)
     monkeypatch.setattr(
         overhead,
         "measure_overhead",

@@ -69,6 +69,20 @@ def test_max_steps_budget_exhaustion_exits_2(source_file, capsys):
     assert "execution failed" in captured.err
 
 
+def test_trapping_program_with_promote_exits_2(tmp_path, capsys):
+    # The profiling run traps too; promotion falls back to the static
+    # estimate and the final run reports the trap.
+    path = tmp_path / "trap.c"
+    path.write_text(
+        "int main() { int *p; int a; p = &a; a = 3; return *(p + 100000); }"
+    )
+    code = main([str(path), "--promote"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith("repro-minic: error: execution failed:")
+    assert captured.err.count("\n") == 1  # one line, no traceback
+
+
 def test_max_steps_generous_budget_runs_normally(source_file, capsys):
     code = main([source_file, "--max-steps", "100000"])
     assert capsys.readouterr().out == "45\n"

@@ -88,7 +88,7 @@ def test_quarantine_outcome_and_summary_suffix():
     diags.record_quarantine(
         "poison",
         reason="3 failed attempt(s), last: worker-crash",
-        error_type="BrokenProcessPool",
+        error_type="WorkerCrashError",
         attempts=3,
     )
     assert diags.summary() == "1 promoted, 1 rolled back, 1 skipped, 1 quarantined"

@@ -15,6 +15,8 @@ from repro.frontend.lower import compile_source
 from repro.ir.printer import print_function, print_module
 from repro.promotion.pipeline import PromotionPipeline
 from repro.robustness import ChaosConfig, ResilienceOptions
+from repro.robustness.diagnostics import FunctionOutcome
+from repro.robustness.supervise import WorkerReply
 
 #: Three promotable functions so one can be poisoned while two survive.
 SOURCE = """
@@ -183,3 +185,12 @@ def test_resilience_options_validation():
     assert data["seed"] == 5
     assert data["chaos"] is None
     assert data["backoff"]["max_attempts"] == 5
+
+
+def test_worker_reply_defaults():
+    reply = WorkerReply("f", FunctionOutcome.PROMOTED)
+    assert reply.name == "f"
+    assert reply.status == "promoted"
+    assert reply.stage is None
+    assert reply.payload is None
+    assert reply.duration_ms == 0.0

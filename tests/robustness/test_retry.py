@@ -13,7 +13,7 @@ from repro.robustness import (
 def test_transient_split_matches_the_design():
     policy = RetryPolicy()
     # Worker-infrastructure failures are retried...
-    for name in ("TransientFaultError", "BrokenProcessPool", "TimeoutError"):
+    for name in ("TransientFaultError", "BrokenPipeError", "TimeoutError"):
         assert policy.is_transient(name)
     # ...deterministic promotion failures are not: rerunning
     # deterministic code can only reproduce them.
@@ -35,15 +35,14 @@ def test_backoff_is_deterministic_per_seed_and_decorrelated():
     a = RetryPolicy(seed=42)
     b = RetryPolicy(seed=42)
     c = RetryPolicy(seed=43)
-    assert a.schedule("f") == b.schedule("f")
-    assert a.schedule("f") != c.schedule("f")
+
+    def delays(policy):
+        return [policy.backoff_s("f", attempt) for attempt in (1, 2, 3)]
+
+    assert delays(a) == delays(b)
+    assert delays(a) != delays(c)
     # Different functions retry at different offsets under one seed.
     assert a.backoff_s("f", 1) != a.backoff_s("g", 1)
-
-
-def test_schedule_has_one_delay_per_non_final_attempt():
-    assert RetryPolicy(max_attempts=1).schedule("f") == []
-    assert len(RetryPolicy(max_attempts=4).schedule("f")) == 3
 
 
 def test_policy_validation():
@@ -70,8 +69,6 @@ def test_policy_as_dict_round_trips_the_knobs():
 def test_attempt_history_accumulates_and_serializes():
     history = AttemptHistory("f")
     assert history.attempts == 0
-    assert history.retries == 0
-    assert history.final_outcome is None
     history.add(
         AttemptRecord(
             1,
@@ -83,8 +80,6 @@ def test_attempt_history_accumulates_and_serializes():
     )
     history.add(AttemptRecord(2, AttemptRecord.PROMOTED, duration_ms=3.5))
     assert history.attempts == 2
-    assert history.retries == 1
-    assert history.final_outcome == AttemptRecord.PROMOTED
     data = history.as_dict()
     assert data["name"] == "f"
     assert data["attempts"] == 2

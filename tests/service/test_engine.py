@@ -15,6 +15,7 @@ from repro.frontend.limits import InputLimits
 from repro.frontend.lower import compile_source
 from repro.ir.function import Function
 from repro.ir.printer import print_module
+from repro.observability import FlightRecorder, flightrecorder
 from repro.profile.interp import Interpreter
 from repro.promotion.pipeline import PromotionPipeline
 from repro.service.engine import PromotionEngine
@@ -164,12 +165,27 @@ def test_frontend_limit_trip_names_the_limit():
         engine.shutdown(wait=True)
 
 
-def test_runtime_error_in_submitted_program_is_a_client_fault(engine):
-    with pytest.raises(JobInputError) as excinfo:
-        engine.execute(
-            JobRequest("minic", PROGRAM, max_steps=10), 30.0, "job-1"
-        )
-    assert "execution failed" in str(excinfo.value)
+#: Reads far past ``a``: the interpreter traps ("expected integer").
+TRAPPING_PROGRAM = (
+    "int main() { int *p; int a; p = &a; a = 3; return *(p + 100000); }"
+)
+
+
+def test_runtime_error_in_submitted_program_is_a_client_fault(engine, tmp_path):
+    previous = flightrecorder.install(
+        FlightRecorder("engine-test", artifacts_dir=str(tmp_path))
+    )
+    try:
+        # One program trips the step limit, the other traps.
+        for source, max_steps in ((PROGRAM, 10), (TRAPPING_PROGRAM, None)):
+            with pytest.raises(JobInputError) as excinfo:
+                engine.execute(
+                    JobRequest("minic", source, max_steps=max_steps), 30.0, "job-1"
+                )
+            assert "execution failed" in str(excinfo.value)
+    finally:
+        flightrecorder.install(previous)
+    assert not list(tmp_path.glob("*engine-crash-*"))
 
 
 def test_deadline_abandons_the_thread_and_recovers(engine):

@@ -13,11 +13,14 @@ import sys
 
 import pytest
 
+from repro.frontend.lower import compile_source
 from repro.service.routing import (
     KEY_DIGEST,
     KEY_MODULE,
     FingerprintResolver,
+    content_fingerprint,
     hrw_order,
+    module_fingerprint,
 )
 
 BACKENDS = [f"127.0.0.1:{9000 + i}" for i in range(5)]
@@ -147,7 +150,6 @@ class TestFingerprintResolver:
         assert key
 
     def test_ir_kind_resolves_module_fingerprint(self):
-        from repro.frontend.lower import compile_source
         from repro.ir.printer import print_module
 
         ir_text = print_module(compile_source(PROGRAM))
@@ -221,3 +223,47 @@ def test_module_fingerprints_ignore_the_hash_seed():
         outputs.append(proc.stdout)
     assert len(outputs[0].splitlines()) == 8
     assert outputs[0] == outputs[1]
+
+
+# -- content fingerprints: stable across compiles, and a mutation changes
+# only the mutated function's key (what keeps routing sticky) ------------
+
+INCREMENTAL_SOURCE = """
+int a = 0;
+int b = 0;
+int touch_a(int k) {
+    for (int i = 0; i < 4; i++) a += k;
+    return a;
+}
+int touch_b(int k) {
+    for (int i = 0; i < 3; i++) b += k;
+    return b;
+}
+int main() {
+    print(touch_a(2) + touch_b(3));
+    return 0;
+}
+"""
+
+#: ``touch_b`` with a different loop bound; ``touch_a`` and ``main`` are
+#: textually identical.
+INCREMENTAL_MUTATED = INCREMENTAL_SOURCE.replace("i < 3", "i < 5")
+
+
+def test_content_fingerprints_isolate_the_mutated_function():
+    original = compile_source(INCREMENTAL_SOURCE, "incremental")
+    mutated = compile_source(INCREMENTAL_MUTATED, "incremental")
+    _, fps_original = module_fingerprint(original)
+    _, fps_mutated = module_fingerprint(mutated)
+    assert fps_original["touch_b"] != fps_mutated["touch_b"]
+    assert fps_original["touch_a"] == fps_mutated["touch_a"]
+    assert fps_original["main"] == fps_mutated["main"]
+
+
+def test_content_fingerprint_is_stable_across_compiles():
+    first = compile_source(INCREMENTAL_SOURCE, "incremental")
+    second = compile_source(INCREMENTAL_SOURCE, "incremental")
+    for name in first.functions:
+        assert content_fingerprint(
+            first.functions[name]
+        ) == content_fingerprint(second.functions[name])
