@@ -16,7 +16,7 @@ in a register and only the cold path pays.
 Run:  python examples/partial_promotion.py
 """
 
-from repro.baselines.lucooper import LuCooperPipeline
+from repro.baselines import lu_cooper_promote
 from repro.frontend import compile_source
 from repro.ir import print_function
 from repro.promotion import PromotionPipeline
@@ -51,7 +51,8 @@ def main() -> None:
 
     # Lu & Cooper: "the presence of function calls precludes any
     # promotion even if these calls are executed very infrequently."
-    lc = LuCooperPipeline().run(compile_source(SOURCE))
+    # Same pipeline, Lu-Cooper's per-function promoter.
+    lc = PromotionPipeline(promoter=lu_cooper_promote).run(compile_source(SOURCE))
     print("\n== Lu-Cooper baseline on the same program ==")
     print(lc.report())
 

@@ -7,18 +7,26 @@
   migration (1992): superblock-based and profile-driven, but gives up
   when a side-effecting call sits on the hot trace.
 
-Both reuse this repository's web machinery for the mechanical parts, so
-differences in results isolate the *policy* differences the paper argues
-about (profile use, partial promotion, web granularity, interval
-recursion).
+Each is a per-function promoter with
+:func:`~repro.promotion.driver.promote_function`'s signature, run by the
+one :class:`~repro.promotion.pipeline.PromotionPipeline`::
+
+    PromotionPipeline(promoter=lu_cooper_promote).run(module)
+
+Both also reuse this repository's web machinery for the mechanical
+parts, so differences in results isolate the *policy* differences the
+paper argues about (profile use, partial promotion, web granularity,
+interval recursion).
 """
 
-from repro.baselines.lucooper import LuCooperPipeline, lu_cooper_promote
-from repro.baselines.mahlke import MahlkePipeline, mahlke_promote
+from repro.baselines.lucooper import lu_cooper_promote
+from repro.baselines.mahlke import mahlke_promote
+
+#: ``repro-minic --baseline`` name -> promoter.
+BASELINES = {"lucooper": lu_cooper_promote, "mahlke": mahlke_promote}
 
 __all__ = [
-    "LuCooperPipeline",
-    "MahlkePipeline",
+    "BASELINES",
     "lu_cooper_promote",
     "mahlke_promote",
 ]

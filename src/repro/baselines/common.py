@@ -3,35 +3,25 @@
 The baselines differ from the paper's algorithm in *policy* (which scopes
 and variables to promote), not in mechanics, so they reuse
 :class:`repro.promotion.webpromote.WebPromotion` for the transformation
-itself and a pipeline skeleton mirroring
-:class:`repro.promotion.pipeline.PromotionPipeline` for measurement.
+itself.  They run inside :class:`repro.promotion.pipeline.PromotionPipeline`
+as its ``promoter``, so preparation, profiling, cleanup, verification,
+rollback and the behaviour check are the paper pipeline's own.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Sequence
+from typing import Dict, List
 
 from repro.analysis.dominance import DominatorTree
-from repro.analysis.intervals import Interval, IntervalTree, normalize_for_promotion
+from repro.analysis.intervals import Interval
 from repro.ir.function import Function
-from repro.ir.module import Module
-from repro.ir.verify import verify_module
-from repro.memory.aliasing import AliasModel
-from repro.memory.memssa import MemorySSA, build_memory_ssa
-from repro.passes.copyprop import propagate_copies
-from repro.passes.dce import (
-    dead_code_elimination,
-    dead_memory_elimination,
-    remove_dummy_loads,
-)
-from repro.profile.interp import Interpreter
+from repro.memory.memssa import MemorySSA
+from repro.memory.resources import MemName
 from repro.profile.profiles import ProfileData
-from repro.promotion.driver import FunctionPromotionStats
-from repro.promotion.pipeline import DynamicCounts, PipelineResult, StaticCounts
+from repro.promotion.driver import FunctionPromotionStats, _promote_no_defs_web
 from repro.promotion.profitability import plan_web
 from repro.promotion.webpromote import WebPromotion
 from repro.promotion.webs import Web
-from repro.ssa.construct import construct_ssa
 
 
 def promote_web_unconditionally(
@@ -48,8 +38,6 @@ def promote_web_unconditionally(
     stats.webs_seen += 1
     entry_name = mssa.entry_names.get(web.var)
     if entry_name is None:
-        from repro.memory.resources import MemName
-
         entry_name = MemName(web.var, 0, None)
         mssa.entry_names[web.var] = entry_name
 
@@ -57,8 +45,6 @@ def promote_web_unconditionally(
         if not web.load_refs:
             stats.webs_skipped += 1
             return
-        from repro.promotion.driver import _promote_no_defs_web
-
         _promote_no_defs_web(function, web, interval, stats)
         stats.webs_promoted += 1
         return
@@ -80,73 +66,6 @@ def promote_web_unconditionally(
         promo.run_ssa_update(list(web.names))
     stats.webs_promoted += 1
     stats.absorb(promo.stats)
-
-
-class BaselinePipeline:
-    """Measurement skeleton shared by the baseline promoters: prepare,
-    profile, promote via ``promote_fn``, clean up, re-measure."""
-
-    def __init__(
-        self,
-        promote_fn: Callable[..., FunctionPromotionStats],
-        entry: str = "main",
-        args: Sequence[int] = (),
-        verify: bool = True,
-        max_steps: int = 50_000_000,
-    ) -> None:
-        self.promote_fn = promote_fn
-        self.entry = entry
-        self.args = list(args)
-        self.verify = verify
-        self.max_steps = max_steps
-
-    def run(self, module: Module) -> PipelineResult:
-        result = PipelineResult(module)
-        trees: Dict[str, IntervalTree] = {}
-        for function in module.functions.values():
-            construct_ssa(function)
-            trees[function.name] = normalize_for_promotion(function)
-        result.static_before = StaticCounts.of_module(module)
-
-        before_run = None
-        if self.entry in module.functions:
-            before_run = Interpreter(module, max_steps=self.max_steps).run(
-                self.entry, self.args
-            )
-            result.profile = ProfileData.from_execution(before_run)
-            result.dynamic_before = DynamicCounts.of_execution(before_run)
-        else:
-            from repro.profile.estimator import estimate_profile
-
-            result.profile = estimate_profile(module)
-
-        model = AliasModel.conservative(module)
-        for function in module.functions.values():
-            mssa = build_memory_ssa(function, model)
-            result.stats[function.name] = self.promote_fn(
-                function, mssa, result.profile, trees[function.name]
-            )
-
-        for function in module.functions.values():
-            remove_dummy_loads(function)
-            propagate_copies(function)
-            dead_code_elimination(function)
-            dead_memory_elimination(function)
-        if self.verify:
-            verify_module(module, check_ssa=True, check_memssa=True)
-        result.static_after = StaticCounts.of_module(module)
-
-        if before_run is not None:
-            after_run = Interpreter(module, max_steps=self.max_steps).run(
-                self.entry, self.args
-            )
-            result.dynamic_after = DynamicCounts.of_execution(after_run)
-            result.output_matches = (
-                after_run.output == before_run.output
-                and after_run.return_value == before_run.return_value
-                and after_run.globals_snapshot() == before_run.globals_snapshot()
-            )
-        return result
 
 
 def webs_by_variable(webs: List[Web]) -> Dict[str, List[Web]]:

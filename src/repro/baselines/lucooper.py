@@ -22,20 +22,16 @@ Policy differences from the paper's algorithm, all reproduced here:
 
 from __future__ import annotations
 
-from typing import Set
+from typing import Optional, Set
 
 from repro.analysis.dominance import DominatorTree
 from repro.analysis.intervals import Interval, IntervalTree
 from repro.ir.function import Function
 from repro.memory.memssa import MemorySSA
 from repro.profile.profiles import ProfileData
-from repro.promotion.driver import FunctionPromotionStats
+from repro.promotion.driver import FunctionPromotionStats, PromotionOptions
 from repro.promotion.webs import construct_ssa_webs
-from repro.baselines.common import (
-    BaselinePipeline,
-    promote_web_unconditionally,
-    webs_by_variable,
-)
+from repro.baselines.common import promote_web_unconditionally, webs_by_variable
 
 
 def lu_cooper_promote(
@@ -43,8 +39,14 @@ def lu_cooper_promote(
     mssa: MemorySSA,
     profile: ProfileData,
     interval_tree: IntervalTree,
+    options: Optional[PromotionOptions] = None,
 ) -> FunctionPromotionStats:
-    """Promote per Lu & Cooper: outermost unambiguous loop per variable."""
+    """Promote per Lu & Cooper: outermost unambiguous loop per variable.
+
+    A :class:`~repro.promotion.pipeline.PromotionPipeline` ``promoter``.
+    The policy has no tunables: ``options`` is accepted only so the
+    signature matches :func:`~repro.promotion.driver.promote_function`.
+    """
     stats = FunctionPromotionStats()
     domtree = DominatorTree.compute(function)
     for outer in interval_tree.root.children:
@@ -75,8 +77,3 @@ def _visit(
     # variables have no remaining references inside.
     for child in interval.children:
         _visit(function, mssa, child, profile, domtree, stats)
-
-
-class LuCooperPipeline(BaselinePipeline):
-    def __init__(self, **kwargs) -> None:
-        super().__init__(lu_cooper_promote, **kwargs)

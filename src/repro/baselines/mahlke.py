@@ -24,20 +24,16 @@ whole-variable granularity (no webs).
 
 from __future__ import annotations
 
-from typing import Set
+from typing import Optional, Set
 
 from repro.analysis.dominance import DominatorTree
 from repro.analysis.intervals import Interval, IntervalTree
 from repro.ir.function import Function
 from repro.memory.memssa import MemorySSA
 from repro.profile.profiles import ProfileData
-from repro.promotion.driver import FunctionPromotionStats
+from repro.promotion.driver import FunctionPromotionStats, PromotionOptions
 from repro.promotion.webs import construct_ssa_webs
-from repro.baselines.common import (
-    BaselinePipeline,
-    promote_web_unconditionally,
-    webs_by_variable,
-)
+from repro.baselines.common import promote_web_unconditionally, webs_by_variable
 
 #: A block is on the superblock (hot trace) when its frequency is at
 #: least this fraction of the loop header's.
@@ -49,8 +45,18 @@ def mahlke_promote(
     mssa: MemorySSA,
     profile: ProfileData,
     interval_tree: IntervalTree,
+    options: Optional[PromotionOptions] = None,
     hot_fraction: float = HOT_FRACTION,
 ) -> FunctionPromotionStats:
+    """Migrate variables per Mahlke: innermost loops whose hot trace has
+    no aliased reference to them.
+
+    A :class:`~repro.promotion.pipeline.PromotionPipeline` ``promoter``;
+    bind another ``hot_fraction`` with :func:`functools.partial`, which
+    stays picklable for the supervised path.  ``options`` is accepted
+    only so the signature matches
+    :func:`~repro.promotion.driver.promote_function`.
+    """
     stats = FunctionPromotionStats()
     domtree = DominatorTree.compute(function)
     for interval in interval_tree.bottom_up():
@@ -90,11 +96,3 @@ def _migrate_in_loop(
             promote_web_unconditionally(
                 function, mssa, web, interval, profile, domtree, stats
             )
-
-
-class MahlkePipeline(BaselinePipeline):
-    def __init__(self, hot_fraction: float = HOT_FRACTION, **kwargs) -> None:
-        def promote(function, mssa, profile, tree):
-            return mahlke_promote(function, mssa, profile, tree, hot_fraction)
-
-        super().__init__(promote, **kwargs)

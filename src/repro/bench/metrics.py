@@ -3,25 +3,25 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional
+from typing import Dict, List, Optional
 
 from repro.analysis.intervals import normalize_for_promotion
-from repro.baselines.lucooper import LuCooperPipeline
-from repro.baselines.mahlke import MahlkePipeline
+from repro.baselines import BASELINES
 from repro.bench.workloads import Workload
 from repro.frontend.lower import compile_source
-from repro.promotion.driver import PromotionOptions
-from repro.promotion.pipeline import PipelineResult, PromotionPipeline, improvement
+from repro.promotion.driver import PromotionOptions, promote_function
+from repro.promotion.pipeline import (
+    PipelineResult,
+    PromotionPipeline,
+    Promoter,
+    improvement,
+)
 from repro.regalloc.coloring import colors_needed
 from repro.regalloc.interference import build_interference_graph
 from repro.ssa.construct import construct_ssa
 
-#: name -> pipeline factory; "sastry-ju" is the paper's algorithm.
-PROMOTERS: Dict[str, Callable[..., object]] = {
-    "sastry-ju": PromotionPipeline,
-    "lucooper": LuCooperPipeline,
-    "mahlke": MahlkePipeline,
-}
+#: name -> per-function promoter; "sastry-ju" is the paper's algorithm.
+PROMOTERS: Dict[str, Promoter] = {"sastry-ju": promote_function, **BASELINES}
 
 
 @dataclass
@@ -90,25 +90,21 @@ def measure_workload(
 ) -> BenchmarkRow:
     """Compile a workload, run a promoter, return the counts row.
 
-    ``resilience``/``observability`` configure the paper
-    pipeline's execution layer only; the baselines have no supervised
-    path (and their counts would be identical anyway).  Passing one
-    ``observability`` bundle across
-    several workloads accumulates their traces (one ``pipeline`` root
-    span per workload) and counters.
+    Every promoter runs through the one :class:`PromotionPipeline`, so
+    ``resilience``/``observability`` configure its execution layer
+    whichever promoter it applies.  Passing one ``observability`` bundle
+    across several workloads accumulates their traces (one ``pipeline``
+    root span per workload) and counters.
     """
     module = compile_source(workload.source)
-    factory = PROMOTERS[promoter]
-    if promoter == "sastry-ju":
-        pipeline = factory(
-            options=options,
-            entry=workload.entry,
-            args=list(workload.args),
-            resilience=resilience,
-            observability=observability,
-        )
-    else:
-        pipeline = factory(entry=workload.entry, args=list(workload.args))
+    pipeline = PromotionPipeline(
+        options=options,
+        promoter=PROMOTERS[promoter],
+        entry=workload.entry,
+        args=list(workload.args),
+        resilience=resilience,
+        observability=observability,
+    )
     result: PipelineResult = pipeline.run(module)
     diags = result.diagnostics
     counters = diags.resilience or {}

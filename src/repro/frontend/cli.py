@@ -35,7 +35,7 @@ from typing import List, Optional
 from repro.frontend.errors import CompileError
 from repro.frontend.lower import compile_source
 from repro.ir.printer import print_module
-from repro.profile.interp import Interpreter, InterpreterError
+from repro.profile.interp import MAX_STEPS, Interpreter, InterpreterError
 
 
 def _error(message: str) -> int:
@@ -80,7 +80,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument(
         "--max-steps",
         type=int,
-        default=None,
+        default=MAX_STEPS,
         metavar="N",
         help="interpreter step budget for profiling and execution",
     )
@@ -159,10 +159,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         unrolled = unroll_module(module)
         print(f"unrolled {unrolled} loop(s)", file=sys.stderr)
 
-    pipeline_kwargs = dict(entry=options.entry, args=options.args)
-    if options.max_steps is not None:
-        pipeline_kwargs["max_steps"] = options.max_steps
-
     from repro.robustness.supervise import ResilienceOptions
 
     try:
@@ -194,22 +190,18 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     result = None
     pipeline = None
-    if options.baseline == "lucooper":
-        from repro.baselines.lucooper import LuCooperPipeline
-
-        result = LuCooperPipeline(**pipeline_kwargs).run(module)
-    elif options.baseline == "mahlke":
-        from repro.baselines.mahlke import MahlkePipeline
-
-        result = MahlkePipeline(**pipeline_kwargs).run(module)
-    elif options.promote:
+    if options.promote or options.baseline is not None:
+        from repro.baselines import BASELINES
         from repro.promotion.pipeline import PromotionPipeline
 
         pipeline = PromotionPipeline(
+            promoter=BASELINES.get(options.baseline),
             resilience=resilience,
             observability=observability,
             decisions=decisions,
-            **pipeline_kwargs,
+            entry=options.entry,
+            args=options.args,
+            max_steps=options.max_steps,
         )
         result = pipeline.run(module)
 
@@ -323,13 +315,16 @@ def main(argv: Optional[List[str]] = None) -> int:
         print(print_module(module), end="")
         return _exit(0)
 
-    interp_kwargs = {}
-    if options.max_steps is not None:
-        interp_kwargs["max_steps"] = options.max_steps
-    try:
-        run = Interpreter(module, **interp_kwargs).run(options.entry, options.args)
-    except InterpreterError as exc:
-        return _error(f"execution failed: {exc}")
+    # Phase 5 already ran the module as returned; run it here only when
+    # there was no such run to answer from.
+    run = result.final_run if result is not None else None
+    if run is None:
+        try:
+            run = Interpreter(module, max_steps=options.max_steps).run(
+                options.entry, options.args
+            )
+        except InterpreterError as exc:
+            return _error(f"execution failed: {exc}")
     for values in run.output:
         print(" ".join(str(v) for v in values))
     return _exit(run.return_value & 0xFF)

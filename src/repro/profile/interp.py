@@ -31,6 +31,11 @@ from repro.ir.module import Module
 from repro.ir.values import Const, Undef, Value, VReg
 
 
+#: The default step budget of every run: the interpreter's, the
+#: pipeline's, and the largest ``max_steps`` a service job may ask for.
+MAX_STEPS = 50_000_000
+
+
 class InterpreterError(RuntimeError):
     """Raised on runtime errors: unknown callee, step/recursion budget
     exhaustion, out-of-bounds array access."""
@@ -99,7 +104,7 @@ class Interpreter:
     def __init__(
         self,
         module: Module,
-        max_steps: int = 10_000_000,
+        max_steps: int = MAX_STEPS,
         max_depth: int = 200,
         externals: Optional[Dict[str, Callable[..., int]]] = None,
         compiled: bool = True,

@@ -15,6 +15,11 @@ Order of operations per function:
    observable behaviour (printed output, return value, final global
    values) is unchanged.
 
+Phase 3 applies one per-function *promoter*: :func:`promote_function`
+(the paper's algorithm) by default, or a baseline from
+:mod:`repro.baselines`.  Everything else is shared, so the baselines
+differ from the paper's algorithm in policy alone.
+
 Every per-function transformation (phases 1, 3, and 4) is a
 *transaction*: the function's IR is snapshotted first, and any exception
 or verification failure restores the snapshot, records a structured
@@ -56,6 +61,7 @@ from repro.passes.dce import (
 )
 from repro.profile.estimator import estimate_profile
 from repro.profile.interp import (
+    MAX_STEPS,
     ExecutionResult,
     Interpreter,
     InterpreterError,
@@ -130,6 +136,11 @@ class PipelineResult:
         self.dynamic_after = DynamicCounts()
         self.stats: Dict[str, FunctionPromotionStats] = {}
         self.output_matches = True
+        #: Phase 5's last completed run of the module as returned (after
+        #: any bisection rollback), or ``None`` when phase 5 did not run
+        #: or its last run raised.  Drivers answer from it instead of
+        #: running the module again.
+        self.final_run: Optional[ExecutionResult] = None
         self.profile: Optional[ProfileData] = None
         #: Per-function outcomes, warnings, and the bisection report.
         self.diagnostics = PipelineDiagnostics()
@@ -177,17 +188,23 @@ def _behaviour_matches(before: ExecutionResult, after: ExecutionResult) -> bool:
     )
 
 
+#: A per-function promoter: ``(function, mssa, profile, interval_tree,
+#: options) -> FunctionPromotionStats``, with :func:`promote_function`'s
+#: signature.
+Promoter = Callable[..., FunctionPromotionStats]
+
+
 def promote_transaction(
     function,
     model: AliasModel,
     profile: Optional[ProfileData],
     tree: IntervalTree,
+    promoter: Promoter,
     options: PromotionOptions,
-    verify: bool,
     tracer,
 ):
     """Phases 3+4 on one function as one transaction: snapshot, memory
-    SSA, promotion, cleanup, verification — rolled back on any failure.
+    SSA, ``promoter``, cleanup, verification — rolled back on any failure.
 
     Returns ``(snapshot, stats, stage, error)``: ``error`` is ``None``
     when the transformation stands, and otherwise the exception raised
@@ -203,7 +220,7 @@ def promote_transaction(
                 mssa = build_memory_ssa(function, model)
             stage = "promote"
             with tracer.span("stage:promote", category="promote"):
-                stats = promote_function(function, mssa, profile, tree, options)
+                stats = promoter(function, mssa, profile, tree, options)
             stage = "cleanup"
             with tracer.span("stage:cleanup", category="promote"):
                 remove_dummy_loads(function)
@@ -212,8 +229,7 @@ def promote_transaction(
                 dead_memory_elimination(function)
             stage = "verify"
             with tracer.span("stage:verify", category="promote"):
-                if verify:
-                    verify_function(function, check_ssa=True, check_memssa=True)
+                verify_function(function, check_ssa=True, check_memssa=True)
         except Exception as exc:
             snap.restore()
             fn_span.set("status", "rolled_back").set("stage", stage)
@@ -252,18 +268,18 @@ class _WorkerPromoter:
         self,
         module: Module,
         profile: ProfileData,
+        promoter: Promoter,
         options: PromotionOptions,
         alias_model_factory: Callable[[Module], AliasModel],
-        verify: bool,
         observe: bool,
         journal: bool,
         trace_id: Optional[str],
     ) -> None:
         self.module_data = pickle.dumps(module, protocol=pickle.HIGHEST_PROTOCOL)
         self.block_counts = _block_counts(profile, module)
+        self.promoter = promoter
         self.options = options
         self.alias_model_factory = alias_model_factory
-        self.verify = verify
         self.observe = observe
         self.journal = journal
         self.trace_id = trace_id
@@ -293,8 +309,8 @@ class _WorkerPromoter:
                 self.model,
                 profile,
                 IntervalTree.compute(function),
+                self.promoter,
                 self.options,
-                self.verify,
                 obs.tracer,
             )
         duration_ms = (time.perf_counter() - started) * 1e3
@@ -324,13 +340,17 @@ class _WorkerPromoter:
 
 
 class PromotionPipeline:
-    """The user-facing transactional pass manager around
-    :func:`promote_function`.
+    """The user-facing transactional pass manager around one
+    per-function promoter.
 
-    Every function is snapshotted before it is transformed; failures
-    roll the function back instead of aborting the run, and a phase-5
-    behaviour divergence triggers bisection over the transformed
-    functions.
+    ``promoter`` defaults to :func:`promote_function`, the paper's
+    algorithm; the baselines pass theirs (``lu_cooper_promote``,
+    ``mahlke_promote``, or a :func:`functools.partial` of one).  It must
+    be picklable (a module-level function or a partial of one) for the
+    supervised path.  Every function is snapshotted before it is
+    transformed; failures roll the function back instead of aborting
+    the run, and a phase-5 behaviour divergence triggers bisection over
+    the transformed functions.
 
     ``resilience`` (a :class:`~repro.robustness.ResilienceOptions`) runs
     phases 3+4 in one supervised worker process
@@ -347,25 +367,25 @@ class PromotionPipeline:
     def __init__(
         self,
         options: Optional[PromotionOptions] = None,
+        promoter: Optional[Promoter] = None,
         alias_model: Optional[Callable[[Module], AliasModel]] = None,
         entry: str = "main",
         args: Sequence[int] = (),
         use_interpreter_profile: bool = True,
-        run_mem2reg: bool = True,
-        verify: bool = True,
-        max_steps: int = 50_000_000,
+        max_steps: int = MAX_STEPS,
         compiled_interpreter: bool = True,
         resilience: Optional[ResilienceOptions] = None,
         observability: Optional[Observability] = None,
         decisions: Optional[DecisionJournal] = None,
     ) -> None:
+        # Looked up when the pipeline is built, so a wrapper installed on
+        # this module's ``promote_function`` sees every call.
+        self.promoter = promoter or promote_function
         self.options = options or PromotionOptions()
         self.alias_model_factory = alias_model or AliasModel.conservative
         self.entry = entry
         self.args = list(args)
         self.use_interpreter_profile = use_interpreter_profile
-        self.run_mem2reg = run_mem2reg
-        self.verify = verify
         self.max_steps = max_steps
         #: False pins phases 2 and 5 to the interpreter's classic
         #: dispatch loop — the timing harness's baseline arm.
@@ -466,11 +486,9 @@ class PromotionPipeline:
                     "prepare:" + function.name, category="prepare"
                 ) as prep_span:
                     try:
-                        if self.run_mem2reg:
-                            construct_ssa(function)
+                        construct_ssa(function)
                         trees[function.name] = normalize_for_promotion(function)
-                        if self.verify:
-                            verify_function(function, check_ssa=True)
+                        verify_function(function, check_ssa=True)
                     except Exception as exc:
                         pre.restore()
                         trees.pop(function.name, None)
@@ -565,8 +583,8 @@ class PromotionPipeline:
                 model,
                 result.profile,
                 trees[name],
+                self.promoter,
                 self.options,
-                self.verify,
                 self.observability.tracer,
             )
             duration_ms = (time.perf_counter() - started) * 1e3
@@ -601,9 +619,9 @@ class PromotionPipeline:
             promoter = _WorkerPromoter(
                 module,
                 result.profile,
+                self.promoter,
                 self.options,
                 self.alias_model_factory,
-                self.verify,
                 observe=obs.enabled,
                 journal=self.decisions is not None,
                 trace_id=obs.tracer.trace_id,
@@ -720,6 +738,7 @@ class PromotionPipeline:
     ) -> None:
         diags = result.diagnostics
         after_run, error = self._execute(module)
+        result.final_run = after_run
         if after_run is not None and _behaviour_matches(before_run, after_run):
             result.dynamic_after = DynamicCounts.of_execution(after_run)
             result.output_matches = True
@@ -773,7 +792,8 @@ class PromotionPipeline:
                 reason="behaviour divergence isolated by bisection",
             )
 
-        final_run, final_error = self._execute(module)
+        final_run, _ = self._execute(module)
+        result.final_run = final_run
         result.output_matches = final_run is not None and _behaviour_matches(
             before_run, final_run
         )

@@ -48,7 +48,7 @@ from repro.frontend.lower import compile_source
 from repro.ir.module import Module
 from repro.ir.parser import IRParseError, parse_module
 from repro.ir.printer import print_module
-from repro.profile.interp import Interpreter, InterpreterError
+from repro.profile.interp import MAX_STEPS, Interpreter, InterpreterError
 from repro.promotion.pipeline import PromotionPipeline
 from repro.robustness.supervise import ResilienceOptions
 from repro.service.errors import DeadlineExceededError, JobInputError, ServiceError
@@ -207,25 +207,23 @@ class PromotionEngine:
         observability=None,
     ) -> JobResult:
         module = self._build_module(job)
-        pipeline_kwargs: Dict[str, object] = dict(
+        max_steps = job.max_steps or MAX_STEPS
+        result = PromotionPipeline(
             entry=job.entry,
             args=job.args,
+            max_steps=max_steps,
             resilience=self._resilience_for(job, deadline_s),
-        )
-        if observability is not None:
-            pipeline_kwargs["observability"] = observability
-        if job.max_steps is not None:
-            pipeline_kwargs["max_steps"] = job.max_steps
-        pipeline = PromotionPipeline(**pipeline_kwargs)
-        result = pipeline.run(module)
+            observability=observability,
+        ).run(module)
 
-        interp_kwargs: Dict[str, object] = {}
-        if job.max_steps is not None:
-            interp_kwargs["max_steps"] = job.max_steps
-        try:
-            run = Interpreter(module, **interp_kwargs).run(job.entry, job.args)
-        except InterpreterError as exc:
-            raise JobInputError(f"execution failed: {exc}") from None
+        # Phase 5 already ran the module as returned; run it here only
+        # when there was no such run to answer from.
+        run = result.final_run
+        if run is None:
+            try:
+                run = Interpreter(module, max_steps=max_steps).run(job.entry, job.args)
+            except InterpreterError as exc:
+                raise JobInputError(f"execution failed: {exc}") from None
 
         diags = result.diagnostics
         return JobResult(

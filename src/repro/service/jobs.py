@@ -22,6 +22,7 @@ from __future__ import annotations
 from typing import Any, Dict, List, Optional
 
 from repro.observability import TraceContext
+from repro.profile.interp import MAX_STEPS
 from repro.robustness.faults import ChaosConfig
 from repro.service.errors import JobValidationError
 
@@ -201,8 +202,8 @@ class JobRequest:
                 "job option 'max_steps' must be an integer",
             )
             _require(
-                1 <= max_steps <= 50_000_000,
-                "job option 'max_steps' must be in 1..50000000",
+                1 <= max_steps <= MAX_STEPS,
+                f"job option 'max_steps' must be in 1..{MAX_STEPS}",
             )
 
         return cls(

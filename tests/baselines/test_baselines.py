@@ -1,8 +1,7 @@
 """Behavioural tests for the Lu-Cooper and Mahlke baselines, plus the
 qualitative comparisons the paper's related-work section claims."""
 
-from repro.baselines.lucooper import LuCooperPipeline
-from repro.baselines.mahlke import MahlkePipeline
+from repro.baselines import lu_cooper_promote, mahlke_promote
 from repro.ir.parser import parse_module
 from repro.promotion.pipeline import PromotionPipeline
 
@@ -104,7 +103,7 @@ entry:
 
 def test_lucooper_promotes_clean_loop():
     module = parse_module(CLEAN_LOOP)
-    result = LuCooperPipeline().run(module)
+    result = PromotionPipeline(promoter=lu_cooper_promote).run(module)
     assert result.output_matches
     # 120 in-loop ops collapse to a preheader load and tail store.
     assert result.dynamic_after.total <= 4
@@ -113,7 +112,7 @@ def test_lucooper_promotes_clean_loop():
 
 def test_lucooper_rejects_loop_with_call():
     module = parse_module(COLD_CALL_LOOP)
-    result = LuCooperPipeline().run(module)
+    result = PromotionPipeline(promoter=lu_cooper_promote).run(module)
     assert result.output_matches
     # "the presence of function calls precludes any promotion even if
     # these calls are executed very infrequently."
@@ -122,7 +121,7 @@ def test_lucooper_rejects_loop_with_call():
 
 def test_lucooper_promotes_inner_when_outer_ambiguous():
     module = parse_module(NESTED_AMBIGUOUS_OUTER)
-    result = LuCooperPipeline().run(module)
+    result = PromotionPipeline(promoter=lu_cooper_promote).run(module)
     assert result.output_matches
     # Outer loop has a call: rejected; inner clean loop still promotes.
     assert result.dynamic_after.total < result.dynamic_before.total / 5
@@ -130,7 +129,7 @@ def test_lucooper_promotes_inner_when_outer_ambiguous():
 
 def test_mahlke_promotes_when_call_is_cold():
     module = parse_module(COLD_CALL_LOOP)
-    result = MahlkePipeline().run(module)
+    result = PromotionPipeline(promoter=mahlke_promote).run(module)
     assert result.output_matches
     # The call is off-trace (4 of 100 iterations): migration applies.
     assert result.dynamic_after.total < result.dynamic_before.total
@@ -140,7 +139,7 @@ def test_mahlke_rejects_hot_call():
     module = parse_module(
         COLD_CALL_LOOP.replace("%cc = lt %t2, 5", "%cc = lt %t2, 1000")
     )
-    result = MahlkePipeline().run(module)
+    result = PromotionPipeline(promoter=mahlke_promote).run(module)
     assert result.output_matches
     # Call now on every iteration: on-trace, so no migration.
     assert result.dynamic_after.total == result.dynamic_before.total
@@ -148,14 +147,18 @@ def test_mahlke_rejects_hot_call():
 
 def test_paper_algorithm_dominates_lucooper_on_cold_calls():
     ours = PromotionPipeline().run(parse_module(COLD_CALL_LOOP))
-    theirs = LuCooperPipeline().run(parse_module(COLD_CALL_LOOP))
+    theirs = PromotionPipeline(promoter=lu_cooper_promote).run(
+        parse_module(COLD_CALL_LOOP)
+    )
     assert ours.output_matches and theirs.output_matches
     assert ours.dynamic_after.total < theirs.dynamic_after.total
 
 
 def test_paper_algorithm_matches_lucooper_on_clean_loops():
     ours = PromotionPipeline().run(parse_module(CLEAN_LOOP))
-    theirs = LuCooperPipeline().run(parse_module(CLEAN_LOOP))
+    theirs = PromotionPipeline(promoter=lu_cooper_promote).run(
+        parse_module(CLEAN_LOOP)
+    )
     assert ours.dynamic_after.total <= theirs.dynamic_after.total
 
 
@@ -164,6 +167,8 @@ def test_mahlke_misses_outer_loop_opportunity():
     # recursion hoists the inner loop's boundary ops out of the outer
     # loop as well.
     ours = PromotionPipeline().run(parse_module(NESTED_AMBIGUOUS_OUTER))
-    theirs = MahlkePipeline().run(parse_module(NESTED_AMBIGUOUS_OUTER))
+    theirs = PromotionPipeline(promoter=mahlke_promote).run(
+        parse_module(NESTED_AMBIGUOUS_OUTER)
+    )
     assert ours.output_matches and theirs.output_matches
     assert ours.dynamic_after.total <= theirs.dynamic_after.total

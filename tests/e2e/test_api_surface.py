@@ -19,7 +19,7 @@ def test_api_imports():
         construct_ssa_webs,
         promote_function,
     )
-    from repro.baselines import LuCooperPipeline, MahlkePipeline
+    from repro.baselines import BASELINES, lu_cooper_promote, mahlke_promote
     from repro.robustness import (
         BisectionReport,
         FaultInjector,

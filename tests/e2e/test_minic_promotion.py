@@ -1,7 +1,7 @@
 """End-to-end: mini-C source → lowering → promotion → identical behaviour
 with fewer dynamic memory operations."""
 
-from repro.baselines.lucooper import LuCooperPipeline
+from repro.baselines import lu_cooper_promote
 from repro.frontend.lower import compile_source
 from repro.profile.interp import run_module
 from repro.promotion.pipeline import PromotionPipeline
@@ -102,6 +102,6 @@ def test_struct_fields_promoted_in_callee():
 
 def test_promotion_beats_lucooper_on_cold_call():
     ours = PromotionPipeline().run(compile_source(COLD_CALL))
-    lc = LuCooperPipeline().run(compile_source(COLD_CALL))
+    lc = PromotionPipeline(promoter=lu_cooper_promote).run(compile_source(COLD_CALL))
     assert ours.output_matches and lc.output_matches
     assert ours.dynamic_after.total < lc.dynamic_after.total

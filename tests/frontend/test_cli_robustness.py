@@ -83,6 +83,32 @@ def test_trapping_program_with_promote_exits_2(tmp_path, capsys):
     assert captured.err.count("\n") == 1  # one line, no traceback
 
 
+#: Just over 10M interpreter steps both unpromoted and promoted (12 and
+#: 6 steps per iteration): over the old default budget of the final
+#: run, well under the one budget every run now shares.
+LONG_LOOP_TRIPS = 1_700_000
+LONG_LOOP = f"""
+int total = 0;
+int main() {{
+    for (int i = 0; i < {LONG_LOOP_TRIPS}; i++) total += i;
+    print(total);
+    return total % 7;
+}}
+"""
+
+
+@pytest.mark.parametrize("flags", [[], ["--promote"]], ids=["plain", "promote"])
+def test_loop_over_ten_million_steps_runs_to_completion(tmp_path, capsys, flags):
+    path = tmp_path / "long.c"
+    path.write_text(LONG_LOOP)
+    code = main([str(path), *flags])
+    captured = capsys.readouterr()
+    total = sum(range(LONG_LOOP_TRIPS))
+    assert captured.err == ""
+    assert captured.out == f"{total}\n"
+    assert code == total % 7
+
+
 def test_max_steps_generous_budget_runs_normally(source_file, capsys):
     code = main([source_file, "--max-steps", "100000"])
     assert capsys.readouterr().out == "45\n"

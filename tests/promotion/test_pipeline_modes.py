@@ -1,6 +1,6 @@
 """Pipeline configuration paths not covered elsewhere: the static
-estimator profile, modules without an entry point, mem2reg opt-out, and
-no-verify mode."""
+estimator profile, modules without an entry point, and entry
+arguments."""
 
 
 from repro.frontend.lower import compile_source
@@ -61,29 +61,6 @@ def test_module_without_entry_uses_estimator():
     assert result.static_after.total >= 0
     baseline = run_module(module, entry="lib")
     assert baseline.return_value == 0
-
-
-def test_mem2reg_opt_out_keeps_locals_in_memory():
-    source = """
-    int main() {
-        int acc = 0;
-        for (int i = 0; i < 8; i++) acc += i;
-        return acc;
-    }
-    """
-    module = compile_source(source)
-    result = PromotionPipeline(run_mem2reg=False).run(module)
-    assert result.output_matches
-    # Promotion itself must then carry the locals: acc/i were memory
-    # variables and the loop still loses its per-iteration traffic.
-    assert result.dynamic_after.total < result.dynamic_before.total
-    assert run_module(module).return_value == 28
-
-
-def test_verify_disabled_still_correct():
-    module = compile_source(SRC)
-    result = PromotionPipeline(verify=False).run(module)
-    assert result.output_matches
 
 
 def test_entry_args_forwarded():

@@ -9,8 +9,7 @@ algorithm and both baselines, with every option combination.
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from repro.baselines.lucooper import LuCooperPipeline
-from repro.baselines.mahlke import MahlkePipeline
+from repro.baselines import lu_cooper_promote, mahlke_promote
 from repro.frontend.lower import compile_source
 from repro.profile.interp import run_module
 from repro.promotion.driver import PromotionOptions
@@ -81,13 +80,13 @@ def test_whole_variable_mode_preserves_semantics(seed):
 @SETTINGS
 @given(st.integers(0, 10**9))
 def test_lucooper_preserves_semantics(seed):
-    check_promoter(seed, LuCooperPipeline)
+    check_promoter(seed, lambda: PromotionPipeline(promoter=lu_cooper_promote))
 
 
 @SETTINGS
 @given(st.integers(0, 10**9))
 def test_mahlke_preserves_semantics(seed):
-    check_promoter(seed, MahlkePipeline)
+    check_promoter(seed, lambda: PromotionPipeline(promoter=mahlke_promote))
 
 
 @SETTINGS

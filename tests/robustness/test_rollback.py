@@ -8,7 +8,7 @@ from repro.memory.aliasing import AliasModel
 from repro.observability import NULL_OBSERVABILITY
 from repro.profile.estimator import estimate_profile
 from repro.profile.interp import run_module
-from repro.promotion.driver import PromotionOptions
+from repro.promotion.driver import PromotionOptions, promote_function
 from repro.promotion.pipeline import PromotionPipeline, promote_transaction
 from repro.ssa.construct import construct_ssa
 from repro.robustness import FaultInjector
@@ -166,8 +166,8 @@ def test_promotion_error_names_web_and_interval(monkeypatch):
         AliasModel.conservative(module),
         estimate_profile(module),
         tree,
+        promote_function,
         PromotionOptions(),
-        True,
         NULL_OBSERVABILITY.tracer,
     )
     assert stats is None and stage == "promote"

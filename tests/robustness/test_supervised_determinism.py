@@ -9,10 +9,12 @@ bookkeeping (``resilience``, ``attempt_histories`` and the per-function
 ``attempts`` count), which are not outputs.
 """
 
+import functools
 import json
 
 import pytest
 
+from repro.baselines import lu_cooper_promote, mahlke_promote
 from repro.bench.workloads import ORDER, WORKLOADS
 from repro.frontend.lower import compile_source
 from repro.ir.printer import print_module
@@ -20,10 +22,11 @@ from repro.promotion.pipeline import PromotionPipeline
 from repro.robustness import ResilienceOptions
 
 
-def _run(name, resilience=None):
+def _run(name, resilience=None, promoter=None):
     workload = WORKLOADS[name]
     module = compile_source(workload.source, name)
     pipeline = PromotionPipeline(
+        promoter=promoter,
         entry=workload.entry,
         args=list(workload.args),
         resilience=resilience,
@@ -57,12 +60,26 @@ def _run(name, resilience=None):
 
 
 @pytest.mark.parametrize("name", ORDER)
-def test_supervised_matches_in_process(name):
-    in_process = _run(name)
-    supervised = _run(name, resilience=ResilienceOptions())
+def test_supervised_matches_in_process(name, promoter=None):
+    in_process = _run(name, promoter=promoter)
+    supervised = _run(name, resilience=ResilienceOptions(), promoter=promoter)
     assert supervised["ir"] == in_process["ir"]
     assert supervised["static"] == in_process["static"]
     assert supervised["dynamic"] == in_process["dynamic"]
     assert supervised["stats"] == in_process["stats"]
     assert supervised["output_matches"] is True
     assert supervised["diagnostics_json"] == in_process["diagnostics_json"]
+
+
+@pytest.mark.parametrize(
+    "promoter",
+    [
+        lu_cooper_promote,
+        # A bound policy knob travels to the worker with the promoter.
+        functools.partial(mahlke_promote, hot_fraction=0.3),
+    ],
+    ids=["lucooper", "mahlke-0.3"],
+)
+@pytest.mark.parametrize("name", ORDER)
+def test_supervised_baseline_matches_in_process(name, promoter):
+    test_supervised_matches_in_process(name, promoter)

@@ -188,6 +188,25 @@ def test_runtime_error_in_submitted_program_is_a_client_fault(engine, tmp_path):
     assert not list(tmp_path.glob("*engine-crash-*"))
 
 
+def test_loop_over_ten_million_steps_returns_a_result(engine):
+    # Just over 10M steps after promotion: the answer is phase 5's run,
+    # under the pipeline's step budget, not a third run under a smaller one.
+    trips = 1_700_000
+    source = (
+        "int total = 0;\n"
+        "int main() {\n"
+        f"    for (int i = 0; i < {trips}; i++) total += i;\n"
+        "    print(total);\n"
+        "    return total % 7;\n"
+        "}\n"
+    )
+    result = engine.execute(JobRequest("minic", source), 60.0, "job-1")
+    total = sum(range(trips))
+    assert result.output == [str(total)]
+    assert result.return_value == total % 7
+    assert result.output_matches
+
+
 def test_deadline_abandons_the_thread_and_recovers(engine):
     job = JobRequest("minic", BUSY_PROGRAM, max_steps=5_000_000)
 

@@ -158,7 +158,7 @@ def test_unroll_then_promote_composes():
     baseline = observe(compile_source(src))
     module = compile_source(src)
     assert unroll_module(module) >= 1
-    result = PromotionPipeline(run_mem2reg=True).run(module)
+    result = PromotionPipeline().run(module)
     assert result.output_matches
     assert observe(module) == baseline
     # Promotion still removes the hot loop's traffic after unrolling.
