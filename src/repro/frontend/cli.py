@@ -5,7 +5,6 @@ Usage::
     repro-minic program.c                 # compile + run
     repro-minic program.c --promote       # run the register promotion pass
     repro-minic program.c --emit-ir       # dump IR instead of running
-    repro-minic program.c --fingerprint   # print the sticky routing key
     repro-minic program.c --baseline lucooper
     repro-minic program.c --args 3 4
     repro-minic program.c --promote --diagnostics out.json --strict
@@ -64,12 +63,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     )
     parser.add_argument(
         "--emit-ir", action="store_true", help="print IR instead of executing"
-    )
-    parser.add_argument(
-        "--fingerprint",
-        action="store_true",
-        help="print the module fingerprint (the sharded service tier's "
-        "sticky routing key; see docs/SERVICE.md) and exit",
     )
     parser.add_argument(
         "--emit-dot", action="store_true", help="print a Graphviz CFG dump"
@@ -144,14 +137,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         module = compile_source(source)
     except CompileError as exc:
         return _error(f"{options.source}: {exc}")
-
-    if options.fingerprint:
-        # The same key repro-route computes: the fingerprint of the
-        # freshly compiled module, before any transformation.
-        from repro.service.routing import module_fingerprint
-
-        print(module_fingerprint(module)[0])
-        return 0
 
     if options.unroll:
         from repro.passes.unroll import unroll_module

@@ -34,8 +34,8 @@ _LAZY_EXPORTS = {
     "ServiceProcess": "repro.service.cluster",
     "PromotionRouter": "repro.service.router",
     "RouterConfig": "repro.service.router",
-    "FingerprintResolver": "repro.service.routing",
     "hrw_order": "repro.service.routing",
+    "routing_key": "repro.service.routing",
 }
 
 
@@ -62,7 +62,6 @@ __all__ = [
     "ClusterConfig",
     "DeadlineExceededError",
     "EngineCrashError",
-    "FingerprintResolver",
     "JobInputError",
     "JobRequest",
     "JobResult",
@@ -81,5 +80,6 @@ __all__ = [
     "ServiceProcess",
     "ServiceUnavailableError",
     "hrw_order",
+    "routing_key",
     "run_daemon",
 ]

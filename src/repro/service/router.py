@@ -1,4 +1,4 @@
-"""The front tier: a fingerprint-sticky router over many daemons.
+"""The front tier: a source-sticky router over many daemons.
 
 ``repro-route`` scales the service horizontally: it fans out to N
 backend ``repro-serve`` instances and speaks their HTTP/1.1 job
@@ -6,15 +6,16 @@ protocol by construction — both fronts are users of
 :class:`~repro.service.http.HttpFront`, so head and target parsing,
 body limits, introspection routes and drain triggers are one code path.
 Each daemon owns a result cache whose value comes entirely from seeing
-the same programs again — so the router keys placement on the **module
-fingerprint** of the submitted source
-(:mod:`repro.service.routing`) and the same program always lands on the
-same shard while it is healthy.
+the same programs again — so the router keys placement on a **digest of
+the submitted kind and source** (:func:`~repro.service.routing.routing_key`)
+and the same program always lands on the same shard while it is
+healthy.  The key is one hash computed inline: the router never
+compiles or parses what it relays.
 
 Moving parts:
 
 * **Sticky routing with deterministic failover** —
-  :func:`~repro.service.routing.hrw_order` turns (fingerprint, backend
+  :func:`~repro.service.routing.hrw_order` turns (routing key, backend
   ids) into a total order; element 0 is the home shard, the tail is the
   failover sequence every router instance agrees on without
   coordination.
@@ -87,7 +88,7 @@ from repro.service.http import (
     read_response_head,
     send_request,
 )
-from repro.service.routing import KEY_MODULE, FingerprintResolver, hrw_order
+from repro.service.routing import hrw_order, routing_key
 
 #: Bound on each health probe and backend ``/metrics`` scrape.
 PROBE_TIMEOUT_S = 2.0
@@ -354,7 +355,6 @@ class PromotionRouter(HttpFront):
             self.backends[state.id] = state
         self.backend_ids = list(self.backends)
         self.tracker = HealthTracker(self.backends, down_after=config.down_after)
-        self.resolver = FingerprintResolver()
         self.metrics = MetricsRegistry()
 
     # -- lifecycle -------------------------------------------------------
@@ -386,11 +386,11 @@ class PromotionRouter(HttpFront):
 
     # -- routing ---------------------------------------------------------
 
-    def plan(self, payload: object) -> Tuple[str, str, List[str]]:
-        """(key, key_kind, HRW backend order) for a decoded payload —
-        the pure routing decision, exposed for ``--print-plan``."""
-        key, key_kind = self.resolver.resolve(payload)
-        return key, key_kind, hrw_order(key, self.backend_ids)
+    def plan(self, payload: object) -> Tuple[str, List[str]]:
+        """(routing key, HRW backend order) for a decoded payload — the
+        pure routing decision."""
+        key = routing_key(payload)
+        return key, hrw_order(key, self.backend_ids)
 
     def _routable_reason(self, state: BackendState) -> Optional[str]:
         """None when the backend may receive a new job, else the skip
@@ -420,11 +420,7 @@ class PromotionRouter(HttpFront):
         # buffered envelope, so failover can never split a job across
         # two half-delivered requests.
         assert body is not None
-        payload = _json_or_none(body)
-        loop = asyncio.get_event_loop()
-        key, key_kind, order = await loop.run_in_executor(
-            None, self.plan, payload
-        )
+        key, order = self.plan(_json_or_none(body))
         # The router's hop in the trace: each backend leg is a child of
         # this span id, so the daemon's ``daemon:job`` span hangs off it.
         hop = trace.child()
@@ -432,17 +428,12 @@ class PromotionRouter(HttpFront):
             "router.job",
             trace_id=trace.trace_id,
             key=key,
-            key_kind=key_kind,
             home=order[0],
             stream=stream,
         )
         self.metrics.inc("router.jobs_total")
         if stream:
             self.metrics.inc("router.jobs.stream")
-        if key_kind == KEY_MODULE:
-            self.metrics.inc("router.fingerprint.modules")
-        else:
-            self.metrics.inc("router.fingerprint.fallbacks")
 
         attempts = 0
         last_error: Optional[Tuple[int, Dict[str, object]]] = None
@@ -637,9 +628,6 @@ class PromotionRouter(HttpFront):
         return hits / routed
 
     def metrics_doc(self) -> Dict[str, object]:
-        fingerprint = self.resolver.counters()
-        self.metrics.set("router.fingerprint.cache_hits", fingerprint["cache_hits"])
-        self.metrics.set("router.fingerprint.compiled", fingerprint["compiled"])
         self.metrics.set("router.backends.healthy", self.tracker.counts()[HEALTHY])
         self.metrics.set("router.backends.draining", self.tracker.counts()[DRAINING])
         self.metrics.set("router.backends.down", self.tracker.counts()[DOWN])
@@ -761,7 +749,7 @@ def _json_or_none(body: bytes) -> object:
 
 
 def _print_plan(options, backends: Sequence[Tuple[str, int]]) -> int:
-    """Operator triage: fingerprint + chosen backend, no dispatch."""
+    """Operator triage: routing key + chosen backend, no dispatch."""
     try:
         with open(options.print_plan) as handle:
             source = handle.read()
@@ -772,20 +760,12 @@ def _print_plan(options, backends: Sequence[Tuple[str, int]]) -> int:
             file=sys.stderr,
         )
         return 2
-    resolver = FingerprintResolver()
-    key, key_kind = resolver.resolve({"kind": options.kind, "source": source})
-    ids = [f"{h}:{p}" for h, p in backends]
-    order = hrw_order(key, ids)
-    print(f"fingerprint {key} ({key_kind})")
+    key = routing_key({"kind": options.kind, "source": source})
+    order = hrw_order(key, [f"{h}:{p}" for h, p in backends])
+    print(f"key {key}")
     print(f"backend {order[0]}")
     if len(order) > 1:
         print("failover " + " -> ".join(order[1:]))
-    if key_kind != KEY_MODULE:
-        print(
-            "repro-route: note: source did not compile; routed by "
-            "content digest (the backend will reject it with a 4xx)",
-            file=sys.stderr,
-        )
     return 0
 
 
@@ -796,7 +776,7 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     parser = argparse.ArgumentParser(
         prog="repro-route",
-        description="fingerprint-sticky front-tier router over repro-serve backends",
+        description="source-sticky front-tier router over repro-serve backends",
     )
     parser.add_argument("--host", default="127.0.0.1")
     parser.add_argument(

@@ -77,7 +77,6 @@ def test_api_imports():
     from repro.bench.tables import format_table1, format_table2, format_table3
     from repro.service import (
         ClusterConfig,
-        FingerprintResolver,
         LocalCluster,
         PromotionDaemon,
         PromotionRouter,
@@ -86,6 +85,7 @@ def test_api_imports():
         ServiceConfig,
         ServiceProcess,
         hrw_order,
+        routing_key,
         run_daemon,
     )
 

@@ -35,19 +35,6 @@ def test_emit_ir(source_file, capsys):
     assert "global @total" in out
 
 
-def test_fingerprint_prints_the_routing_key(source_file, capsys):
-    code = main([source_file, "--fingerprint"])
-    out = capsys.readouterr().out
-    assert code == 0
-    from repro.service.routing import FingerprintResolver
-
-    key, kind = FingerprintResolver().resolve(
-        {"kind": "minic", "source": PROGRAM}
-    )
-    assert kind == "module"
-    assert out == key + "\n"
-
-
 def test_promote_and_stats(source_file, capsys):
     code = main([source_file, "--promote", "--stats"])
     captured = capsys.readouterr()

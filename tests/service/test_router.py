@@ -25,6 +25,7 @@ from repro.service.router import (
     RouterConfig,
 )
 from repro.service.router import main as router_main
+from repro.service.routing import routing_key
 from repro.service.smoke import fresh_serial_run
 
 PROGRAM = """
@@ -132,7 +133,7 @@ def homed_source(router, target_id):
     enumeration, deterministic because the hash is pure."""
     for i in range(200):
         source = f"int main() {{ print({i}); return {i % 7}; }}"
-        _, _, order = router.plan(payload_for(source))
+        _, order = router.plan(payload_for(source))
         if order[0] == target_id:
             return source
     raise AssertionError(f"no candidate homed at {target_id}")
@@ -171,7 +172,7 @@ def test_byte_identity_and_stickiness_through_router():
             backends = [(host, port) for _, host, port in daemons]
             async with running_router(backends) as (router, client):
                 payload = payload_for()
-                _, _, order = router.plan(payload)
+                _, order = router.plan(payload)
 
                 first = await client.submit(payload)
                 assert first.status == 200
@@ -198,7 +199,7 @@ def test_failover_when_home_daemon_leaves():
             backends = [(host, port) for _, host, port in daemons]
             async with running_router(backends) as (router, client):
                 payload = payload_for()
-                _, _, order = router.plan(payload)
+                _, order = router.plan(payload)
                 home = next(
                     d for d, host, port in daemons if f"{host}:{port}" == order[0]
                 )
@@ -337,7 +338,6 @@ def test_garbage_payload_routes_by_digest_and_relays_4xx():
                 )
                 assert 400 <= response.status < 500
                 assert "x-repro-backend" in response.headers
-                assert counter(router, "router.fingerprint.fallbacks") == 1
 
     asyncio.run(body())
 
@@ -476,8 +476,7 @@ def test_print_plan_reports_fingerprint_and_backend(tmp_path, capsys):
     assert rc == 0
     out = capsys.readouterr().out
     lines = out.strip().splitlines()
-    assert lines[0].startswith("fingerprint ")
-    assert "(module)" in lines[0]
+    assert lines[0] == "key " + routing_key({"kind": "minic", "source": PROGRAM})
     assert lines[1].startswith("backend 127.0.0.1:")
     assert lines[2].startswith("failover ")
     assert len(lines[2].split(" -> ")) == 2

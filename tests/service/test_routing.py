@@ -1,27 +1,27 @@
 """Unit tests for the pure routing layer: rendezvous hashing and the
-fingerprint resolver.
+routing key.
 
 Everything here is deterministic and IO-free, so the properties the
 sharded tier leans on — restart-stable placement, minimal
-redistribution, digest fallback for hostile payloads — are pinned
-exhaustively.
+redistribution, one key for every job pair that can share a result-cache
+entry, no compile on the request path — are pinned exhaustively.
 """
 
+import hashlib
 import os
 import subprocess
 import sys
 
-import pytest
-
+import repro.frontend
+import repro.frontend.lower
+import repro.ir.parser
+from repro.bench.workloads import ORDER, WORKLOADS
 from repro.frontend.lower import compile_source
-from repro.service.routing import (
-    KEY_DIGEST,
-    KEY_MODULE,
-    FingerprintResolver,
-    content_fingerprint,
-    hrw_order,
-    module_fingerprint,
-)
+from repro.ir.printer import print_module
+from repro.service.jobs import JobRequest
+from repro.service.router import PromotionRouter, RouterConfig
+from repro.service.routing import hrw_order, routing_key
+from tests.property.genprog import random_program
 
 BACKENDS = [f"127.0.0.1:{9000 + i}" for i in range(5)]
 
@@ -38,6 +38,8 @@ OTHER_PROGRAM = """
 int x = 1;
 int main() { x = x + 41; return x; }
 """
+
+IR_PROGRAM = print_module(compile_source(PROGRAM))
 
 
 def keys(n):
@@ -94,21 +96,20 @@ class TestHrwOrder:
 
 
 class TestFingerprintResolver:
+    """:func:`routing_key`, the digest of a payload's kind and source."""
+
     def test_same_source_same_key(self):
-        resolver = FingerprintResolver()
-        key1, kind1 = resolver.resolve({"kind": "minic", "source": PROGRAM})
-        key2, kind2 = FingerprintResolver().resolve(
-            {"kind": "minic", "source": PROGRAM}
-        )
-        assert kind1 == kind2 == KEY_MODULE
+        key1 = routing_key({"kind": "minic", "source": PROGRAM})
+        key2 = routing_key({"kind": "minic", "source": PROGRAM})
         assert key1 == key2
+        # ``kind`` defaults to minic, as JobRequest defaults it.
+        assert routing_key({"source": PROGRAM}) == key1
 
     def test_entry_and_args_do_not_affect_key(self):
-        # The module is the locality unit: the same program with a
-        # different entry/args wants the same shard's warm caches.
-        resolver = FingerprintResolver()
-        base, _ = resolver.resolve({"kind": "minic", "source": PROGRAM})
-        varied, _ = resolver.resolve(
+        # The program is the locality unit: the same program with a
+        # different entry/args still goes to the same shard.
+        base = routing_key({"kind": "minic", "source": PROGRAM})
+        varied = routing_key(
             {
                 "kind": "minic",
                 "source": PROGRAM,
@@ -120,84 +121,110 @@ class TestFingerprintResolver:
         assert varied == base
 
     def test_different_source_different_key(self):
-        resolver = FingerprintResolver()
-        one, _ = resolver.resolve({"kind": "minic", "source": PROGRAM})
-        two, _ = resolver.resolve({"kind": "minic", "source": OTHER_PROGRAM})
+        one = routing_key({"kind": "minic", "source": PROGRAM})
+        two = routing_key({"kind": "minic", "source": OTHER_PROGRAM})
         assert one != two
 
     def test_uncompilable_source_falls_back_to_stable_digest(self):
-        resolver = FingerprintResolver()
         bad = {"kind": "minic", "source": "int main( {{{ not a program"}
-        key1, kind = resolver.resolve(bad)
-        key2, _ = FingerprintResolver().resolve(dict(bad))
-        assert kind == KEY_DIGEST
-        assert key1 == key2
-        assert resolver.counters()["fallbacks"] == 1
+        key = routing_key(bad)
+        assert key == routing_key(dict(bad))
+        assert key == hashlib.sha256(("minic\x00" + bad["source"]).encode()).hexdigest()
 
     def test_non_dict_payload_falls_back(self):
-        resolver = FingerprintResolver()
-        for payload in (None, 7, ["a", "list"], {"source": 12}):
-            key, kind = resolver.resolve(payload)
-            assert kind == KEY_DIGEST
-            assert key
-        assert resolver.counters()["fallbacks"] == 4
+        payloads = (None, 7, ["a", "list"], {"source": 12})
+        keys = [routing_key(payload) for payload in payloads]
+        assert keys == [routing_key(payload) for payload in payloads]
+        assert len(set(keys)) == len(payloads)
 
     def test_unknown_kind_falls_back(self):
-        key, kind = FingerprintResolver().resolve(
-            {"kind": "fortran", "source": "PROGRAM HELLO"}
+        fortran = routing_key({"kind": "fortran", "source": "PROGRAM HELLO"})
+        assert fortran
+        assert fortran != routing_key({"kind": "minic", "source": "PROGRAM HELLO"})
+
+
+#: A valid traceparent, so trace-carrying payloads pass validation.
+TRACE = "00-" + "ab" * 16 + "-" + "cd" * 8 + "-01"
+
+
+def _variants(source):
+    """Payloads over one source: for each kind and (entry, args) pair, the
+    envelope with and without an explicit default kind, with options,
+    and with a trace — none of which the result cache keys on."""
+    for entry, args in (("main", []), ("main", [3]), ("helper", [1, 2])):
+        base = {"source": source, "entry": entry, "args": args}
+        yield dict(base)
+        yield dict(base, kind="minic")
+        yield dict(base, options={"deadline_s": 5, "max_steps": 1000})
+        yield dict(base, options={"retries": 1, "timeout_s": 2.5})
+        yield dict(base, trace=TRACE)
+        yield dict(base, kind="ir")
+        yield dict(base, kind="ir", options={"chaos": "crash=1.0"}, trace=TRACE)
+
+
+def test_equal_cache_material_means_equal_routing_key():
+    # A daemon's result cache keys on cache_key_material(), so two jobs
+    # can share an entry only if they share a key, and hence a home.
+    sources = [WORKLOADS[name].source for name in ORDER]
+    sources += [random_program(seed) for seed in range(200)]
+    keys_by_material = {}
+    for source in sources:
+        for payload in _variants(source):
+            material = JobRequest.from_payload(payload).cache_key_material()
+            keys_by_material.setdefault(material, set()).add(routing_key(payload))
+    # 2 kinds x 3 (entry, args) pairs per distinct source.
+    assert len(keys_by_material) == 6 * len(set(sources))
+    assert all(len(keys) == 1 for keys in keys_by_material.values())
+
+
+def test_whitespace_variant_gets_its_own_key():
+    # Cache material is the exact source text, so a whitespace-only
+    # variant never shared a cache entry; it need not share a home.
+    for name in ORDER:
+        source = WORKLOADS[name].source
+        original = {"kind": "minic", "source": source}
+        variant = {"kind": "minic", "source": source + "\n"}
+        assert (
+            JobRequest.from_payload(original).cache_key_material()
+            != JobRequest.from_payload(variant).cache_key_material()
         )
-        assert kind == KEY_DIGEST
-        assert key
+        assert routing_key(original) != routing_key(variant)
 
-    def test_ir_kind_resolves_module_fingerprint(self):
-        from repro.ir.printer import print_module
 
-        ir_text = print_module(compile_source(PROGRAM))
-        key, kind = FingerprintResolver().resolve(
-            {"kind": "ir", "source": ir_text}
-        )
-        assert kind == KEY_MODULE
-        assert key
+def test_plan_never_compiles_or_parses(monkeypatch):
+    calls = []
 
-    def test_cache_hits_are_counted_and_compile_once(self):
-        resolver = FingerprintResolver()
-        for _ in range(5):
-            resolver.resolve({"kind": "minic", "source": PROGRAM})
-        counters = resolver.counters()
-        assert counters["compiled"] == 1
-        assert counters["cache_hits"] == 4
-        assert counters["entries"] == 1
+    def refuse(*args, **kwargs):
+        # Recorded as well as raised: a caller that swallows the error
+        # and falls back to a digest must still fail this test.
+        calls.append(args)
+        raise AssertionError("the router compiled or parsed a payload")
 
-    def test_lru_evicts_oldest(self):
-        resolver = FingerprintResolver(cache_size=2)
-        sources = [PROGRAM, OTHER_PROGRAM, PROGRAM.replace("10", "11")]
-        for source in sources:
-            resolver.resolve({"kind": "minic", "source": source})
-        assert resolver.counters()["entries"] == 2
-        # The first program was evicted: resolving it compiles again.
-        resolver.resolve({"kind": "minic", "source": sources[0]})
-        assert resolver.counters()["compiled"] == 4
-
-    def test_cache_size_zero_disables_caching(self):
-        resolver = FingerprintResolver(cache_size=0)
-        resolver.resolve({"kind": "minic", "source": PROGRAM})
-        resolver.resolve({"kind": "minic", "source": PROGRAM})
-        counters = resolver.counters()
-        assert counters["entries"] == 0
-        assert counters["compiled"] == 2
-
-    def test_negative_cache_size_rejected(self):
-        with pytest.raises(ValueError):
-            FingerprintResolver(cache_size=-1)
+    monkeypatch.setattr(repro.frontend.lower, "compile_source", refuse)
+    monkeypatch.setattr(repro.frontend, "compile_source", refuse)
+    monkeypatch.setattr(repro.ir.parser, "parse_module", refuse)
+    router = PromotionRouter(RouterConfig([("127.0.0.1", 9001), ("127.0.0.1", 9002)]))
+    huge = "int main() { return 0; }\n"
+    huge += " " * (2_000_000 - len(huge))
+    payloads = [
+        {"kind": "minic", "source": PROGRAM},
+        {"kind": "ir", "source": IR_PROGRAM},
+        {"kind": "minic", "source": "int main( {{{ not a program"},
+        {"kind": "minic", "source": huge},
+    ]
+    for payload in payloads:
+        key, order = router.plan(payload)
+        assert key == routing_key(payload)
+        assert order == hrw_order(key, router.backend_ids)
+    assert calls == []
 
 
 #: Prints the routing key of every paper proxy, one per line.
 _PROXY_KEYS = """
 from repro.bench.workloads import ORDER, WORKLOADS
-from repro.frontend.lower import compile_source
-from repro.service.routing import module_fingerprint
+from repro.service.routing import routing_key
 for name in ORDER:
-    print(name, module_fingerprint(compile_source(WORKLOADS[name].source, name))[0])
+    print(name, routing_key({"kind": "minic", "source": WORKLOADS[name].source}))
 """
 
 
@@ -223,47 +250,3 @@ def test_module_fingerprints_ignore_the_hash_seed():
         outputs.append(proc.stdout)
     assert len(outputs[0].splitlines()) == 8
     assert outputs[0] == outputs[1]
-
-
-# -- content fingerprints: stable across compiles, and a mutation changes
-# only the mutated function's key (what keeps routing sticky) ------------
-
-INCREMENTAL_SOURCE = """
-int a = 0;
-int b = 0;
-int touch_a(int k) {
-    for (int i = 0; i < 4; i++) a += k;
-    return a;
-}
-int touch_b(int k) {
-    for (int i = 0; i < 3; i++) b += k;
-    return b;
-}
-int main() {
-    print(touch_a(2) + touch_b(3));
-    return 0;
-}
-"""
-
-#: ``touch_b`` with a different loop bound; ``touch_a`` and ``main`` are
-#: textually identical.
-INCREMENTAL_MUTATED = INCREMENTAL_SOURCE.replace("i < 3", "i < 5")
-
-
-def test_content_fingerprints_isolate_the_mutated_function():
-    original = compile_source(INCREMENTAL_SOURCE, "incremental")
-    mutated = compile_source(INCREMENTAL_MUTATED, "incremental")
-    _, fps_original = module_fingerprint(original)
-    _, fps_mutated = module_fingerprint(mutated)
-    assert fps_original["touch_b"] != fps_mutated["touch_b"]
-    assert fps_original["touch_a"] == fps_mutated["touch_a"]
-    assert fps_original["main"] == fps_mutated["main"]
-
-
-def test_content_fingerprint_is_stable_across_compiles():
-    first = compile_source(INCREMENTAL_SOURCE, "incremental")
-    second = compile_source(INCREMENTAL_SOURCE, "incremental")
-    for name in first.functions:
-        assert content_fingerprint(
-            first.functions[name]
-        ) == content_fingerprint(second.functions[name])
