@@ -16,10 +16,7 @@ from __future__ import annotations
 
 import time
 
-import pytest
-
 from repro.ir import instructions as I
-from repro.ir.function import Function
 from repro.ir.module import Module
 from repro.ir.values import Const
 from repro.ssa.css96 import css96_update

@@ -42,7 +42,6 @@ def _error(message: str) -> int:
     return 2
 
 
-
 def main(argv: Optional[List[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         prog="repro-minic", description="mini-C compiler and runner"

@@ -14,11 +14,14 @@ the router and checks the properties the sharding design promises:
    each on the same backend as the cold pass (via the
    ``X-Repro-Backend`` header) and the router's own
    ``stickiness_hit_rate`` reads at least 0.9.
-3. **Failover under loss.**  One backend is SIGTERMed in the middle of
+3. **A job's own deadline is not a backend fault.**  Three
+   over-deadline jobs each come back 504 ``deadline-exceeded`` from one
+   backend with no failover, and the next healthy job is still served.
+4. **Failover under loss.**  One backend is SIGTERMed in the middle of
    a concurrent wave; every job in the wave must still come back 200
    and byte-identical (a 429 or 5xx counts as a failed job), and a
    post-kill wave over the surviving shards succeeds too.
-4. **Clean teardown.**  The killed backend drains to exit 0, the rest
+5. **Clean teardown.**  The killed backend drains to exit 0, the rest
    of the cluster SIGTERMs to exit 0, and no process group leaks
    workers.
 
@@ -47,7 +50,13 @@ from repro.bench.workloads import ORDER, WORKLOADS
 from repro.observability import TraceContext
 from repro.service.client import Response, ServiceClient
 from repro.service.cluster import LocalCluster
-from repro.service.smoke import SmokeFailure, check, fresh_serial_run
+from repro.service.smoke import (
+    SmokeFailure,
+    check,
+    fresh_serial_run,
+    healthy_payload,
+    over_deadline_payload,
+)
 
 #: Service shape for each backend.  Queues are deep enough that the
 #: whole kill wave fits on the surviving shards — this harness proves
@@ -76,6 +85,12 @@ def _served_by(response: Response) -> str:
     backend = response.headers.get("x-repro-backend", "")
     check(bool(backend), "response is missing the X-Repro-Backend header")
     return backend
+
+
+def _router_counter(doc: Dict[str, object], name: str) -> object:
+    """One ``router.*`` counter from the router's ``/metrics`` document."""
+    entry = doc["router"].get(name)
+    return 0 if entry is None else entry.get("value", 0)
 
 
 def assert_wave_identical(
@@ -149,6 +164,29 @@ async def run_checks(
         f"stickiness_hit_rate {rate!r} is below the 0.9 floor",
     )
     print(f"cluster-smoke: warm pass ok (stickiness_hit_rate {rate})")
+
+    # 3a. Over-deadline jobs: a 504 is the job's own outcome, relayed
+    # from the one backend that ran it.  No failover, and no backend is
+    # held against it — the next healthy job is served.
+    before = _router_counter(metrics, "router.failovers")
+    for _ in range(3):
+        response = await client.submit(over_deadline_payload())
+        check(
+            response.status == 504
+            and response.json().get("error") == "deadline-exceeded",
+            f"over-deadline job got {response.status}: {response.body[:200]!r}",
+        )
+        _served_by(response)
+    after = _router_counter((await client.get("/metrics")).json(), "router.failovers")
+    check(after == before, f"over-deadline jobs failed over ({before} -> {after})")
+    healthy = [("healthy", healthy_payload())]
+    assert_wave_identical(
+        [await client.submit(healthy[0][1])],
+        healthy,
+        {"healthy": fresh_serial_run(healthy[0][1])},
+        "after the deadline wave",
+    )
+    print("cluster-smoke: deadline wave ok (3 x 504, no failover, next job 200)")
 
     # 3b. One streaming job through the router: the NDJSON span
     # timeline must pass through intact, ending in the result event.
@@ -253,15 +291,12 @@ async def run_checks(
         with open(metrics_out, "w") as handle:
             json.dump(doc, handle, indent=2, sort_keys=True)
         print(f"cluster-smoke: wrote router metrics to {metrics_out}")
-    def counter(name: str) -> object:
-        entry = doc["router"].get(name)
-        return 0 if entry is None else entry.get("value", 0)
-
-    unrouted = counter("router.jobs.unrouted")
+    unrouted = _router_counter(doc, "router.jobs.unrouted")
     check(unrouted == 0, f"router reported {unrouted} unroutable jobs")
     print(
-        f"cluster-smoke: metrics ok (failovers={counter('router.failovers')}, "
-        f"unrouted=0, jobs={counter('router.jobs_total')})"
+        "cluster-smoke: metrics ok "
+        f"(failovers={_router_counter(doc, 'router.failovers')}, unrouted=0, "
+        f"jobs={_router_counter(doc, 'router.jobs_total')})"
     )
 
 

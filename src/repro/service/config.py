@@ -16,8 +16,6 @@ from repro.frontend.limits import InputLimits
 
 
 def validate_edge(
-    breaker_threshold: int,
-    breaker_reset_s: float,
     drain_grace_s: float,
     header_timeout_s: float,
     body_timeout_s: float,
@@ -27,10 +25,7 @@ def validate_edge(
     :class:`ServiceConfig` and the router's
     :class:`~repro.service.router.RouterConfig`; ValueError on the
     first bad one."""
-    if breaker_threshold < 1:
-        raise ValueError(f"breaker_threshold must be >= 1, got {breaker_threshold}")
     for name, value in (
-        ("breaker_reset_s", breaker_reset_s),
         ("drain_grace_s", drain_grace_s),
         ("header_timeout_s", header_timeout_s),
         ("body_timeout_s", body_timeout_s),
@@ -89,9 +84,11 @@ class ServiceConfig:
                 f"default_deadline_s ({default_deadline_s}) exceeds "
                 f"max_deadline_s ({max_deadline_s})"
             )
+        if breaker_threshold < 1:
+            raise ValueError(f"breaker_threshold must be >= 1, got {breaker_threshold}")
+        if breaker_reset_s <= 0:
+            raise ValueError(f"breaker_reset_s must be > 0, got {breaker_reset_s}")
         validate_edge(
-            breaker_threshold=breaker_threshold,
-            breaker_reset_s=breaker_reset_s,
             drain_grace_s=drain_grace_s,
             header_timeout_s=header_timeout_s,
             body_timeout_s=body_timeout_s,

@@ -19,16 +19,22 @@ Moving parts:
   ids) into a total order; element 0 is the home shard, the tail is the
   failover sequence every router instance agrees on without
   coordination.
-* **Health-based draining** — :class:`HealthTracker` polls each
-  backend's ``/healthz`` and ``/readyz`` and walks instances through
-  ``healthy → draining → down``.  A draining backend receives no new
-  jobs but keeps its in-flight relays — the daemon's own graceful-drain
-  machinery finishes them — and a backend that answers healthy again
-  (rolling restart) is routed to again.
-* **Per-backend circuit breakers and bounded retry-with-failover** —
-  connect errors and 5xx responses fail over to the next backend in HRW
-  order (each backend tried at most once per job); 429 shed responses
-  are propagated to the client with their ``retry_after_s`` hint intact,
+* **One health record per backend** — :class:`HealthTracker` polls
+  each backend's ``/readyz`` and walks instances through ``healthy →
+  draining → down``; it is the only thing that decides whether a
+  backend may take a job.  A draining backend receives no new jobs but
+  keeps its in-flight relays — the daemon's own graceful-drain
+  machinery finishes them — and a backend that answers ready again
+  (rolling restart) is routed to again.  The daemon's circuit breaker
+  is the one breaker: when it opens, ``/readyz`` answers 503
+  ``circuit-open`` and the tracker marks the shard down.
+* **Bounded retry-with-failover** — connect errors, upstream read
+  errors and 5xx responses fail over to the next backend in HRW order
+  (each backend tried at most once per job) and strike the tracker,
+  exactly as a failed probe does; a 503 ``draining`` fails over
+  without a strike.  A 504 is the job's own outcome (it ran past its
+  deadline) and, like a 4xx, is relayed as-is; 429 shed responses are
+  propagated to the client with their ``retry_after_s`` hint intact,
   because the shard's own load estimate is the honest one.
 
   *Idempotency contract*: a retry re-sends the **complete buffered
@@ -42,14 +48,14 @@ Moving parts:
   never observe two interleaved timelines.
 * **One relay path** — plain and streamed jobs go through the same
   :meth:`PromotionRouter._attempt`: the upstream head is read, a 5xx
-  fails over, anything else is relayed as a byte pass-through with an
-  ``X-Repro-Backend`` header (and, on a 200 NDJSON stream, the router's
-  own ``router:relay`` span line first), so a streamed job keeps a
-  single span timeline end to end.
+  other than 504 fails over, anything else is relayed as a byte
+  pass-through with an ``X-Repro-Backend`` header (and, on a 200
+  NDJSON stream, the router's own ``router:relay`` span line first),
+  so a streamed job keeps a single span timeline end to end.
 * **Router-level observability** — ``/healthz``, ``/readyz``, and
-  ``/metrics`` export ``router.*`` counters (per-backend jobs,
-  failovers, drain/down/circuit skips, stickiness hit-rate) through the
-  shared :class:`~repro.observability.metrics.MetricsRegistry`.
+  ``/metrics`` export ``router.*`` counters (failovers, skips by
+  backend status, stickiness hit-rate) through the shared
+  :class:`~repro.observability.metrics.MetricsRegistry`.
 """
 
 from __future__ import annotations
@@ -70,7 +76,6 @@ from repro.observability.prometheus import (
     exposition,
     registry_samples,
 )
-from repro.service.breaker import CircuitBreaker
 from repro.service.client import ServiceClient
 from repro.service.config import validate_edge
 from repro.service.errors import ServiceUnavailableError
@@ -80,7 +85,6 @@ from repro.service.http import (
     ClientDisconnect,
     HttpFront,
     _response_head,
-    _send_error,
     _send_json,
     _write_raw,
     close_quietly,
@@ -117,10 +121,11 @@ class RouterConfig:
 
     ``backends`` is the static shard list — (host, port) pairs, at
     least one.  ``poll_interval_s`` drives the health tracker;
-    ``down_after`` consecutive probe strikes (connect failures or
-    not-ready answers) mark a backend ``down``.  Breaker/drain/slow-loris
-    knobs mirror :class:`~repro.service.config.ServiceConfig` and pass
-    the same checks.
+    ``down_after`` consecutive strikes (failed probes, not-ready answers,
+    dispatch connect/read errors, backend 5xx) mark a backend ``down``.
+    Drain/slow-loris knobs mirror
+    :class:`~repro.service.config.ServiceConfig` and pass the same
+    checks.
     """
 
     def __init__(
@@ -133,8 +138,6 @@ class RouterConfig:
         header_timeout_s: float = 5.0,
         body_timeout_s: float = 10.0,
         max_body_bytes: int = 2_500_000,
-        breaker_threshold: int = 3,
-        breaker_reset_s: float = 5.0,
         drain_grace_s: float = 10.0,
         artifacts_dir: Optional[str] = None,
     ) -> None:
@@ -149,8 +152,6 @@ class RouterConfig:
         if poll_interval_s <= 0:
             raise ValueError(f"poll_interval_s must be > 0, got {poll_interval_s}")
         validate_edge(
-            breaker_threshold=breaker_threshold,
-            breaker_reset_s=breaker_reset_s,
             drain_grace_s=drain_grace_s,
             header_timeout_s=header_timeout_s,
             body_timeout_s=body_timeout_s,
@@ -164,8 +165,6 @@ class RouterConfig:
         self.header_timeout_s = header_timeout_s
         self.body_timeout_s = body_timeout_s
         self.max_body_bytes = max_body_bytes
-        self.breaker_threshold = breaker_threshold
-        self.breaker_reset_s = breaker_reset_s
         self.drain_grace_s = drain_grace_s
         #: Flight-recorder dump directory (crash/drain forensics);
         #: ``None`` keeps the ring memory-only.
@@ -181,20 +180,16 @@ class RouterConfig:
             "header_timeout_s": self.header_timeout_s,
             "body_timeout_s": self.body_timeout_s,
             "max_body_bytes": self.max_body_bytes,
-            "breaker_threshold": self.breaker_threshold,
-            "breaker_reset_s": self.breaker_reset_s,
             "drain_grace_s": self.drain_grace_s,
             "artifacts_dir": self.artifacts_dir,
         }
 
 
 class BackendState:
-    """One shard as the router sees it: address, health status, breaker,
+    """One shard as the router sees it: address, health status, strikes,
     and per-backend accounting."""
 
-    def __init__(
-        self, host: str, port: int, breaker_threshold: int, breaker_reset_s: float
-    ) -> None:
+    def __init__(self, host: str, port: int) -> None:
         self.host = host
         self.port = port
         self.id = f"{host}:{port}"
@@ -202,9 +197,6 @@ class BackendState:
         # a dead backend costs one connect failure, which the failover
         # path absorbs.
         self.status = HEALTHY
-        self.breaker = CircuitBreaker(
-            threshold=breaker_threshold, reset_s=breaker_reset_s
-        )
         self.strikes = 0
         self.transitions = 0
         self.jobs_total = 0
@@ -227,24 +219,24 @@ class BackendState:
             "transitions": self.transitions,
             "jobs_total": self.jobs_total,
             "failures_total": self.failures_total,
-            "breaker": self.breaker.as_dict(),
             "last_probe_error": self.last_probe_error,
         }
 
 
 class HealthTracker:
-    """Drives ``healthy → draining → down`` (and back) from probes.
+    """Drives ``healthy → draining → down`` (and back) from probes and
+    dispatch outcomes — the router's one record of whether a backend may
+    take a job.
 
-    One :meth:`poll_once` probes every backend concurrently:
-    ``/healthz`` for the status word, ``/readyz`` for admission
-    readiness.  ``draining`` is immediate
-    (the daemon said so — stop sending new work *now* so its grace
-    window is spent on in-flight jobs, not on fresh arrivals); ``down``
-    needs ``down_after`` consecutive strikes so one dropped probe does
-    not evict a healthy shard; any healthy answer fully rehabilitates a
-    backend.  Dispatch-time connect failures feed the same strike
-    counter via :meth:`note_connect_failure`, so a crashed backend goes
-    dark even between polls.
+    One :meth:`poll_once` sends every backend a concurrent ``GET
+    /readyz``.  ``draining`` is immediate (the daemon said so — stop
+    sending new work *now* so its grace window is spent on in-flight
+    jobs, not on fresh arrivals); ``down`` needs ``down_after``
+    consecutive strikes so one dropped probe does not evict a healthy
+    shard; a ready answer fully rehabilitates a backend.  Dispatch
+    failures strike the same counter via :meth:`note_failure`, so a
+    crashed backend goes dark even between polls, and a relayed success
+    clears it via :meth:`note_success`.
     """
 
     def __init__(
@@ -252,54 +244,47 @@ class HealthTracker:
     ) -> None:
         self.backends = backends
         self.down_after = down_after
-        self.transitions_total = 0
-        self.polls_total = 0
 
     # -- evidence --------------------------------------------------------
 
     def apply_probe(
         self,
         state: BackendState,
-        health: Optional[Dict[str, object]],
         ready_status: Optional[int],
         ready_doc: Optional[Dict[str, object]],
         error: Optional[str] = None,
     ) -> None:
-        """Fold one probe's outcome into the state machine."""
+        """Fold one ``/readyz`` probe's outcome into the state machine."""
         state.last_probe_error = error
-        if error is not None:
+        if error is None and ready_status == 200:
+            state.strikes = 0
+            state.set_status(HEALTHY)
+        elif error is None and (ready_doc or {}).get("reason") == "draining":
+            state.strikes = 0
+            state.set_status(DRAINING)
+        else:
+            # Unreachable, or alive but not ready (circuit open, pool
+            # wedged): strikes, so a transient blip survives but a stuck
+            # shard goes dark.
             self._strike(state)
-            return
-        reason = (ready_doc or {}).get("reason") if ready_status != 200 else None
-        drains = (
-            isinstance(health, dict) and health.get("status") == "draining"
-        ) or reason == "draining"
-        if drains:
-            state.strikes = 0
-            if state.set_status(DRAINING):
-                self.transitions_total += 1
-            return
-        if ready_status == 200:
-            state.strikes = 0
-            if state.set_status(HEALTHY):
-                self.transitions_total += 1
-            return
-        # Alive but not ready (circuit open, pool wedged): strikes, so a
-        # transient blip survives but a stuck shard goes dark.
+
+    def note_failure(self, state: BackendState) -> None:
+        """A dispatch got no answer, or a 5xx that is the backend's own
+        fault: count it and strike."""
+        state.failures_total += 1
         self._strike(state)
 
-    def note_connect_failure(self, state: BackendState) -> None:
-        self._strike(state)
+    def note_success(self, state: BackendState) -> None:
+        """A relayed success: the failure streak is over."""
+        state.strikes = 0
 
     def note_draining(self, state: BackendState) -> None:
         """A dispatch came back 503/draining before the poller noticed."""
-        if state.set_status(DRAINING):
-            self.transitions_total += 1
+        state.set_status(DRAINING)
 
     def _strike(self, state: BackendState) -> None:
         state.strikes += 1
         if state.strikes >= self.down_after and state.set_status(DOWN):
-            self.transitions_total += 1
             flightrecorder_mod.ambient().record(
                 "router.backend_down",
                 backend=state.id,
@@ -310,7 +295,6 @@ class HealthTracker:
     # -- polling ---------------------------------------------------------
 
     async def poll_once(self) -> None:
-        self.polls_total += 1
         await asyncio.gather(
             *(self._probe(state) for state in self.backends.values())
         )
@@ -318,19 +302,12 @@ class HealthTracker:
     async def _probe(self, state: BackendState) -> None:
         client = ServiceClient(state.host, state.port, timeout_s=PROBE_TIMEOUT_S)
         try:
-            health_resp = await client.get("/healthz")
-            ready_resp = await client.get("/readyz")
+            response = await client.get("/readyz")
         except Exception as exc:  # noqa: BLE001 - a probe must never kill the loop
-            self.apply_probe(state, None, None, None, error=type(exc).__name__)
+            self.apply_probe(state, None, None, error=type(exc).__name__)
             return
-        health = _json_or_none(health_resp.body)
-        ready = _json_or_none(ready_resp.body)
-        self.apply_probe(
-            state,
-            health if isinstance(health, dict) else None,
-            ready_resp.status,
-            ready if isinstance(ready, dict) else None,
-        )
+        doc = _json_or_none(response.body)
+        self.apply_probe(state, response.status, doc if isinstance(doc, dict) else None)
 
     def counts(self) -> Dict[str, int]:
         doc = {HEALTHY: 0, DRAINING: 0, DOWN: 0}
@@ -349,9 +326,7 @@ class PromotionRouter(HttpFront):
         )
         self.backends: Dict[str, BackendState] = {}
         for host, port in config.backends:
-            state = BackendState(
-                host, port, config.breaker_threshold, config.breaker_reset_s
-            )
+            state = BackendState(host, port)
             self.backends[state.id] = state
         self.backend_ids = list(self.backends)
         self.tracker = HealthTracker(self.backends, down_after=config.down_after)
@@ -360,9 +335,9 @@ class PromotionRouter(HttpFront):
     # -- lifecycle -------------------------------------------------------
 
     async def start(self) -> Tuple[str, int]:
-        # Backend breakers (repro.service.breaker) record their trips
-        # into whatever recorder is ambient — _listen makes it this
-        # router's before the poller first runs.
+        # The tracker records ``router.backend_down`` into whatever
+        # recorder is ambient — _listen makes it this router's before
+        # the poller first runs.
         self.flight.record("router.start", backends=list(self.backend_ids))
         self._background = asyncio.ensure_future(self._poll_loop())
         return await self._listen()
@@ -379,9 +354,6 @@ class PromotionRouter(HttpFront):
                 raise
             except Exception:  # noqa: BLE001 - polling must never die
                 pass
-            self.metrics.set(
-                "router.health.transitions", self.tracker.transitions_total
-            )
             await asyncio.sleep(self.config.poll_interval_s)
 
     # -- routing ---------------------------------------------------------
@@ -391,18 +363,6 @@ class PromotionRouter(HttpFront):
         pure routing decision."""
         key = routing_key(payload)
         return key, hrw_order(key, self.backend_ids)
-
-    def _routable_reason(self, state: BackendState) -> Optional[str]:
-        """None when the backend may receive a new job, else the skip
-        reason.  Checking the breaker *admits* a half-open probe, so
-        only call when a dispatch follows immediately."""
-        if state.status == DRAINING:
-            return "draining"
-        if state.status == DOWN:
-            return "down"
-        if not state.breaker.allow():
-            return "circuit"
-        return None
 
     # -- the relay engine ------------------------------------------------
 
@@ -436,12 +396,11 @@ class PromotionRouter(HttpFront):
             self.metrics.inc("router.jobs.stream")
 
         attempts = 0
-        last_error: Optional[Tuple[int, Dict[str, object]]] = None
+        last_error: Optional[Tuple[str, Tuple[int, Dict[str, object]]]] = None
         for backend_id in order:
             state = self.backends[backend_id]
-            reason = self._routable_reason(state)
-            if reason is not None:
-                self.metrics.inc(f"router.skips.{reason}")
+            if state.status != HEALTHY:
+                self.metrics.inc(f"router.skips.{state.status}")
                 continue
             attempts += 1
             if attempts > 1:
@@ -461,21 +420,25 @@ class PromotionRouter(HttpFront):
                     self.metrics.inc("router.sticky.hits")
                 return
             # Not served: fall through to the next backend in HRW order.
-            last_error = error or last_error
+            if error is not None:
+                last_error = (backend_id, error)
         self.metrics.inc("router.jobs.unrouted")
         self.flight.record("router.unrouted", trace_id=trace.trace_id, key=key)
+        headers = {"X-Repro-Trace-Id": trace.trace_id}
         if last_error is not None:
             # Every backend was tried and the last wire answer was an
             # error document: relay it rather than masking the cause.
-            await _send_json(writer, last_error[0], last_error[1])
+            backend_id, (status, doc) = last_error
+            headers["X-Repro-Backend"] = backend_id
+            await _send_json(writer, status, doc, extra_headers=headers)
             return
-        await _send_error(
-            writer,
-            ServiceUnavailableError(
-                "no healthy backend is available for this job",
-                reason="no-backend",
-                retry_after_s=self.config.poll_interval_s,
-            ),
+        unavailable = ServiceUnavailableError(
+            "no healthy backend is available for this job",
+            reason="no-backend",
+            retry_after_s=self.config.poll_interval_s,
+        )
+        await _send_json(
+            writer, unavailable.http_status, unavailable.as_dict(), headers
         )
 
     async def _attempt(
@@ -494,14 +457,15 @@ class PromotionRouter(HttpFront):
         otherwise ``error`` is the upstream's 5xx ``(status, doc)``, or
         None when it never produced a response head.
 
-        Only the status line decides: a 5xx — a 503 ``draining``
-        included — is read in full and fails over before any byte
-        reaches the client.  Anything else is relayed as-is: 4xx is the
-        client's fault and 429 carries the shard's own honest
-        retry-after hint.  The relayed head gains ``X-Repro-Backend``;
-        on a 200 NDJSON stream the first line the client sees is the
-        router's own ``router:relay`` span, same ``trace_id`` as every
-        span the backend streams after it."""
+        Only the status line decides: a 5xx other than 504 — a 503
+        ``draining`` included — is read in full and fails over before
+        any byte reaches the client.  Anything else is relayed as-is:
+        4xx is the client's fault, 429 carries the shard's own honest
+        retry-after hint, and 504 is the job's own deadline running
+        out, which another shard would only repeat.  The relayed head
+        gains ``X-Repro-Backend``; on a 200 NDJSON stream the first line
+        the client sees is the router's own ``router:relay`` span, same
+        ``trace_id`` as every span the backend streams after it."""
         started_s = time.time()
         try:
             reader, upstream = await asyncio.wait_for(
@@ -509,7 +473,7 @@ class PromotionRouter(HttpFront):
                 timeout=CONNECT_TIMEOUT_S,
             )
         except (OSError, asyncio.TimeoutError):
-            self._note_unreachable(state)
+            self.tracker.note_failure(state)
             return False, None
         try:
             try:
@@ -524,10 +488,10 @@ class PromotionRouter(HttpFront):
                     read_response_head(reader), timeout=UPSTREAM_TIMEOUT_S
                 )
             except _UPSTREAM_ERRORS:
-                self._note_unreachable(state)
+                self.tracker.note_failure(state)
                 return False, None
 
-            if status >= 500:
+            if status >= 500 and status != 504:
                 try:
                     raw = await asyncio.wait_for(
                         read_body(reader, length), timeout=UPSTREAM_TIMEOUT_S
@@ -542,18 +506,15 @@ class PromotionRouter(HttpFront):
                     self.tracker.note_draining(state)
                     self.metrics.inc("router.drains.observed")
                 else:
-                    state.failures_total += 1
-                    state.breaker.record_failure()
+                    self.tracker.note_failure(state)
                 return False, (status, doc)
 
             state.jobs_total += 1
             if status < 400:
-                state.breaker.record_success()
+                self.tracker.note_success(state)
                 self.metrics.inc("router.jobs.relayed")
             else:
-                state.breaker.record_neutral()
                 self.metrics.inc("router.jobs.rejected")
-            self.metrics.inc(f"router.backend.{state.id}.jobs")
             content_type = headers.get("content-type", JSON)
             head = _response_head(
                 status,
@@ -586,12 +547,6 @@ class PromotionRouter(HttpFront):
             return True, None
         finally:
             await close_quietly(upstream)
-
-    def _note_unreachable(self, state: BackendState) -> None:
-        """A dispatch that got no response head: strike and trip."""
-        state.failures_total += 1
-        self.tracker.note_connect_failure(state)
-        state.breaker.record_failure()
 
     # -- introspection ---------------------------------------------------
 
@@ -628,9 +583,14 @@ class PromotionRouter(HttpFront):
         return hits / routed
 
     def metrics_doc(self) -> Dict[str, object]:
-        self.metrics.set("router.backends.healthy", self.tracker.counts()[HEALTHY])
-        self.metrics.set("router.backends.draining", self.tracker.counts()[DRAINING])
-        self.metrics.set("router.backends.down", self.tracker.counts()[DOWN])
+        counts = self.tracker.counts()
+        self.metrics.set("router.backends.healthy", counts[HEALTHY])
+        self.metrics.set("router.backends.draining", counts[DRAINING])
+        self.metrics.set("router.backends.down", counts[DOWN])
+        self.metrics.set(
+            "router.health.transitions",
+            sum(state.transitions for state in self.backends.values()),
+        )
         rate = self.stickiness_hit_rate()
         return {
             "router": self.metrics.as_dict(),
@@ -660,14 +620,6 @@ class PromotionRouter(HttpFront):
                     "gauge",
                     1.0,
                     {**labels, "status": state.status},
-                )
-            )
-            samples.append(
-                Sample(
-                    "repro_router_backend_breaker_state",
-                    "gauge",
-                    1.0,
-                    {**labels, "state": state.breaker.state},
                 )
             )
             samples.append(
@@ -711,6 +663,7 @@ class PromotionRouter(HttpFront):
             return None
         doc = _json_or_none(response.body)
         return doc if isinstance(doc, dict) else None
+
 
 def _router_span_line(
     trace: TraceContext, hop: TraceContext, backend_id: str, started_s: float

@@ -127,7 +127,8 @@ _LITERAL = re.compile(r"""\.(?:inc|set)\(\s*f?"([a-z_.{}\[\]a-zA-Z0-9]+)"\s*[,)]
 def _static_names(relpath: str):
     """Metric names literally present in one source file; f-string
     ``{...}`` holes become one sample segment so templates like
-    ``router.backend.{state.id}.jobs`` match ``<id>`` catalog rows."""
+    ``router.skips.{state.status}`` match ``<placeholder>`` catalog rows
+    or the enumerated names they stand for."""
     with open(os.path.join(SRC, relpath)) as handle:
         source = handle.read()
     for match in _LITERAL.finditer(source):

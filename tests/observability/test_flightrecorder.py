@@ -46,7 +46,8 @@ def test_dump_writes_the_ring_with_pid_in_the_name(tmp_path):
     assert os.path.basename(path) == (
         f"flight-daemon-{os.getpid()}-breaker-open-001.json"
     )
-    doc = json.loads(open(path).read())
+    with open(path) as handle:
+        doc = json.load(handle)
     assert doc["recorder"] == "daemon"
     assert doc["reason"] == "breaker-open"
     assert doc["pid"] == os.getpid()

@@ -12,6 +12,7 @@ import json
 
 import pytest
 
+from repro.observability import TraceContext
 from repro.service.client import ServiceClient
 from repro.service.config import ServiceConfig
 from repro.service.daemon import PromotionDaemon
@@ -44,12 +45,14 @@ def payload_for(source=PROGRAM):
 
 
 class FakeBackend:
-    """A canned upstream: healthy on probes, scripted on job posts."""
+    """A canned upstream: ready on ``/readyz`` probes, scripted on job
+    posts; ``paths`` records every request target it was sent."""
 
     def __init__(self, status=200, body=None):
         self.status = status
         self.body = json.dumps(body if body is not None else {"ok": True}).encode()
         self.jobs_seen = 0
+        self.paths = []
         self.server = None
         self.host = ""
         self.port = 0
@@ -75,9 +78,8 @@ class FakeBackend:
                     length = int(value.strip())
             if length:
                 await reader.readexactly(length)
-            if first.startswith("GET /healthz"):
-                status, body = 200, b'{"status": "ok"}'
-            elif first.startswith("GET /readyz"):
+            self.paths.append(first.split(" ")[1])
+            if first.startswith("GET /readyz"):
                 status, body = 200, b'{"ready": true}'
             else:
                 self.jobs_seen += 1
@@ -238,6 +240,100 @@ def test_5xx_fails_over_and_relays_the_survivor():
     asyncio.run(body())
 
 
+def test_504_is_the_jobs_own_outcome_no_failover_no_strike():
+    async def body():
+        slow = FakeBackend(status=504, body={"error": "deadline-exceeded"})
+        healthy = FakeBackend()
+        await slow.start()
+        await healthy.start()
+        backends = [(slow.host, slow.port), (healthy.host, healthy.port)]
+        async with running_router(backends, down_after=2) as (router, client):
+            slow_id = f"{slow.host}:{slow.port}"
+            source = homed_source(router, slow_id)
+            for _ in range(5):
+                response = await client.submit(payload_for(source))
+                assert response.status == 504
+                assert response.json() == {"error": "deadline-exceeded"}
+                assert response.headers["x-repro-backend"] == slow_id
+            assert healthy.jobs_seen == 0
+            assert counter(router, "router.failovers") == 0
+            assert counter(router, "router.jobs.rejected") == 5
+            assert router.backends[slow_id].status == HEALTHY
+            assert router.backends[slow_id].failures_total == 0
+        await slow.stop()
+        await healthy.stop()
+
+    asyncio.run(body())
+
+
+def test_5xx_strikes_mark_down_and_a_ready_probe_rehabilitates():
+    async def body():
+        broken = FakeBackend(status=500, body={"error": "engine-failure"})
+        healthy = FakeBackend()
+        await broken.start()
+        await healthy.start()
+        backends = [(broken.host, broken.port), (healthy.host, healthy.port)]
+        async with running_router(backends, down_after=2) as (router, client):
+            broken_id = f"{broken.host}:{broken.port}"
+            source = homed_source(router, broken_id)
+            for _ in range(2):
+                response = await client.submit(payload_for(source))
+                assert response.status == 200
+            assert broken.jobs_seen == 2
+            assert router.backends[broken_id].status == DOWN
+            assert router.backends[broken_id].failures_total == 2
+            # The next job skips the down shard without dialing it.
+            response = await client.submit(payload_for(source))
+            assert response.status == 200
+            assert broken.jobs_seen == 2
+            assert counter(router, "router.skips.down") == 1
+            # Its /readyz still answers 200: one poll routes to it again.
+            await router.tracker.poll_once()
+            assert router.backends[broken_id].status == HEALTHY
+            assert router.backends[broken_id].strikes == 0
+            await client.submit(payload_for(source))
+            assert broken.jobs_seen == 3
+        await broken.stop()
+        await healthy.stop()
+
+    asyncio.run(body())
+
+
+def test_poller_sends_only_readyz():
+    async def body():
+        fake = FakeBackend()
+        await fake.start()
+        async with running_router([(fake.host, fake.port)]) as (router, _):
+            await router.tracker.poll_once()
+            assert fake.paths
+            assert set(fake.paths) == {"/readyz"}
+        await fake.stop()
+
+    asyncio.run(body())
+
+
+def test_every_backend_failing_relays_the_last_error_with_its_ids():
+    async def body():
+        fakes = [FakeBackend(status=500, body={"error": f"boom-{i}"}) for i in range(2)]
+        for fake in fakes:
+            await fake.start()
+        backends = [(fake.host, fake.port) for fake in fakes]
+        async with running_router(backends) as (router, client):
+            _, order = router.plan(payload_for())
+            trace = TraceContext.new()
+            response = await client.submit(payload_for(), trace=trace)
+            last = next(f for f in fakes if f"{f.host}:{f.port}" == order[1])
+            assert response.status == 500
+            assert response.body == last.body
+            assert response.headers["x-repro-backend"] == order[1]
+            assert response.headers["x-repro-trace-id"] == trace.trace_id
+            assert counter(router, "router.jobs.unrouted") == 1
+        for fake in fakes:
+            await fake.stop()
+
+    asyncio.run(body())
+
+
 def test_429_propagates_with_retry_hint_no_failover():
     async def body():
         shedding = FakeBackend(
@@ -304,11 +400,13 @@ def test_all_backends_dead_yields_structured_503():
             server.close()
             await server.wait_closed()
         async with running_router(dead) as (router, client):
-            response = await client.submit(payload_for())
+            trace = TraceContext.new()
+            response = await client.submit(payload_for(), trace=trace)
             assert response.status == 503
             doc = response.json()
             assert doc["reason"] == "no-backend"
             assert doc["retry_after_s"] > 0
+            assert response.headers["x-repro-trace-id"] == trace.trace_id
             assert counter(router, "router.jobs.unrouted") == 1
 
     asyncio.run(body())
@@ -400,55 +498,48 @@ def test_router_reads_request_targets_like_the_daemon(target):
 
 class TestHealthTracker:
     def make(self, down_after=2):
-        state = BackendState("127.0.0.1", 9999, 3, 5.0)
+        state = BackendState("127.0.0.1", 9999)
         tracker = HealthTracker({state.id: state}, down_after=down_after)
         return tracker, state
 
     def test_ready_probe_keeps_healthy(self):
         tracker, state = self.make()
-        tracker.apply_probe(state, {"status": "ok"}, 200, {"ready": True})
+        tracker.apply_probe(state, 200, {"ready": True})
         assert state.status == HEALTHY
         assert state.strikes == 0
 
     def test_draining_is_immediate(self):
         tracker, state = self.make()
-        tracker.apply_probe(
-            state,
-            {"status": "draining"},
-            503,
-            {"ready": False, "reason": "draining"},
-        )
+        tracker.apply_probe(state, 503, {"ready": False, "reason": "draining"})
         assert state.status == DRAINING
-        assert tracker.transitions_total == 1
+        assert state.transitions == 1
 
     def test_down_needs_consecutive_strikes(self):
         tracker, state = self.make(down_after=2)
-        tracker.apply_probe(state, None, None, None, error="ConnectionRefusedError")
+        tracker.apply_probe(state, None, None, error="ConnectionRefusedError")
         assert state.status == HEALTHY
-        tracker.apply_probe(state, None, None, None, error="ConnectionRefusedError")
+        tracker.apply_probe(state, None, None, error="ConnectionRefusedError")
         assert state.status == DOWN
 
     def test_healthy_answer_rehabilitates(self):
         tracker, state = self.make(down_after=1)
-        tracker.apply_probe(state, None, None, None, error="TimeoutError")
+        tracker.apply_probe(state, None, None, error="TimeoutError")
         assert state.status == DOWN
-        tracker.apply_probe(state, {"status": "ok"}, 200, {"ready": True})
+        tracker.apply_probe(state, 200, {"ready": True})
         assert state.status == HEALTHY
         assert state.strikes == 0
 
     def test_one_blip_does_not_evict(self):
         tracker, state = self.make(down_after=2)
-        tracker.apply_probe(state, None, None, None, error="TimeoutError")
-        tracker.apply_probe(state, {"status": "ok"}, 200, {"ready": True})
-        tracker.apply_probe(state, None, None, None, error="TimeoutError")
+        tracker.apply_probe(state, None, None, error="TimeoutError")
+        tracker.apply_probe(state, 200, {"ready": True})
+        tracker.apply_probe(state, None, None, error="TimeoutError")
         assert state.status == HEALTHY
 
     def test_not_ready_strikes(self):
         tracker, state = self.make(down_after=2)
         for _ in range(2):
-            tracker.apply_probe(
-                state, {"status": "ok"}, 503, {"ready": False, "reason": "breaker"}
-            )
+            tracker.apply_probe(state, 503, {"ready": False, "reason": "circuit-open"})
         assert state.status == DOWN
 
     def test_note_draining_from_dispatch(self):
@@ -456,6 +547,17 @@ class TestHealthTracker:
         tracker.note_draining(state)
         assert state.status == DRAINING
         assert tracker.counts() == {HEALTHY: 0, DRAINING: 1, DOWN: 0}
+
+    def test_dispatch_failures_strike_and_a_success_clears(self):
+        tracker, state = self.make(down_after=2)
+        tracker.note_failure(state)
+        tracker.note_success(state)
+        tracker.note_failure(state)
+        assert state.status == HEALTHY
+        assert state.failures_total == 2
+        tracker.note_failure(state)
+        assert state.status == DOWN
+        assert state.failures_total == 3
 
 
 def test_print_plan_reports_fingerprint_and_backend(tmp_path, capsys):
