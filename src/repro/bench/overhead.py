@@ -14,8 +14,9 @@ disabled-path cost from first principles:
    recorded spans plus metric-recording ops from an *enabled* run
    (:func:`measure_workload_overhead`);
 3. estimate the disabled-path overhead as ``events x cost_per_event``
-   against the disabled run's wall time and gate it at
-   :data:`OVERHEAD_GATE_PCT` percent.
+   against the disabled run's wall time.  The tier-1 test
+   ``tests/observability/test_overhead.py`` gates every workload of the
+   suite at :data:`OVERHEAD_GATE_PCT` percent.
 
 The same probe also reports the enabled-vs-disabled wall-time ratio —
 informational only, since recording is opt-in and buys its cost back in
@@ -25,7 +26,7 @@ debuggability.
 from __future__ import annotations
 
 import time
-from typing import Dict, List
+from typing import Dict
 
 from repro.frontend.lower import compile_source
 from repro.observability import NULL_METRICS, NULL_TRACER, Observability
@@ -90,33 +91,3 @@ def measure_workload_overhead(workload, null_op_cost_s: float) -> Dict[str, floa
         "instrumentation_events": events,
         "estimated_overhead_pct": round(estimated_pct, 4),
     }
-
-
-def measure_overhead(workload_names: List[str]) -> Dict[str, object]:
-    """The bench document's ``overhead`` section."""
-    from repro.bench.workloads import WORKLOADS
-
-    null_op_cost_s = measure_null_op_cost()
-    rows = [
-        measure_workload_overhead(WORKLOADS[name], null_op_cost_s)
-        for name in workload_names
-    ]
-    worst = max((row["estimated_overhead_pct"] for row in rows), default=0.0)
-    return {
-        "null_op_cost_ns": round(null_op_cost_s * 1e9, 2),
-        "gate_pct": OVERHEAD_GATE_PCT,
-        "workloads": rows,
-        "worst_estimated_overhead_pct": worst,
-    }
-
-
-def check_overhead(overhead: Dict[str, object]) -> List[str]:
-    """Gate verdict: failure messages (empty == pass)."""
-    failures: List[str] = []
-    worst = overhead.get("worst_estimated_overhead_pct")
-    if isinstance(worst, (int, float)) and worst > OVERHEAD_GATE_PCT:
-        failures.append(
-            f"disabled-tracer instrumentation overhead estimated at "
-            f"{worst:.2f}% of wall time (gate: <= {OVERHEAD_GATE_PCT}%)"
-        )
-    return failures

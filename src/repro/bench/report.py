@@ -6,14 +6,13 @@ Usage::
     repro-report --table 2      # dynamic counts only
     repro-report --table 3      # register pressure
     repro-report --compare      # ours vs Lu-Cooper vs Mahlke
-    repro-report --timing BENCH_pipeline.json   # time the exec layers
-    repro-report --timing out.json --perf-baseline benchmarks/BENCH_baseline.json
+    repro-report --json         # Tables 1-3 as one JSON document
     repro-report --chaos "crash=0.15,seed=1234" --timeout 10
 
-Exit codes: 0 on success, 1 when a table-affecting failure occurred
-(behaviour diverged, perf gate failed), 2 on driver errors (bad flags,
-unreadable/malformed baseline), and 3 when every workload completed but
-only in degraded mode (quarantines, retries, or an in-process fallback).
+Exit codes: 0 on success, 1 when a printed row's behaviour diverged from
+the unpromoted program's, 2 on driver errors (bad flags, an unwritable
+``--diagnostics-dir``), and 3 when every workload completed but only in
+degraded mode (quarantines, retries, or an in-process fallback).
 """
 
 from __future__ import annotations
@@ -119,9 +118,9 @@ def collect_rows(
     ]
 
 
-def collect_json(resilience=None, observability=None) -> dict:
-    """All evaluation data as one JSON-serializable document."""
-    rows = collect_rows(resilience=resilience, observability=observability)
+def collect_json(rows, resilience=None) -> dict:
+    """All evaluation data as one JSON-serializable document: ``rows``
+    (from :func:`collect_rows`) plus Table 3's pressure rows."""
     doc: dict = {"workloads": {}, "pressure": []}
     for row in rows:
         entry = {
@@ -166,58 +165,6 @@ def collect_json(resilience=None, observability=None) -> dict:
     return doc
 
 
-def run_timing(out_path: str, perf_baseline: Optional[str] = None) -> int:
-    """``--timing``: benchmark the execution layers, optionally gate."""
-    from repro.bench.overhead import check_overhead, measure_overhead
-    from repro.bench.timing import check_against_baseline, time_suite, write_bench
-
-    bench = time_suite()
-    bench["overhead"] = measure_overhead(list(bench["suite"]))
-    write_bench(out_path, bench)
-    speedup = bench["speedup"]
-    print(
-        f"wrote {out_path}: "
-        f"serial {speedup['serial_vs_baseline']}x vs baseline "
-        f"(cpus={bench['cpu_count']}); "
-        f"outputs identical: {bench['outputs_identical']}; "
-        f"instrumentation overhead (disabled, estimated): "
-        f"{bench['overhead']['worst_estimated_overhead_pct']}% worst-case",
-        file=sys.stderr,
-    )
-    if not bench["outputs_identical"]:
-        print("repro-report: timing: arm outputs diverged", file=sys.stderr)
-        return 1
-    overhead_failures = check_overhead(bench["overhead"])
-    for failure in overhead_failures:
-        print(f"repro-report: overhead gate: {failure}", file=sys.stderr)
-    if overhead_failures:
-        return 1
-    if perf_baseline is not None:
-        try:
-            with open(perf_baseline) as handle:
-                baseline = json.load(handle)
-        except (OSError, ValueError) as exc:
-            print(
-                f"repro-report: cannot read perf baseline {perf_baseline}: {exc}",
-                file=sys.stderr,
-            )
-            return 2
-        if not isinstance(baseline, dict):
-            print(
-                f"repro-report: malformed perf baseline {perf_baseline}: "
-                f"expected a JSON object, got {type(baseline).__name__}",
-                file=sys.stderr,
-            )
-            return 2
-        failures = check_against_baseline(bench, baseline)
-        for failure in failures:
-            print(f"repro-report: perf gate: {failure}", file=sys.stderr)
-        if failures:
-            return 1
-        print("repro-report: perf gate passed", file=sys.stderr)
-    return 0
-
-
 def main(argv: Optional[List[str]] = None) -> int:
     parser = argparse.ArgumentParser(prog="repro-report")
     parser.add_argument("--table", choices=["1", "2", "3", "all"], default="all")
@@ -226,16 +173,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     )
     parser.add_argument(
         "--json", action="store_true", help="emit machine-readable JSON instead"
-    )
-    parser.add_argument(
-        "--timing",
-        metavar="FILE",
-        help="time the execution layers over the suite and write FILE",
-    )
-    parser.add_argument(
-        "--perf-baseline",
-        metavar="FILE",
-        help="with --timing: fail if speedup regressed >25%% vs FILE",
     )
     parser.add_argument(
         "--timeout",
@@ -279,13 +216,6 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     observability = None
     if options.trace_out or options.metrics_out:
-        if options.timing:
-            print(
-                "repro-report: --trace-out/--metrics-out are incompatible "
-                "with --timing (instrumented arms would skew the measurement)",
-                file=sys.stderr,
-            )
-            return 2
         from repro.observability import Observability
 
         observability = Observability.recording()
@@ -336,63 +266,47 @@ def main(argv: Optional[List[str]] = None) -> int:
     except ValueError as exc:
         print(f"repro-report: {exc}", file=sys.stderr)
         return 2
-    if resilience is not None:
-        if options.timing:
-            print(
-                "repro-report: --timeout/--retries/--chaos are incompatible "
-                "with --timing (the timing arms must stay deterministic)",
-                file=sys.stderr,
-            )
-            return 2
-        if options.diagnostics_dir:
-            # Give the supervisor's quarantine/attempt events a black
-            # box: dumps land beside the diagnostics CI uploads.
-            from repro.observability import FlightRecorder, flightrecorder
+    if resilience is not None and options.diagnostics_dir:
+        # Give the supervisor's quarantine/attempt events a black box:
+        # dumps land beside the diagnostics CI uploads.
+        from repro.observability import FlightRecorder, flightrecorder
 
-            flightrecorder.install(
-                FlightRecorder("report", artifacts_dir=options.diagnostics_dir)
-            )
-
-    if options.timing:
-        return run_timing(options.timing, perf_baseline=options.perf_baseline)
-    if options.perf_baseline:
-        print("repro-report: --perf-baseline requires --timing", file=sys.stderr)
-        return 2
-
-    if options.json:
-        print(
-            json.dumps(
-                collect_json(resilience=resilience, observability=observability),
-                indent=2,
-                sort_keys=True,
-            )
+        flightrecorder.install(
+            FlightRecorder("report", artifacts_dir=options.diagnostics_dir)
         )
-        export_observability()
-        return 0
 
-    sections: List[str] = []
     rows = None
-    if options.table in ("1", "2", "all"):
+    if options.json or options.table in ("1", "2", "all"):
         rows = collect_rows(resilience=resilience, observability=observability)
-        bad = [r.name for r in rows if not r.output_matches]
-        if bad:
-            print(f"WARNING: behaviour changed for {bad}", file=sys.stderr)
-    if options.table in ("1", "all"):
-        sections.append(format_table1(rows))
-    if options.table in ("2", "all"):
-        sections.append(format_table2(rows))
-    if options.table in ("3", "all"):
-        pressure = [row for name in ORDER for row in pressure_rows(WORKLOADS[name])]
-        sections.append(format_table3(pressure))
-    if options.compare:
-        sections.append(
-            format_comparison(
+    # Every row whose numbers reach stdout; any divergence among them
+    # fails the run.
+    printed = list(rows or [])
+    if options.json:
+        output = json.dumps(collect_json(rows, resilience), indent=2, sort_keys=True)
+    else:
+        sections: List[str] = []
+        if options.table in ("1", "all"):
+            sections.append(format_table1(rows))
+        if options.table in ("2", "all"):
+            sections.append(format_table2(rows))
+        if options.table in ("3", "all"):
+            pressure = [
+                row for name in ORDER for row in pressure_rows(WORKLOADS[name])
+            ]
+            sections.append(format_table3(pressure))
+        if options.compare:
+            compared = [
                 rows or collect_rows(),
                 collect_rows("lucooper"),
                 collect_rows("mahlke"),
-            )
-        )
-    print("\n\n".join(sections))
+            ]
+            printed = [row for promoted in compared for row in promoted]
+            sections.append(format_comparison(*compared))
+        output = "\n\n".join(sections)
+    diverged = [f"{r.name} ({r.promoter})" for r in printed if not r.output_matches]
+    if diverged:
+        print(f"WARNING: behaviour changed for {diverged}", file=sys.stderr)
+    print(output)
 
     if options.diagnostics_dir and rows is not None:
         try:
@@ -427,9 +341,9 @@ def main(argv: Optional[List[str]] = None) -> int:
             + (f"; quarantined: {', '.join(quarantined)}" if quarantined else ""),
             file=sys.stderr,
         )
-        if degraded:
-            return 3
-    return 0
+        if degraded and not diverged:
+            return 3  # a divergence (1) outranks a degraded run (3)
+    return 1 if diverged else 0
 
 
 if __name__ == "__main__":  # pragma: no cover

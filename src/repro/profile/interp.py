@@ -99,7 +99,7 @@ class Interpreter:
     (:mod:`repro.profile.codegen`).  Both tiers give the same outputs,
     steps, counters, profiles and errors, except that a step-limit error
     can come up to one block earlier.  ``compiled=False`` runs only the
-    classic loop: the executable spec and the timing baseline arm."""
+    classic loop: the executable spec the tiered engine is tested against."""
 
     def __init__(
         self,

@@ -373,7 +373,6 @@ class PromotionPipeline:
         args: Sequence[int] = (),
         use_interpreter_profile: bool = True,
         max_steps: int = MAX_STEPS,
-        compiled_interpreter: bool = True,
         resilience: Optional[ResilienceOptions] = None,
         observability: Optional[Observability] = None,
         decisions: Optional[DecisionJournal] = None,
@@ -387,9 +386,6 @@ class PromotionPipeline:
         self.args = list(args)
         self.use_interpreter_profile = use_interpreter_profile
         self.max_steps = max_steps
-        #: False pins phases 2 and 5 to the interpreter's classic
-        #: dispatch loop — the timing harness's baseline arm.
-        self.compiled_interpreter = compiled_interpreter
         #: When set, phases 3+4 run in a supervised worker process:
         #: per-function deadlines, retry with backoff, quarantine, and
         #: (optionally) chaos injection.
@@ -425,7 +421,6 @@ class PromotionPipeline:
         resilience = self.resilience
         stamp: Dict[str, object] = {
             "entry": self.entry,
-            "compiled_interpreter": self.compiled_interpreter,
             "max_steps": self.max_steps,
             "resilience": None if resilience is None else resilience.as_dict(),
         }
@@ -445,8 +440,8 @@ class PromotionPipeline:
         the :class:`PipelineResult` itself — the exported metrics read
         the same :class:`OpCounts` the report prints, so they can never
         disagree.  Only called when tracing is enabled; when disabled the
-        diagnostics section stays ``None`` so timing-harness fingerprints
-        are identical with and without this layer.
+        diagnostics section stays ``None`` so a run's diagnostics are
+        identical with and without this layer.
         """
         metrics = self.observability.metrics
         for prefix, counts in (
@@ -511,11 +506,9 @@ class PromotionPipeline:
         with tracer.span("phase:profile", category="phase") as profile_span:
             if self.use_interpreter_profile and self.entry in module.functions:
                 try:
-                    before_run = Interpreter(
-                        module,
-                        max_steps=self.max_steps,
-                        compiled=self.compiled_interpreter,
-                    ).run(self.entry, self.args)
+                    before_run = Interpreter(module, max_steps=self.max_steps).run(
+                        self.entry, self.args
+                    )
                 except InterpreterError as exc:
                     if isinstance(exc, InterpreterLimitError):
                         cause = f"hit the interpreter limit ({exc})"
@@ -719,11 +712,9 @@ class PromotionPipeline:
     def _execute(self, module: Module):
         """One re-execution attempt: (run, error) with exactly one set."""
         try:
-            run = Interpreter(
-                module,
-                max_steps=self.max_steps,
-                compiled=self.compiled_interpreter,
-            ).run(self.entry, self.args)
+            run = Interpreter(module, max_steps=self.max_steps).run(
+                self.entry, self.args
+            )
         except InterpreterError as exc:
             return None, exc
         return run, None

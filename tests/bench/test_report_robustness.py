@@ -1,109 +1,11 @@
-"""repro-report failure handling: perf-baseline validation (exit 2, one
-line, names the path), resilience flag validation, and the degraded
-exit code 3."""
+"""repro-report failure handling: resilience flag validation and the
+degraded exit code 3."""
 
 import json
 
-import pytest
-
 import repro.bench.report as report
-import repro.bench.timing as timing
 from repro.bench.metrics import BenchmarkRow
 from repro.bench.report import main
-from repro.bench.timing import check_against_baseline
-
-
-def fake_bench():
-    return {
-        "suite": ["go"],
-        "cpu_count": 4,
-        "arms": {},
-        "speedup": {"serial_vs_baseline": 1.5},
-        "outputs_identical": True,
-    }
-
-
-@pytest.fixture
-def stub_timing(monkeypatch):
-    monkeypatch.setattr(timing, "time_suite", lambda **kwargs: fake_bench())
-
-
-def run_timing_against(tmp_path, baseline_path):
-    return main(
-        [
-            "--timing",
-            str(tmp_path / "bench.json"),
-            "--perf-baseline",
-            str(baseline_path),
-        ]
-    )
-
-
-def test_missing_baseline_exits_2_naming_the_path(tmp_path, capsys, stub_timing):
-    missing = tmp_path / "nope.json"
-    code = run_timing_against(tmp_path, missing)
-    captured = capsys.readouterr()
-    assert code == 2
-    (line,) = [
-        ln for ln in captured.err.splitlines() if "perf baseline" in ln
-    ]
-    assert line.startswith("repro-report: cannot read perf baseline")
-    assert str(missing) in line
-
-
-def test_malformed_json_baseline_exits_2(tmp_path, capsys, stub_timing):
-    bad = tmp_path / "bad.json"
-    bad.write_text("{not json")
-    code = run_timing_against(tmp_path, bad)
-    captured = capsys.readouterr()
-    assert code == 2
-    assert f"cannot read perf baseline {bad}" in captured.err
-
-
-def test_non_object_json_baseline_exits_2(tmp_path, capsys, stub_timing):
-    wrong_shape = tmp_path / "list.json"
-    wrong_shape.write_text("[1, 2, 3]")
-    code = run_timing_against(tmp_path, wrong_shape)
-    captured = capsys.readouterr()
-    assert code == 2
-    assert f"malformed perf baseline {wrong_shape}" in captured.err
-    assert "expected a JSON object, got list" in captured.err
-
-
-def test_junk_speedup_values_do_not_crash_the_gate():
-    baseline = {"speedup": {"serial_vs_baseline": "fast", "extra": None}}
-    assert check_against_baseline(fake_bench(), baseline) == []
-    assert check_against_baseline(fake_bench(), {"speedup": [1, 2]}) == []
-
-
-def test_regressed_speedup_still_fails_the_gate():
-    baseline = {"speedup": {"serial_vs_baseline": 4.0}}
-    failures = check_against_baseline(fake_bench(), baseline)
-    assert len(failures) == 1
-    assert "serial_vs_baseline regressed" in failures[0]
-
-
-def test_good_baseline_passes(tmp_path, capsys, stub_timing):
-    good = tmp_path / "good.json"
-    good.write_text(json.dumps({"speedup": {"serial_vs_baseline": 1.4}}))
-    code = run_timing_against(tmp_path, good)
-    captured = capsys.readouterr()
-    assert code == 0
-    assert "perf gate passed" in captured.err
-
-
-def test_chaos_flags_are_incompatible_with_timing(tmp_path, capsys):
-    code = main(
-        [
-            "--timing",
-            str(tmp_path / "bench.json"),
-            "--chaos",
-            "crash=0.1",
-        ]
-    )
-    captured = capsys.readouterr()
-    assert code == 2
-    assert "incompatible with --timing" in captured.err
 
 
 def test_chaos_flags_run_without_jobs(capsys, monkeypatch):

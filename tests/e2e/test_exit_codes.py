@@ -1,7 +1,8 @@
 """Exit-code precedence across the CLI tools: 2 > 1 > 3 > return value.
 
-Driver errors (2) beat strict failures (1), which beat degraded
-completions (3), which beat the program's own return value — and
+Driver errors (2) beat strict failures and behaviour divergences (1),
+which beat degraded completions (3), which beat the program's own
+return value — and
 best-effort observability exports must never reshuffle that order: a
 degraded run with an unwritable ``--trace-out`` still exits 3.
 """
@@ -10,9 +11,7 @@ import json
 
 import pytest
 
-import repro.bench.overhead as overhead
 import repro.bench.report as report
-import repro.bench.timing as timing
 from repro.bench.metrics import BenchmarkRow
 from repro.frontend.cli import main as minic_main
 
@@ -95,10 +94,17 @@ def test_minic_missing_source_is_a_driver_error(capsys):
 # -- repro-report ----------------------------------------------------------
 
 
-def fake_row(name, quarantined=(), retries=0, degraded=False):
+def fake_row(
+    name,
+    quarantined=(),
+    retries=0,
+    degraded=False,
+    output_matches=True,
+    promoter="sastry-ju",
+):
     return BenchmarkRow(
         name=name,
-        promoter="sastry-ju",
+        promoter=promoter,
         static_loads_before=10,
         static_loads_after=5,
         static_stores_before=8,
@@ -107,7 +113,7 @@ def fake_row(name, quarantined=(), retries=0, degraded=False):
         dynamic_loads_after=60,
         dynamic_stores_before=80,
         dynamic_stores_after=70,
-        output_matches=True,
+        output_matches=output_matches,
         quarantined=list(quarantined),
         retries=retries,
         degraded=degraded,
@@ -172,41 +178,79 @@ def test_report_clean_resilient_run_exits_0(monkeypatch, capsys):
     assert report.main(["--table", "2", "--timeout", "60"]) == 0
 
 
-def test_report_unreadable_baseline_beats_gate_failure(
-    tmp_path, capsys, monkeypatch
+def test_report_json_exits_3_when_degraded(degraded_suite, capsys):
+    code = report.main(["--json", "--chaos", CHAOS])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert json.loads(captured.out)["workloads"]["go"]["resilience"]["degraded"]
+    assert "repro-report: resilience" in captured.err
+
+
+def test_report_json_writes_the_diagnostics_dir(degraded_suite, tmp_path, capsys):
+    diag_dir = tmp_path / "diags"
+    code = report.main(["--json", "--diagnostics-dir", str(diag_dir)])
+    assert code == 0
+    assert json.loads((diag_dir / "go.json").read_text()) == {"summary": "stub"}
+
+
+def stub_diverging_suite(monkeypatch, diverging):
+    """One degraded workload, ``go``; the rows that ``diverging`` (a
+    promoter name) promotes no longer behave like the original."""
+
+    def measure(workload, promoter="sastry-ju", **kwargs):
+        return fake_row(
+            "go",
+            quarantined=["poison"],
+            retries=1,
+            degraded=True,
+            output_matches=promoter != diverging,
+            promoter=promoter,
+        )
+
+    monkeypatch.setattr(report, "measure_workload", measure)
+    monkeypatch.setattr(report, "ORDER", ["go"])
+
+
+@pytest.fixture
+def diverged_suite(monkeypatch):
+    stub_diverging_suite(monkeypatch, "sastry-ju")
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [
+        pytest.param(["--table", "2"], id="table"),
+        pytest.param(["--json"], id="json"),
+        pytest.param(["--table", "3", "--compare"], id="compare"),
+    ],
+)
+def test_report_divergence_exits_1(diverged_suite, capsys, flags):
+    assert report.main(flags) == 1
+    err = capsys.readouterr().err
+    assert "WARNING: behaviour changed for ['go (sastry-ju)']" in err
+
+
+def test_report_divergence_in_a_compared_row_exits_1(monkeypatch, capsys):
+    stub_diverging_suite(monkeypatch, "mahlke")
+    assert report.main(["--table", "2"]) == 0
+    assert report.main(["--table", "2", "--compare"]) == 1
+    assert "['go (mahlke)']" in capsys.readouterr().err
+
+
+def test_report_divergence_beats_degraded(diverged_suite, capsys):
+    code = report.main(["--table", "2", "--chaos", CHAOS])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert "across 1/1 degraded workload(s)" in captured.err
+
+
+def test_report_unwritable_diagnostics_dir_beats_divergence(
+    diverged_suite, tmp_path, capsys
 ):
-    # The bench would fail the gate (exit 1) against any baseline, but
-    # an unreadable baseline is a driver error and 2 wins.
-    bench = {
-        "suite": ["go"],
-        "cpu_count": 4,
-        "arms": {},
-        "speedup": {"serial_vs_baseline": 0.1},
-        "outputs_identical": True,
-    }
-    monkeypatch.setattr(timing, "time_suite", lambda **kwargs: bench)
-    monkeypatch.setattr(
-        overhead,
-        "measure_overhead",
-        lambda names: {"worst_estimated_overhead_pct": 0.0},
-    )
-    monkeypatch.setattr(overhead, "check_overhead", lambda doc: [])
-    missing = tmp_path / "missing.json"
+    blocker = tmp_path / "file"
+    blocker.write_text("not a directory")
     code = report.main(
-        [
-            "--timing",
-            str(tmp_path / "bench.json"),
-            "--perf-baseline",
-            str(missing),
-        ]
+        ["--table", "2", "--chaos", CHAOS, "--diagnostics-dir", str(blocker / "sub")]
     )
     assert code == 2
-    assert "cannot read perf baseline" in capsys.readouterr().err
-
-    good = tmp_path / "good.json"
-    good.write_text(json.dumps({"cpu_count": 4, "speedup": {"serial_vs_baseline": 2.0}}))
-    code = report.main(
-        ["--timing", str(tmp_path / "bench.json"), "--perf-baseline", str(good)]
-    )
-    assert code == 1
-    assert "serial_vs_baseline regressed" in capsys.readouterr().err
+    assert "cannot write diagnostics" in capsys.readouterr().err

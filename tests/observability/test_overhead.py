@@ -1,12 +1,18 @@
 """The disabled-path overhead estimate and its gate."""
 
+import pytest
+
 from repro.bench.overhead import (
     OVERHEAD_GATE_PCT,
-    check_overhead,
     measure_null_op_cost,
     measure_workload_overhead,
 )
-from repro.bench.workloads import WORKLOADS
+from repro.bench.workloads import ORDER, WORKLOADS
+
+
+@pytest.fixture(scope="module")
+def null_op_cost():
+    return measure_null_op_cost()
 
 
 def test_null_op_cost_is_sub_microsecond_scale():
@@ -22,16 +28,7 @@ def test_workload_probe_reports_the_gate_inputs():
     assert row["estimated_overhead_pct"] >= 0
 
 
-def test_gate_passes_under_and_fails_over_the_bound():
-    assert check_overhead({"worst_estimated_overhead_pct": 0.5}) == []
-    failures = check_overhead(
-        {"worst_estimated_overhead_pct": OVERHEAD_GATE_PCT + 1}
-    )
-    assert len(failures) == 1
-    assert "gate" in failures[0]
-
-
-def test_real_probe_stays_within_the_gate():
-    cost = measure_null_op_cost(iterations=50_000)
-    row = measure_workload_overhead(WORKLOADS["li"], cost)
-    assert row["estimated_overhead_pct"] <= OVERHEAD_GATE_PCT
+@pytest.mark.parametrize("name", ORDER)
+def test_real_probe_stays_within_the_gate(name, null_op_cost):
+    row = measure_workload_overhead(WORKLOADS[name], null_op_cost)
+    assert row["estimated_overhead_pct"] <= OVERHEAD_GATE_PCT, row

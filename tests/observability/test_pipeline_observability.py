@@ -89,6 +89,7 @@ def test_config_stamp_covers_the_execution_layer():
     assert "use_cache" not in stamp
     assert stamp["resilience"] is None
     assert "transactional" not in stamp
+    assert "compiled_interpreter" not in stamp
 
 
 def test_ssa_counters_record_through_the_ambient_registry():

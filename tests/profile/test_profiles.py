@@ -1,13 +1,17 @@
+import functools
+import hashlib
+import json
+
 import pytest
 
+import repro.promotion.pipeline
 from repro.bench.metrics import BenchmarkRow
 from repro.bench.tables import format_table1, format_table2
-from repro.bench.timing import _fingerprint
 from repro.bench.workloads import ORDER, WORKLOADS
 from repro.frontend.lower import compile_source
 from repro.ir.printer import print_module
 from repro.profile.estimator import estimate_profile
-from repro.profile.interp import run_module
+from repro.profile.interp import Interpreter, run_module
 from repro.profile.profiles import ProfileData
 from repro.promotion.pipeline import PromotionPipeline
 from repro.robustness.supervise import ResilienceOptions
@@ -62,13 +66,42 @@ def test_estimator_covers_all_blocks():
         assert profile.freq(block) >= 1
 
 
-def _promoted_outputs(name, compiled, resilience):
+def _fingerprint(module, result) -> str:
+    """Hash of every observable output of one workload's promotion."""
+    diagnostics = json.loads(result.diagnostics.to_json())  # a copy to edit
+    for outcome in diagnostics["functions"]:
+        outcome["duration_ms"] = 0.0  # timing is not an output
+    for history in diagnostics["attempt_histories"].values():
+        for record in history["records"]:
+            record["duration_ms"] = 0.0
+    doc = {
+        "ir": print_module(module),
+        "static": [
+            result.static_before.loads,
+            result.static_before.stores,
+            result.static_after.loads,
+            result.static_after.stores,
+        ],
+        "dynamic": [
+            result.dynamic_before.loads,
+            result.dynamic_before.stores,
+            result.dynamic_after.loads,
+            result.dynamic_after.stores,
+        ],
+        "stats": {name: s.as_dict() for name, s in sorted(result.stats.items())},
+        "output_matches": result.output_matches,
+        "diagnostics": diagnostics,
+    }
+    payload = json.dumps(doc, sort_keys=True).encode()
+    return hashlib.sha256(payload).hexdigest()
+
+
+def _promoted_outputs(name, resilience):
     workload = WORKLOADS[name]
     module = compile_source(workload.source, name)
     pipeline = PromotionPipeline(
         entry=workload.entry,
         args=list(workload.args),
-        compiled_interpreter=compiled,
         resilience=resilience,
     )
     result = pipeline.run(module)
@@ -95,10 +128,17 @@ def _promoted_outputs(name, compiled, resilience):
 
 @pytest.mark.parametrize("supervised", [False, True])
 @pytest.mark.parametrize("name", ORDER)
-def test_profile_order_does_not_reach_the_outputs(name, supervised):
+def test_profile_order_does_not_reach_the_outputs(name, supervised, monkeypatch):
     # The tiered engine records source-tier block counts after the
     # classic ones, so its profile iterates in a different order; every
     # consumer keys by block, so IR, tables and diagnostics must not move.
+    # The classic loop is the reference: phases 2 and 5 run on it first.
     resilience = ResilienceOptions() if supervised else None
-    classic = _promoted_outputs(name, False, resilience)
-    assert _promoted_outputs(name, True, resilience) == classic
+    with monkeypatch.context() as classic_only:
+        classic_only.setattr(
+            repro.promotion.pipeline,
+            "Interpreter",
+            functools.partial(Interpreter, compiled=False),
+        )
+        classic = _promoted_outputs(name, resilience)
+    assert _promoted_outputs(name, resilience) == classic
