@@ -276,7 +276,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         )
 
     rows = None
-    if options.json or options.table in ("1", "2", "all"):
+    if options.json or options.compare or options.table in ("1", "2", "all"):
         rows = collect_rows(resilience=resilience, observability=observability)
     # Every row whose numbers reach stdout; any divergence among them
     # fails the run.
@@ -296,7 +296,7 @@ def main(argv: Optional[List[str]] = None) -> int:
             sections.append(format_table3(pressure))
         if options.compare:
             compared = [
-                rows or collect_rows(),
+                rows,
                 collect_rows("lucooper"),
                 collect_rows("mahlke"),
             ]

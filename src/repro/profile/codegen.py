@@ -1,10 +1,19 @@
 """The interpreter's source tier: hot IR functions compiled to Python.
 
-Tiering policy: DESIGN.md §2.  Registers become locals, blocks the arms
-of an integer ``while True`` dispatch, phis parallel assignments on
-edges.  Block entries count ``C[k] += 1`` and check a local copy of
-``result.steps`` against the limit (so a limit error can come a block
-early); other counters are derived as Σ block count × static count.
+Tiering policy: DESIGN.md §2.  A run without a profile compiles a
+function once it has run :data:`_TIER_UP` classic steps per instruction.
+A run given each function's profiled steps (a re-execution of a
+profiled program) decides at a function's first call: it compiles it
+then, in the form that can continue a classic activation, when its
+steps reach :data:`_BREAK_EVEN`, and otherwise keeps it classic.  A run
+looks each generated text up in the :class:`CodeObjects` it is given
+before compiling it, so runs that share one reuse each other's code.
+
+Registers become locals, blocks the arms of an integer ``while True``
+dispatch, phis parallel assignments on edges.  Block entries count
+``C[k] += 1`` and check a local copy of ``result.steps`` against the
+limit (so a limit error can come a block early); other counters are
+derived as Σ block count × static count.
 Every other check keeps the classic loop's exception type and message.
 
 Integer operands are checked only in registers that can hold a non-int.
@@ -40,6 +49,12 @@ from repro.profile.interp import (
 #: Classic-tier steps per instruction before a function is compiled.
 _TIER_UP = 10
 
+#: Profiled steps from which a run given a profile compiles a function
+#: at its first call.  Below it, compiling costs more than it saves:
+#: generated programs re-executed slower at 300 than with no profile,
+#: the proxies slower from 1,000 up (sweep: docs/PERFORMANCE.md).
+_BREAK_EVEN = 600
+
 #: Operations counted as block count × static count, by result counter.
 _COUNTED = {
     I.Load: "loads",
@@ -60,10 +75,32 @@ _INT, _PTR, _ANY = "int", "P", ""
 _LOCAL_NAME = re.compile(r"'r(\d+)'")
 
 
+class CodeObjects(dict):
+    """Code objects keyed by ``(function name, source text)``, handed
+    from run to run within one caller.  The name is part of the key
+    because :meth:`TieredRun.unassigned` tells units apart by code
+    object.  ``compiled`` and ``reused`` count misses and hits."""
+
+    compiled = reused = 0
+
+
+def profiled_steps(run) -> Dict[str, int]:
+    """Each function's steps in ``run``, an :class:`ExecutionResult`:
+    Σ block count × instructions per block run.  They sum to
+    ``run.steps``."""
+    steps: Dict[str, int] = {}
+    for block, count in run.block_counts.items():
+        name = block.function.name
+        steps[name] = steps.get(name, 0) + count * len(_executed(block))
+    return steps
+
+
 def run_tiered(interp, result, globals_store, function: Function, args) -> None:
-    """Run ``function`` tiered, recording into ``result``; the generated
-    code is dropped on the way out."""
-    run = TieredRun(interp, result, globals_store)
+    """Run ``function`` tiered, recording into ``result``; the units are
+    dropped on the way out, their code objects kept in
+    ``interp.code_objects`` if given."""
+    tiers = TieredRun if interp.profiled_steps is None else ProfiledRun
+    run = tiers(interp, result, globals_store)
     try:
         result.return_value = run.call(function, list(args), 0)
         run.finish()
@@ -81,6 +118,9 @@ class TieredRun:
 
     def __init__(self, interp, result, globals_store) -> None:
         self.interp, self.result, self.globals_store = interp, result, globals_store
+        self.code = interp.code_objects
+        if self.code is None:
+            self.code = CodeObjects()
         self.units: Dict[Function, _Unit] = {}
         #: Function -> classic-tier steps left before it is compiled, as
         #: of the start of its innermost running classic activation.
@@ -144,7 +184,14 @@ class TieredRun:
             self.budgets[function] = math.inf
             return None
         text = "\n".join(unit.lines) + "\n"
-        exec(compile(text, f"<ir @{function.name}>", "exec"), unit.namespace)
+        code = self.code.get((function.name, text))
+        if code is None:
+            code = compile(text, f"<ir @{function.name}>", "exec")
+            self.code[function.name, text] = code
+            self.code.compiled += 1
+        else:
+            self.code.reused += 1
+        exec(code, unit.namespace)
         unit.fn, unit.lines = unit.namespace.pop("F"), []  # no F <-> globals cycle
         self.units[function] = unit
         return unit
@@ -177,6 +224,26 @@ class TieredRun:
                         name = _COUNTED.get(type(inst))
                         if name:
                             setattr(result, name, getattr(result, name) + count)
+
+
+class ProfiledRun(TieredRun):
+    """A tiered run given each function's profiled steps
+    (``interp.profiled_steps``): a function's tier is fixed at its first
+    call, so no budget is kept and no activation tiers up."""
+
+    def call(self, function: Function, args: List[object], depth: int) -> int:
+        unit = self.units.get(function)
+        if unit is None:
+            if function not in self.budgets:  # its first call
+                self.budgets[function] = math.inf
+                if self.interp.profiled_steps.get(function.name, 0) >= _BREAK_EVEN:
+                    unit = self._compile(function, osr=True)
+            if unit is None:
+                return self.interp._call(function, args, self, depth)
+        limit = self.interp.max_depth
+        if depth > limit:
+            raise InterpreterLimitError(f"recursion deeper than {limit}", depth=depth)
+        return unit.fn(args, depth)
 
 
 def _check(raw, cls):

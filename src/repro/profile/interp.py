@@ -22,13 +22,16 @@ loads/stores and per-block frequencies, which is everything Tables 1 and
 from __future__ import annotations
 
 import math
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.ir import instructions as I
 from repro.ir.basicblock import BasicBlock
 from repro.ir.function import Function
 from repro.ir.module import Module
 from repro.ir.values import Const, Undef, Value, VReg
+
+if TYPE_CHECKING:
+    from repro.profile.codegen import CodeObjects
 
 
 #: The default step budget of every run: the interpreter's, the
@@ -99,7 +102,15 @@ class Interpreter:
     (:mod:`repro.profile.codegen`).  Both tiers give the same outputs,
     steps, counters, profiles and errors, except that a step-limit error
     can come up to one block earlier.  ``compiled=False`` runs only the
-    classic loop: the executable spec the tiered engine is tested against."""
+    classic loop: the executable spec the tiered engine is tested against.
+
+    Two arguments let a tiered run build on an earlier run of the same
+    program.  ``profiled_steps`` (function name -> steps, from
+    :func:`~repro.profile.codegen.profiled_steps`) fixes each function's
+    tier at its first call instead of tiering up on the way.
+    ``code_objects`` (a :class:`~repro.profile.codegen.CodeObjects`) is
+    looked up before compiling a unit and receives every unit compiled.
+    Neither changes what a run observes."""
 
     def __init__(
         self,
@@ -108,12 +119,16 @@ class Interpreter:
         max_depth: int = 200,
         externals: Optional[Dict[str, Callable[..., int]]] = None,
         compiled: bool = True,
+        profiled_steps: Optional[Dict[str, int]] = None,
+        code_objects: Optional[CodeObjects] = None,
     ) -> None:
         self.module = module
         self.max_steps = max_steps
         self.max_depth = max_depth
         self.externals = externals or {}
         self.compiled = compiled
+        self.profiled_steps = profiled_steps
+        self.code_objects = code_objects
 
     def run(self, entry: str = "main", args: Sequence[int] = ()) -> ExecutionResult:
         result = ExecutionResult()

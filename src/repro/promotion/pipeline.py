@@ -13,7 +13,10 @@ Order of operations per function:
    dead memory phis; verify SSA and memory SSA;
 5. re-execute to collect the "after" dynamic costs and check that the
    observable behaviour (printed output, return value, final global
-   values) is unchanged.
+   values) is unchanged.  Phases 3+4 never change the CFG, so phase 2's
+   profile also holds for phase 5: each function's profiled steps pick
+   its interpreter tier at its first call, and the code objects phase 2
+   compiled are reused for identical generated text.
 
 Phase 3 applies one per-function *promoter*: :func:`promote_function`
 (the paper's algorithm) by default, or a baseline from
@@ -59,6 +62,7 @@ from repro.passes.dce import (
     dead_memory_elimination,
     remove_dummy_loads,
 )
+from repro.profile.codegen import CodeObjects, profiled_steps
 from repro.profile.estimator import estimate_profile
 from repro.profile.interp import (
     MAX_STEPS,
@@ -502,13 +506,17 @@ class PromotionPipeline:
 
         # Phase 2: profile (a run that trips the step limit or traps
         # falls back to the static estimate instead of aborting the run).
+        # Its code objects and per-function steps go to phase 5; both die
+        # with this call.
         before_run: Optional[ExecutionResult] = None
+        code = CodeObjects()
+        steps: Dict[str, int] = {}
         with tracer.span("phase:profile", category="phase") as profile_span:
             if self.use_interpreter_profile and self.entry in module.functions:
                 try:
-                    before_run = Interpreter(module, max_steps=self.max_steps).run(
-                        self.entry, self.args
-                    )
+                    before_run = Interpreter(
+                        module, max_steps=self.max_steps, code_objects=code
+                    ).run(self.entry, self.args)
                 except InterpreterError as exc:
                     if isinstance(exc, InterpreterLimitError):
                         cause = f"hit the interpreter limit ({exc})"
@@ -524,10 +532,13 @@ class PromotionPipeline:
                     result.profile = ProfileData.from_execution(before_run)
                     result.dynamic_before = DynamicCounts.of_execution(before_run)
                     diags.profile_source = "interpreter"
+                    steps = profiled_steps(before_run)
             else:
                 result.profile = estimate_profile(module)
                 diags.profile_source = "estimator"
             profile_span.set("profile_source", diags.profile_source)
+            profile_span.set("units_compiled", code.compiled)
+            profile_span.set("units_reused", code.reused)
 
         # Phases 3+4: memory SSA, promotion, and cleanup — one
         # transaction per function, verified before committing.
@@ -549,11 +560,14 @@ class PromotionPipeline:
 
         # Phase 5: re-execute, compare behaviour, and bisect divergence.
         if before_run is not None:
+            compiled, reused = code.compiled, code.reused
             with tracer.span("phase:re-execute", category="phase") as rerun_span:
                 self._check_behaviour(
-                    module, result, before_run, snapshots, committed
+                    module, result, before_run, snapshots, committed, steps, code
                 )
                 rerun_span.set("output_matches", result.output_matches)
+                rerun_span.set("units_compiled", code.compiled - compiled)
+                rerun_span.set("units_reused", code.reused - reused)
 
     # -- phases 3+4 ------------------------------------------------------
 
@@ -709,12 +723,16 @@ class PromotionPipeline:
 
     # -- phase 5 ---------------------------------------------------------
 
-    def _execute(self, module: Module):
-        """One re-execution attempt: (run, error) with exactly one set."""
+    def _execute(self, module: Module, steps: Dict[str, int], code: CodeObjects):
+        """One re-execution attempt, tiered by the profiled ``steps`` and
+        reusing ``code``: (run, error) with exactly one set."""
         try:
-            run = Interpreter(module, max_steps=self.max_steps).run(
-                self.entry, self.args
-            )
+            run = Interpreter(
+                module,
+                max_steps=self.max_steps,
+                profiled_steps=steps,
+                code_objects=code,
+            ).run(self.entry, self.args)
         except InterpreterError as exc:
             return None, exc
         return run, None
@@ -726,9 +744,11 @@ class PromotionPipeline:
         before_run: ExecutionResult,
         snapshots: Dict[str, FunctionSnapshot],
         committed: Dict[str, FunctionState],
+        steps: Dict[str, int],
+        code: CodeObjects,
     ) -> None:
         diags = result.diagnostics
-        after_run, error = self._execute(module)
+        after_run, error = self._execute(module, steps, code)
         result.final_run = after_run
         if after_run is not None and _behaviour_matches(before_run, after_run):
             result.dynamic_after = DynamicCounts.of_execution(after_run)
@@ -762,7 +782,7 @@ class PromotionPipeline:
                     committed[name].install(module.functions[name])
                 else:
                     snapshots[name].restore()
-            run, _ = self._execute(module)
+            run, _ = self._execute(module, steps, code)
             return run is None or not _behaviour_matches(before_run, run)
 
         culprits, tests_run, resolved = isolate_culprits(candidates, diverges)
@@ -783,7 +803,7 @@ class PromotionPipeline:
                 reason="behaviour divergence isolated by bisection",
             )
 
-        final_run, _ = self._execute(module)
+        final_run, _ = self._execute(module, steps, code)
         result.final_run = final_run
         result.output_matches = final_run is not None and _behaviour_matches(
             before_run, final_run

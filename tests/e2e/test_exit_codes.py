@@ -254,3 +254,16 @@ def test_report_unwritable_diagnostics_dir_beats_divergence(
     )
     assert code == 2
     assert "cannot write diagnostics" in capsys.readouterr().err
+
+
+def test_report_compare_rows_get_the_resilience(monkeypatch, capsys):
+    # Without Table 1 or 2, the compared Sastry-Ju rows are the only
+    # promoted rows: chaos must reach them and degrade the run.
+    monkeypatch.setattr(report, "ORDER", ["compress"])
+    code = report.main(
+        ["--table", "3", "--compare", "--retries", "0", "--chaos", "crash=1.0,seed=1"]
+    )
+    captured = capsys.readouterr()
+    assert code == 3
+    assert "repro-report: resilience: " in captured.err
+    assert "across 1/1 degraded workload(s)" in captured.err

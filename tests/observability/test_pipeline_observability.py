@@ -1,8 +1,11 @@
 """Observed pipeline runs: span coverage, metric/report consistency, and
 the diagnostics ``observability`` section."""
 
+import repro.promotion.pipeline
+from repro.bench.workloads import WORKLOADS
 from repro.frontend.lower import compile_source
 from repro.observability import NULL_OBSERVABILITY, Observability
+from repro.profile import codegen
 from repro.promotion.pipeline import PromotionPipeline
 
 SOURCE = """
@@ -98,3 +101,31 @@ def test_ssa_counters_record_through_the_ambient_registry():
     # This workload promotes webs with compensating stores, so the
     # incremental updater must have reported at least one update.
     assert doc["ssa.incremental.updates"]["value"] >= 1
+
+
+def test_interpreter_phases_count_compiled_and_reused_units(monkeypatch):
+    # Phase 5 runs as source exactly the functions whose profiled steps
+    # reach the break-even point, and finds some of phase 2's code.
+    profiles = []
+
+    def spy(run):
+        profiles.append(codegen.profiled_steps(run))
+        return profiles[-1]
+
+    monkeypatch.setattr(repro.promotion.pipeline, "profiled_steps", spy)
+    workload = WORKLOADS["perl"]
+    obs = Observability.recording()
+    module = compile_source(workload.source, "perl")
+    result = PromotionPipeline(
+        entry=workload.entry, args=list(workload.args), observability=obs
+    ).run(module)
+    spans = {r.name: r.attrs for r in obs.tracer.records}
+    profile, rerun = spans["phase:profile"], spans["phase:re-execute"]
+    assert profile["units_compiled"] >= 1
+    assert profile["units_reused"] == 0
+    assert rerun["units_reused"] >= 1
+    (steps,) = profiles
+    hot = [name for name, n in steps.items() if n >= codegen._BREAK_EVEN]
+    assert rerun["units_compiled"] + rerun["units_reused"] == len(hot)
+    # Trace-only: the diagnostics never see them.
+    assert "units_" not in result.diagnostics.to_json()

@@ -23,7 +23,7 @@ from repro.ir.parser import parse_module
 from repro.ir.values import Value, VReg
 from repro.memory.resources import MemoryVar
 from repro.profile import codegen
-from repro.profile.interp import Interpreter, _binop
+from repro.profile.interp import MAX_STEPS, Interpreter, _binop
 from repro.promotion.pipeline import PromotionPipeline
 from repro.ssa.destruct import destruct_ssa
 
@@ -711,3 +711,181 @@ def test_jump_out_of_the_function_keeps_it_classic():
     foreign = module.functions["f"].blocks[1]
     module.functions["main"].entry.instructions[-1].targets[0] = foreign
     assert _agree(module)["return_value"] == 7
+
+
+# -- re-execution on a profile -----------------------------------------------
+#
+# A re-execution is given each function's profiled steps, which fix its
+# tier at its first call, and the code objects of an earlier tiered run.
+# It must agree with the classic loop on everything above.  A step-limit
+# error can still come up to one block early, which its type and
+# message do not show.
+
+
+def _hints(module, entry="main", args=(), max_steps=10_000_000):
+    """Per-function steps and code objects of a run of ``module``, as
+    phase 2 hands them to phase 5; the steps sum to each run's total."""
+    classic = Interpreter(module, max_steps, compiled=False).run(entry, args)
+    code = codegen.CodeObjects()
+    tiered = Interpreter(module, max_steps, code_objects=code).run(entry, args)
+    steps = codegen.profiled_steps(classic)
+    assert sum(steps.values()) == classic.steps
+    assert codegen.profiled_steps(tiered) == steps
+    return steps, code
+
+
+def _agree_hinted(profiled, module, entry="main", args=(), **kwargs):
+    """``module`` re-run on the profile of ``profiled`` agrees with the
+    classic loop, at the break-even point and with every function hot.
+    Returns the classic outcome and the code objects the first re-run
+    found in ``profiled``'s run: none under a small budget, since the
+    profiling run needs a larger one and the limit is in the text."""
+    steps, code = _hints(profiled, entry, args, max(kwargs["max_steps"], 10**7))
+    expected = _outcome(module, "classic", entry, args, **kwargs)
+    reused = []
+    for break_even in (codegen._BREAK_EVEN, 0):
+        with mock.patch.object(codegen, "_BREAK_EVEN", break_even):
+            hinted = _outcome(
+                module, "tiered", entry, args,
+                profiled_steps=steps, code_objects=code, **kwargs,
+            )
+        assert hinted == expected
+        reused.append(code.reused)
+    return expected, reused[0]
+
+
+@pytest.mark.parametrize("max_steps", [10_000_000, 300])
+@pytest.mark.parametrize("name", ORDER)
+def test_profile_hinted_engine_agrees_on_every_workload(name, max_steps):
+    workload = WORKLOADS[name]
+    raw = compile_source(workload.source, name)
+    promoted = _promoted(
+        workload.source, name, entry=workload.entry, args=workload.args
+    )
+    outcome, reused = _agree_hinted(
+        raw, raw, workload.entry, workload.args, max_steps=max_steps
+    )
+    assert ("error" in outcome) == (max_steps == 300)
+    assert reused or max_steps == 300  # phase 2's tier-ups emit phase 5's form
+    outcome, _ = _agree_hinted(
+        raw, promoted, workload.entry, workload.args, max_steps=max_steps
+    )
+    assert ("error" in outcome) == (max_steps == 300)
+
+
+@pytest.mark.parametrize("max_steps", [10_000_000, 300])
+@pytest.mark.parametrize("first", range(0, 300, 50))
+def test_profile_hinted_engine_agrees_on_generated_programs(first, max_steps):
+    for seed in range(first, first + 50):
+        source = random_program(seed)
+        raw = compile_source(source, f"g{seed}")
+        _agree_hinted(raw, raw, max_steps=max_steps)
+        _agree_hinted(raw, _promoted(source, f"g{seed}"), max_steps=max_steps)
+
+
+def test_cold_and_unprofiled_functions_stay_classic():
+    module = parse_module(FIB)
+    code = codegen.CodeObjects()
+    steps = {"fib": codegen._BREAK_EVEN - 1}  # main is not in the profile
+    outcome = _outcome(
+        module, "tiered", profiled_steps=steps, code_objects=code
+    )
+    assert outcome == _outcome(module, "classic")
+    assert not code and code.compiled == code.reused == 0
+
+
+def test_hot_function_runs_as_source_from_its_first_call():
+    module = parse_module(FIB)
+    compiled = []
+    original = codegen.TieredRun._compile
+
+    def spy(run, function, osr):
+        compiled.append((function.name, osr))
+        return original(run, function, osr)
+
+    steps = {"fib": codegen._BREAK_EVEN, "main": codegen._BREAK_EVEN - 1}
+    with mock.patch.object(codegen.TieredRun, "_compile", spy):
+        outcome = _outcome(module, "tiered", profiled_steps=steps)
+    # Once, in the form phase 2's tier-ups emit; main stays classic.
+    assert compiled == [("fib", True)]
+    assert outcome == _outcome(module, "classic")
+
+
+LOOP = """
+module m
+global @x = 0
+func @loop() {
+entry:
+  jmp header
+header:
+  %i = phi [entry: 0, body: %inext]
+  %c = lt %i, 2000
+  br %c, body, done
+body:
+  %t = ld @x
+  %t2 = add %t, %i
+  st @x, %t2
+  %inext = add %i, 1
+  jmp header
+done:
+  ret 0
+}
+"""
+
+
+def test_a_later_run_reuses_the_code_of_an_earlier_one():
+    first = parse_module(LOOP)
+    steps, code = _hints(first, entry="loop", max_steps=MAX_STEPS)  # mid-loop
+    assert (len(code), code.compiled, code.reused) == (1, 1, 0)
+    # A fresh parse: new blocks and variables, the same text.
+    again = parse_module(LOOP)
+    outcome = _outcome(
+        again, "tiered", entry="loop", profiled_steps=steps, code_objects=code
+    )
+    assert (len(code), code.compiled, code.reused) == (1, 1, 1)
+    assert outcome == _outcome(again, "classic", entry="loop")
+    assert outcome["globals"] == {"x": 1999000}
+
+
+TWINS = """
+func @{0}(%c) {{
+entry:
+  br %c, def, use
+def:
+  %{1} = add 1, 2
+  jmp use
+use:
+  %{2} = add %{1}, 1
+  ret %{2}
+}}
+"""
+
+
+@pytest.mark.parametrize("order", [("f", "g"), ("g", "f")])
+def test_functions_with_identical_text_get_their_own_code(order):
+    # f and g differ only in register names, which their text does not
+    # show; the second one called reads its register unassigned.
+    first, second = order
+    module = parse_module(
+        TWINS.format("f", "x", "y")
+        + TWINS.format("g", "u", "v")
+        + f"""
+        func @main() {{
+        entry:
+          %a = call @{first}(1)
+          %b = call @{second}(0)
+          ret %b
+        }}
+        """
+    )
+    code = codegen.CodeObjects()
+    hot = codegen._BREAK_EVEN
+    outcome = _outcome(
+        module, "tiered", profiled_steps={"f": hot, "g": hot}, code_objects=code
+    )
+    register = {"f": "%x", "g": "%u"}[second]
+    assert outcome == _outcome(module, "classic")
+    assert outcome["message"] == f"read of unassigned register {register}"
+    (f_name, f_text), (g_name, g_text) = sorted(code)
+    assert (f_name, g_name) == ("f", "g") and f_text == g_text
+    assert code[f_name, f_text] is not code[g_name, g_text]

@@ -4,8 +4,13 @@ the re-execution oracle detects the divergence, bisection isolates the
 culprit functions, and the diagnostics name every rollback with a
 reason."""
 
+import functools
+import json
+
+import repro.promotion.pipeline
 from repro.ir.parser import parse_module
-from repro.profile.interp import run_module
+from repro.ir.printer import print_module
+from repro.profile.interp import Interpreter, run_module
 from repro.promotion.pipeline import PromotionPipeline
 from repro.robustness import UnsoundAliasModel
 
@@ -102,3 +107,55 @@ def test_pipeline_recovers_from_unsound_aliasing():
     text = result.report()
     assert "rolled back" in text
     assert "warning:" in text
+
+
+# Both loops long enough for phase 5 to run them as source from the start.
+HOT = TEXT.replace("lt %i, 8", "lt %i, 400").replace("lt %i, 10", "lt %i, 400")
+
+
+def _bisected(monkeypatch, classic):
+    """IR, diagnostics and final run of a bisecting pipeline run, and
+    the units each re-execution compiled or reused."""
+    units = []
+    execute = PromotionPipeline._execute
+
+    def counted(self, module, steps, code):
+        before = code.compiled + code.reused
+        outcome = execute(self, module, steps, code)
+        units.append(code.compiled + code.reused - before)
+        return outcome
+
+    with monkeypatch.context() as patch:
+        patch.setattr(PromotionPipeline, "_execute", counted)
+        if classic:
+            patch.setattr(
+                repro.promotion.pipeline,
+                "Interpreter",
+                functools.partial(Interpreter, compiled=False),
+            )
+        module = parse_module(HOT)
+        result = PromotionPipeline(alias_model=UnsoundAliasModel).run(module)
+    diagnostics = json.loads(result.diagnostics.to_json())
+    for outcome in diagnostics["functions"]:
+        outcome["duration_ms"] = 0.0  # timing is not an output
+    final = result.final_run
+    run = (
+        final.output,
+        final.return_value,
+        final.steps,
+        final.loads,
+        final.stores,
+        {(b.function.name, b.name): n for b, n in final.block_counts.items()},
+    )
+    return (print_module(module), diagnostics, run), units
+
+
+def test_bisection_on_phase_two_profile_matches_the_classic_loop(monkeypatch):
+    # A bisection re-run restores fresh block objects, so only hints
+    # keyed by function name still find both loops hot.
+    tiered, units = _bisected(monkeypatch, classic=False)
+    classic, classic_units = _bisected(monkeypatch, classic=True)
+    assert tiered == classic
+    assert tiered[1]["bisection"]["culprits"] == ["alias_trap"]
+    assert len(units) >= 3 and units == [2] * len(units)
+    assert classic_units == [0] * len(units)
