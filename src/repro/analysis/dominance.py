@@ -33,6 +33,8 @@ class DominatorTree:
         self._tin: Dict[BasicBlock, int] = {}
         self._tout: Dict[BasicBlock, int] = {}
         self._frontier: Optional[Dict[BasicBlock, List[BasicBlock]]] = None
+        #: The blocks and successor lists the tree was computed on.
+        self._cfg: List[tuple] = []
 
     # -- construction -----------------------------------------------------
 
@@ -41,6 +43,7 @@ class DominatorTree:
         from repro.analysis.cfgutils import reverse_postorder
 
         tree = cls(function)
+        tree._cfg = _cfg_shape(function)
         rpo = reverse_postorder(function)
         tree.reachable = rpo
         index = {b: i for i, b in enumerate(rpo)}
@@ -92,6 +95,12 @@ class DominatorTree:
                 stack.append((child, False))
 
     # -- queries -------------------------------------------------------------
+
+    def matches(self, function: Function) -> bool:
+        """True while ``function`` has exactly the blocks and successor
+        edges this tree was computed on — a linear check, far cheaper
+        than recomputing the tree."""
+        return function is self.function and _cfg_shape(function) == self._cfg
 
     def dominates(self, a: BasicBlock, b: BasicBlock) -> bool:
         """True iff ``a`` dominates ``b`` (reflexively)."""
@@ -147,6 +156,10 @@ class DominatorTree:
                         runner = nxt
             self._frontier = frontier
         return self._frontier
+
+
+def _cfg_shape(function: Function) -> List[tuple]:
+    return [(block, block.succs) for block in function.blocks]
 
 
 def _intersect(

@@ -98,6 +98,10 @@ class IntervalTree:
     def __init__(self, function: Function, root: Interval) -> None:
         self.function = function
         self.root = root
+        #: The dominator tree the preheaders were located with (set by
+        #: :meth:`assign_preheaders`).  Promotion never edits the CFG, so
+        #: phases 3 and 4 use this tree instead of computing their own.
+        self.domtree: Optional[DominatorTree] = None
         #: Every interval (excluding the root region), outermost first.
         self.intervals: List[Interval] = []
         self._collect(root)
@@ -111,26 +115,30 @@ class IntervalTree:
     def compute(
         cls, function: Function, domtree: Optional[DominatorTree] = None
     ) -> "IntervalTree":
+        tree = cls.structure(function)
+        tree.assign_preheaders(domtree or DominatorTree.compute(function))
+        return tree
+
+    @classmethod
+    def structure(cls, function: Function) -> "IntervalTree":
+        """The intervals and their nesting, without preheaders (so no
+        dominator tree is needed)."""
         rpo = reverse_postorder(function)
         rpo_index = {id(b): i for i, b in enumerate(rpo)}
         root = Interval(function.entry, rpo, [function.entry], is_root=True)
         _find_nested(rpo, set(), root, rpo_index)
         _assign_depths(root)
-        tree = cls(function, root)
-        tree.assign_preheaders(domtree or DominatorTree.compute(function))
-        return tree
+        return cls(function, root)
 
     def assign_preheaders(self, domtree: DominatorTree) -> None:
         """Locate each interval's preheader position (without editing the
         CFG; :func:`normalize_for_promotion` creates dedicated blocks)."""
+        self.domtree = domtree
         self.root.preheader = None  # loads go at the top of the entry block
         for interval in self.intervals:
             if interval.is_proper:
-                outside = [p for p in interval.header.preds if not interval.contains(p)]
-                if len(outside) == 1 and len(outside[0].succs) == 1:
-                    interval.preheader = outside[0]
-                else:
-                    interval.preheader = None  # needs a dedicated block
+                # None when the interval needs a dedicated block.
+                interval.preheader = _dedicated_preheader(interval)
             else:
                 # The paper: the preheader of an improper interval is the
                 # least common dominator of the entry blocks — more
@@ -167,6 +175,15 @@ class IntervalTree:
 
     def loop_depth(self, block: BasicBlock) -> int:
         return self.innermost(block).depth
+
+
+def _dedicated_preheader(interval: Interval) -> Optional[BasicBlock]:
+    """The proper interval's one outside predecessor of the header, when
+    that block only jumps to the header; otherwise None."""
+    outside = [p for p in interval.header.preds if not interval.contains(p)]
+    if len(outside) == 1 and len(outside[0].succs) == 1:
+        return outside[0]
+    return None
 
 
 def _find_nested(
@@ -281,7 +298,8 @@ def normalize_for_promotion(function: Function) -> IntervalTree:
     Removes unreachable blocks, splits critical edges, gives every proper
     interval a dedicated preheader block, and gives every interval exit
     edge a dedicated tail block (target with exactly one predecessor).
-    Returns the recomputed interval tree with preheaders assigned.
+    Returns the recomputed interval tree with preheaders assigned; its
+    ``domtree`` is the one dominator tree of the final CFG.
 
     The paper assumes all of this (Section 4.1): entry/exit edges are not
     critical, a preheader "strictly dominates all of the basic blocks in
@@ -290,15 +308,19 @@ def normalize_for_promotion(function: Function) -> IntervalTree:
     """
     remove_unreachable_blocks(function)
     split_critical_edges(function)
-    tree = IntervalTree.compute(function)
+    # The intermediate trees only need the interval structure; dominators
+    # are computed once, on the final CFG.
+    tree = IntervalTree.structure(function)
 
-    changed = False
-    for interval in tree.intervals:
-        if interval.is_proper and interval.preheader is None:
-            _create_preheader(function, interval)
-            changed = True
+    needy = [
+        interval
+        for interval in tree.intervals
+        if interval.is_proper and _dedicated_preheader(interval) is None
+    ]
+    for interval in needy:
+        _create_preheader(function, interval)
     # Dedicated tails: split exit edges whose target has several preds.
-    tree = IntervalTree.compute(function) if changed else tree
+    tree = IntervalTree.structure(function) if needy else tree
     changed = False
     for interval in tree.intervals:
         for src, dst in interval.exit_edges():
@@ -306,7 +328,8 @@ def normalize_for_promotion(function: Function) -> IntervalTree:
                 split_edge(src, dst, hint="tail")
                 changed = True
     if changed:
-        tree = IntervalTree.compute(function)
+        tree = IntervalTree.structure(function)
+    tree.assign_preheaders(DominatorTree.compute(function))
     return tree
 
 

@@ -48,7 +48,7 @@ def lu_cooper_promote(
     signature matches :func:`~repro.promotion.driver.promote_function`.
     """
     stats = FunctionPromotionStats()
-    domtree = DominatorTree.compute(function)
+    domtree = interval_tree.domtree
     for outer in interval_tree.root.children:
         _visit(function, mssa, outer, profile, domtree, stats)
     return stats

@@ -58,7 +58,7 @@ def mahlke_promote(
     :func:`~repro.promotion.driver.promote_function`.
     """
     stats = FunctionPromotionStats()
-    domtree = DominatorTree.compute(function)
+    domtree = interval_tree.domtree
     for interval in interval_tree.bottom_up():
         if interval.is_root or interval.children:
             continue  # innermost loops only

@@ -297,8 +297,8 @@ def main(argv: Optional[List[str]] = None) -> int:
         if options.compare:
             compared = [
                 rows,
-                collect_rows("lucooper"),
-                collect_rows("mahlke"),
+                collect_rows("lucooper", resilience, observability),
+                collect_rows("mahlke", resilience, observability),
             ]
             printed = [row for promoted in compared for row in promoted]
             sections.append(format_comparison(*compared))
@@ -331,9 +331,11 @@ def main(argv: Optional[List[str]] = None) -> int:
     export_observability()
 
     if rows is not None and resilience is not None:
-        quarantined = sorted({name for row in rows for name in row.quarantined})
-        retries = sum(row.retries for row in rows)
-        degraded = [row.name for row in rows if row.degraded]
+        # Every printed row counts, the compared baselines' included; a
+        # workload is degraded when any of its rows is.
+        quarantined = sorted({name for row in printed for name in row.quarantined})
+        retries = sum(row.retries for row in printed)
+        degraded = {row.name for row in printed if row.degraded}
         print(
             f"repro-report: resilience: {len(quarantined)} function(s) "
             f"quarantined, {retries} retries across "

@@ -61,6 +61,9 @@ class _Parser:
         self.tokens = tokens
         self.limits = limits or DEFAULT_LIMITS
         self.pos = 0
+        #: The current token, ``tokens[pos]``; only :meth:`advance` moves
+        #: it (the list always ends with ``eof``, where it stays).
+        self.tok: Token = tokens[0]
         #: Combined statement + expression nesting depth.  Guarded in
         #: every recursive production so a hostile input fails with a
         #: structured FrontendLimitError long before Python's own
@@ -76,18 +79,16 @@ class _Parser:
 
     # -- token helpers ----------------------------------------------------
 
-    @property
-    def tok(self) -> Token:
-        return self.tokens[self.pos]
-
     def advance(self) -> Token:
         tok = self.tok
         if tok.kind != "eof":
             self.pos += 1
+            self.tok = self.tokens[self.pos]
         return tok
 
     def check(self, text: str) -> bool:
-        return self.tok.text == text and self.tok.kind in ("op", "kw")
+        tok = self.tok
+        return tok.text == text and tok.kind in ("op", "kw")
 
     def accept(self, text: str) -> bool:
         if self.check(text):

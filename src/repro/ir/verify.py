@@ -66,17 +66,31 @@ def verify_module(
 
 
 def verify_function(
-    function: Function, check_ssa: bool = False, check_memssa: bool = False
+    function: Function,
+    check_ssa: bool = False,
+    check_memssa: bool = False,
+    domtree: Optional[DominatorTree] = None,
 ) -> None:
+    """Check ``function``'s invariants; raise :class:`VerificationError`.
+
+    ``domtree`` is a dominator tree the caller already holds.  It is
+    used only while the function still has the blocks and successor
+    edges it was computed on (:meth:`DominatorTree.matches`); otherwise
+    the verifier computes its own, so a stale tree can never vouch for
+    the IR.
+    """
     _check_structure(function)
     if not (check_ssa or check_memssa):
         return
-    # Neither check mutates the IR, so one tree serves both.
-    domtree = DominatorTree.compute(function)
+    # Neither check mutates the IR, so one tree and one position map
+    # serve both.
+    if domtree is None or not domtree.matches(function):
+        domtree = DominatorTree.compute(function)
+    positions = _instruction_positions(function)
     if check_ssa:
-        _check_register_ssa(function, domtree)
+        _check_register_ssa(function, domtree, positions)
     if check_memssa:
-        _check_memory_ssa(function, domtree)
+        _check_memory_ssa(function, domtree, positions)
 
 
 def _fail(
@@ -163,7 +177,11 @@ def _check_structure(function: Function) -> None:
                 )
 
 
-def _check_register_ssa(function: Function, domtree: DominatorTree) -> None:
+def _check_register_ssa(
+    function: Function,
+    domtree: DominatorTree,
+    positions: Dict[int, Tuple[BasicBlock, int]],
+) -> None:
     defs: Dict[VReg, I.Instruction] = {}
     for inst in function.instructions():
         if inst.dst is not None:
@@ -175,7 +193,6 @@ def _check_register_ssa(function: Function, domtree: DominatorTree) -> None:
             _fail(function, f"{reg} has stale def_inst backref", inst.block, "ssa")
 
     params = set(function.params)
-    positions = _instruction_positions(function)
 
     for block in function.blocks:
         for inst in block.instructions:
@@ -200,9 +217,10 @@ def _check_register_ssa(function: Function, domtree: DominatorTree) -> None:
                         value,
                         use_block=pred,
                         use_pos=len(pred.instructions),
-                        what=f"phi {inst.dst} from {pred.name}",
+                        inst=inst,
                     )
             else:
+                use_pos = positions[id(inst)][1]
                 for value in inst.operands:
                     _check_reg_use(
                         function,
@@ -212,24 +230,33 @@ def _check_register_ssa(function: Function, domtree: DominatorTree) -> None:
                         params,
                         value,
                         use_block=block,
-                        use_pos=positions[id(inst)][1],
-                        what=f"use in {block.name}",
+                        use_pos=use_pos,
+                        inst=inst,
                     )
 
 
+def _reg_use_site(inst: I.Instruction, use_block: BasicBlock) -> str:
+    """Where a failing register use sits; built only for the message."""
+    if isinstance(inst, I.Phi):
+        return f"phi {inst.dst} from {use_block.name}"
+    return f"use in {use_block.name}"
+
+
 def _check_reg_use(
-    function, domtree, positions, defs, params, value, use_block, use_pos, what
+    function, domtree, positions, defs, params, value, use_block, use_pos, inst
 ) -> None:
     if isinstance(value, (Const, Undef)):
         return
     if value in params:
         return
-    if value not in defs:
+    def_inst = defs.get(value)
+    if def_inst is None:
+        what = _reg_use_site(inst, use_block)
         _fail(function, f"{value} used but never defined ({what})", use_block, "ssa")
-    def_inst = defs[value]
     def_block, def_pos = positions[id(def_inst)]
     if def_block is use_block:
         if def_pos >= use_pos:
+            what = _reg_use_site(inst, use_block)
             _fail(
                 function,
                 f"{value} used before local definition ({what})",
@@ -237,6 +264,7 @@ def _check_reg_use(
                 "ssa",
             )
     elif not domtree.dominates(def_block, use_block):
+        what = _reg_use_site(inst, use_block)
         _fail(
             function,
             f"definition of {value} in {def_block.name} does not dominate "
@@ -246,7 +274,11 @@ def _check_reg_use(
         )
 
 
-def _check_memory_ssa(function: Function, domtree: DominatorTree) -> None:
+def _check_memory_ssa(
+    function: Function,
+    domtree: DominatorTree,
+    positions: Dict[int, Tuple[BasicBlock, int]],
+) -> None:
     defs: Dict[MemName, I.Instruction] = {}
     entry_names: Set[MemName] = set()
     for inst in function.instructions():
@@ -266,8 +298,6 @@ def _check_memory_ssa(function: Function, domtree: DominatorTree) -> None:
                     inst.block,
                     "memssa",
                 )
-
-    positions = _instruction_positions(function)
 
     for block in function.blocks:
         for inst in block.instructions:
@@ -289,9 +319,10 @@ def _check_memory_ssa(function: Function, domtree: DominatorTree) -> None:
                         name,
                         use_block=pred,
                         use_pos=len(pred.instructions),
-                        what=f"memphi {inst.dst_name} from {pred.name}",
+                        inst=inst,
                     )
-            else:
+            elif inst.mem_uses:
+                use_pos = positions[id(inst)][1]
                 for name in inst.mem_uses:
                     _check_mem_use(
                         function,
@@ -300,27 +331,36 @@ def _check_memory_ssa(function: Function, domtree: DominatorTree) -> None:
                         defs,
                         name,
                         use_block=block,
-                        use_pos=positions[id(inst)][1],
-                        what=f"memory use at {block.name}",
+                        use_pos=use_pos,
+                        inst=inst,
                     )
 
 
+def _mem_use_site(inst: I.Instruction, use_block: BasicBlock) -> str:
+    """Where a failing memory use sits; built only for the message."""
+    if isinstance(inst, I.MemPhi):
+        return f"memphi {inst.dst_name} from {use_block.name}"
+    return f"memory use at {use_block.name}"
+
+
 def _check_mem_use(
-    function, domtree, positions, defs, name, use_block, use_pos, what
+    function, domtree, positions, defs, name, use_block, use_pos, inst
 ) -> None:
     if name.is_entry:
         return  # live-on-entry version; defined "above" the entry block
-    if name not in defs:
+    def_inst = defs.get(name)
+    if def_inst is None:
+        what = _mem_use_site(inst, use_block)
         _fail(
             function,
             f"memory name {name} used but never defined ({what})",
             use_block,
             "memssa",
         )
-    def_inst = defs[name]
     def_block, def_pos = positions[id(def_inst)]
     if def_block is use_block:
         if def_pos >= use_pos:
+            what = _mem_use_site(inst, use_block)
             _fail(
                 function,
                 f"memory name {name} used before definition ({what})",
@@ -328,6 +368,7 @@ def _check_mem_use(
                 "memssa",
             )
     elif not domtree.dominates(def_block, use_block):
+        what = _mem_use_site(inst, use_block)
         _fail(
             function,
             f"definition of {name} in {def_block.name} does not dominate "

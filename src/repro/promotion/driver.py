@@ -11,7 +11,7 @@ code is promoted too, with stores sinking to the returns.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from repro.analysis.dominance import DominatorTree
 from repro.analysis.intervals import Interval, IntervalTree
@@ -19,11 +19,13 @@ from repro.ir import instructions as I
 from repro.ir.basicblock import BasicBlock
 from repro.ir.function import Function
 from repro.memory.memssa import MemorySSA
+from repro.memory.resources import MemName, MemoryVar
 from repro.observability import decisions as decision_journal
 from repro.profile.profiles import ProfileData
 from repro.promotion.profitability import plan_no_defs_web, plan_web
 from repro.promotion.webpromote import WebPromotion
 from repro.promotion.webs import Web, construct_ssa_webs
+from repro.ssa.incremental import ClonedResourceUpdate
 
 
 class PromotionError(RuntimeError):
@@ -126,10 +128,10 @@ def promote_function(
 ) -> FunctionPromotionStats:
     """Run register promotion over one function (already in memory SSA,
     with a normalized CFG).  The CFG is never modified — only
-    instructions are inserted and deleted — so the interval tree and
-    dominator tree stay valid throughout."""
+    instructions are inserted and deleted — so the interval tree and the
+    dominator tree it carries stay valid throughout."""
     options = options or PromotionOptions()
-    domtree = DominatorTree.compute(function)
+    domtree = interval_tree.domtree
     stats = FunctionPromotionStats()
     # The ambient decision journal (a null object when disabled) sees one
     # call per web, never per access — the disabled path stays cheap.
@@ -141,7 +143,11 @@ def promote_function(
         webs = construct_ssa_webs(function, interval)
         if not options.per_web:
             webs = _merge_webs_per_variable(function, interval, webs)
+        update = _IntervalUpdate(function, domtree, interval, stats)
         for web in webs:
+            # A pressure measurement reads the whole function.
+            if options.pressure_limit is not None or update.pending(web.var):
+                update.flush()
             pressure = _measure_pressure(function, options)
             if pressure is not None and pressure >= options.pressure_limit:
                 stats.webs_seen += 1
@@ -157,21 +163,95 @@ def promote_function(
             try:
                 _promote_in_web(
                     function, mssa, web, interval, profile, domtree, options,
-                    stats, journal,
+                    stats, update, journal,
                 )
             except PromotionError:
                 raise
             except Exception as exc:
-                where = "<root>" if interval.is_root else interval.header.name
-                raise PromotionError(
-                    f"promotion of @{web.var.name} in interval {where} of "
-                    f"{function.name} failed: {exc}",
-                    function=function.name,
-                    interval=where,
-                    var=web.var.name,
-                ) from exc
+                raise _promotion_error(function, interval, web.var.name, exc) from exc
+        update.flush()
     journal.finish()
     return stats
+
+
+def _promotion_error(
+    function: Function, interval: Interval, var: str, exc: Exception
+) -> PromotionError:
+    where = "<root>" if interval.is_root else interval.header.name
+    return PromotionError(
+        f"promotion of @{var} in interval {where} of {function.name} failed: {exc}",
+        function=function.name,
+        interval=where,
+        var=var,
+    )
+
+
+class _IntervalUpdate:
+    """The incremental SSA update (§4.5, Fig. 11) one interval's webs share.
+
+    Each promoted web adds its cloned stores as it is promoted, which
+    places their memory phis then; one walk renames and prunes them all
+    when the update is flushed: at the end of the interval, before a
+    pressure measurement, and before a web of a variable already added.
+    Two webs of one variable can share the live-on-entry name, so the
+    second web's triage would read names the first one's renaming
+    rewrites; webs of different variables never read each other's names.
+    The result is the IR one update per web gives.
+    """
+
+    def __init__(
+        self,
+        function: Function,
+        domtree: DominatorTree,
+        interval: Interval,
+        stats: FunctionPromotionStats,
+    ) -> None:
+        self.function = function
+        self.ssa = ClonedResourceUpdate(function, domtree)
+        self.interval = interval
+        self.stats = stats
+        #: Names of the variables added since the last flush.
+        self.vars: List[str] = []
+        #: (dummy, its uses) for each dummy whose use waits for the flush.
+        self.held: List[Tuple[I.Instruction, List[MemName]]] = []
+
+    def pending(self, var: MemoryVar) -> bool:
+        return self.ssa.pending(var)
+
+    def add(self, promo: WebPromotion) -> bool:
+        """Add the web's cloned stores; False when there were none.
+
+        The old set is exactly the web's names (plus the live-on-entry
+        name): single-threaded memory guarantees a clone can only
+        supersede uses of names from its own web, and keeping sibling
+        webs out of the old set keeps their references alive for their
+        own promotion later in this interval.
+        """
+        if not promo.add_ssa_update(self.ssa, list(promo.web.names)):
+            return False
+        self.vars.append(promo.web.var.name)
+        return True
+
+    def hold(self, dummy: I.Instruction) -> None:
+        """Fig. 4 places a web's dummy after the web's own update, so that
+        update must neither rename the dummy's use nor count it as one:
+        the use is detached until the flush."""
+        self.held.append((dummy, dummy.mem_uses))
+        dummy.mem_uses = []
+
+    def flush(self) -> None:
+        if not self.vars:
+            return
+        try:
+            done = self.ssa.run()
+        except Exception as exc:
+            raise _promotion_error(
+                self.function, self.interval, ",".join(self.vars), exc
+            ) from exc
+        self.stats.stores_deleted += done.defs_deleted - done.phis_deleted
+        for dummy, uses in self.held:
+            dummy.mem_uses = uses
+        self.vars, self.held = [], []
 
 
 def _measure_pressure(
@@ -196,9 +276,10 @@ def _promote_in_web(
     domtree: DominatorTree,
     options: PromotionOptions,
     stats: FunctionPromotionStats,
+    update: _IntervalUpdate,
     journal=decision_journal.NULL_FUNCTION_DECISIONS,
 ) -> None:
-    """Fig. 4's ``promoteInWeb``."""
+    """Fig. 4's ``promoteInWeb``; the SSA update joins ``update``."""
     stats.webs_seen += 1
     preheader = _preheader_block(interval)
     entry_name = mssa.entry_names.get(web.var) or _entry_name_for(mssa, web)
@@ -252,17 +333,15 @@ def _promote_in_web(
     promo.init_vr_map()
     promo.insert_loads_at_phi_leaves()
     promo.replace_loads_by_copies()
+    added = False
     if plan.remove_stores:
         promo.insert_stores_for_aliased_loads()
         promo.insert_stores_at_interval_tails()
-        # The update's old set is exactly this web's names (plus the
-        # live-on-entry name): single-threaded memory guarantees a clone
-        # can only supersede uses of names from its own web, and keeping
-        # sibling webs out of the old set keeps their references alive
-        # for their own promotion later in this interval.
-        promo.run_ssa_update(list(web.names))
+        added = update.add(promo)
     if web.aliased_load_refs or (web.store_refs and not plan.remove_stores):
-        promo.insert_dummy_aliased_load(preheader)
+        dummy = promo.insert_dummy_aliased_load(preheader)
+        if added and dummy is not None:
+            update.hold(dummy)
     stats.webs_promoted += 1
     stats.absorb(promo.stats)
 
@@ -343,8 +422,6 @@ def _insertion_point(function: Function, interval: Interval):
 def _entry_name_for(mssa: MemorySSA, web: Web):
     """Fallback entry name when the variable was not tracked at memory
     SSA construction time (hand-annotated tests)."""
-    from repro.memory.resources import MemName
-
     name = MemName(web.var, 0, None)
     mssa.entry_names[web.var] = name
     return name

@@ -24,20 +24,33 @@ Phase 3 applies one per-function *promoter*: :func:`promote_function`
 differ from the paper's algorithm in policy alone.
 
 Every per-function transformation (phases 1, 3, and 4) is a
-*transaction*: the function's IR is snapshotted first, and any exception
-or verification failure restores the snapshot, records a structured
+*transaction*: any exception or verification failure rolls the function
+back, records a structured
 :class:`~repro.robustness.diagnostics.FunctionOutcome`, and lets the rest
-of the module proceed.  When phase 5 detects a behaviour divergence, the
-pipeline delta-debugs over the transformed functions (re-running from
-snapshots) to isolate a minimal culprit set and rolls only those back, so
-the module the caller gets is always behaviour-preserving.  The result's
-``diagnostics`` names every rolled-back function with its reason.
+of the module proceed.  Each function is imaged once, before phase 1
+(:mod:`repro.robustness.snapshot`).  A phase-1 failure restores that
+image; a phase-3/4 rollback restores it and replays phase 1, which is
+deterministic and gives the prepared IR again, byte for byte.  When
+phase 5 detects a behaviour divergence, the pipeline replays phase 1
+once per transformed function and delta-debugs by toggling each between
+its promoted and prepared IR, to isolate a minimal culprit set and roll
+only those back, so the module the caller gets is always
+behaviour-preserving.  The result's ``diagnostics`` names every
+rolled-back function with its reason.
+
+Phase 1 computes one dominator tree per function on its final CFG
+(carried by the :class:`~repro.analysis.intervals.IntervalTree`), and
+phases 3 and 4, which never change the CFG, use it instead of computing
+their own.  A replay builds fresh blocks, so ``result.profile`` (keyed
+by block identity) does not cover a rolled-back function's blocks; read
+its counts by block name, as :func:`_block_counts` does.
 
 The result object carries everything Tables 1 and 2 need.
 """
 
 from __future__ import annotations
 
+import functools
 import pickle
 import time
 from typing import Callable, Dict, List, Optional, Sequence
@@ -206,22 +219,28 @@ def promote_transaction(
     promoter: Promoter,
     options: PromotionOptions,
     tracer,
+    rollback: Optional[Callable[[], object]] = None,
 ):
-    """Phases 3+4 on one function as one transaction: snapshot, memory
-    SSA, ``promoter``, cleanup, verification — rolled back on any failure.
+    """Phases 3+4 on one function as one transaction: memory SSA,
+    ``promoter``, cleanup, verification — rolled back on any failure.
 
-    Returns ``(snapshot, stats, stage, error)``: ``error`` is ``None``
-    when the transformation stands, and otherwise the exception raised
-    in ``stage`` after the snapshot was restored.  The in-process loop
-    and the supervised worker both run this.
+    ``rollback`` puts the function back as it was before the attempt.
+    By default the function is imaged first and the image restored; the
+    in-process loop passes a phase-1 replay from the function's
+    pre-phase-1 image instead, and takes no image here.  Returns
+    ``(rollback, stats, stage, error)``: ``error`` is ``None`` when the
+    transformation stands, and otherwise the exception raised in
+    ``stage`` after ``rollback`` ran.  The in-process loop and the
+    supervised worker both run this.
     """
+    if rollback is None:
+        rollback = snapshot_function(function).restore
     name = function.name
-    snap = snapshot_function(function)
     stage = "memssa"
     with tracer.span("function:" + name, category="promote") as fn_span:
         try:
             with tracer.span("stage:memssa", category="promote"):
-                mssa = build_memory_ssa(function, model)
+                mssa = build_memory_ssa(function, model, domtree=tree.domtree)
             stage = "promote"
             with tracer.span("stage:promote", category="promote"):
                 stats = promoter(function, mssa, profile, tree, options)
@@ -233,14 +252,29 @@ def promote_transaction(
                 dead_memory_elimination(function)
             stage = "verify"
             with tracer.span("stage:verify", category="promote"):
-                verify_function(function, check_ssa=True, check_memssa=True)
+                verify_function(
+                    function, check_ssa=True, check_memssa=True, domtree=tree.domtree
+                )
         except Exception as exc:
-            snap.restore()
+            rollback()
             fn_span.set("status", "rolled_back").set("stage", stage)
-            return snap, None, stage, exc
+            return rollback, None, stage, exc
         fn_span.set("status", "promoted")
         fn_span.set("webs_promoted", stats.webs_promoted)
-        return snap, stats, stage, None
+        return rollback, stats, stage, None
+
+
+def _prepare(function) -> IntervalTree:
+    """Phase 1's transformations: mem2reg, then CFG normalization.  The
+    returned tree carries the dominator tree of the final CFG."""
+    construct_ssa(function)
+    return normalize_for_promotion(function)
+
+
+def _replay(image: FunctionSnapshot) -> IntervalTree:
+    """Restore a function's pre-phase-1 image and run phase 1 again,
+    which gives its prepared IR byte for byte (in fresh objects)."""
+    return _prepare(image.restore())
 
 
 def _block_counts(profile: ProfileData, module: Module) -> Dict[str, Dict[str, int]]:
@@ -261,7 +295,9 @@ class _WorkerPromoter:
     :mod:`repro.robustness.supervise`): shipped with the pre-phase-3
     module, then promotes one function per request with
     :func:`promote_transaction` and restores its copy afterwards, so
-    every attempt starts from the module the parent prepared.
+    every attempt starts from the module the parent prepared.  It keeps
+    its own images: one to undo an attempt, and the transport image of
+    the promoted IR it ships back.
 
     The module travels as bytes pickled once, here: the parent's module
     changes as promoted images install, and a restarted worker must
@@ -308,7 +344,7 @@ class _WorkerPromoter:
         with activate_metrics(
             obs.metrics if obs.enabled else None
         ), activate_decisions(journal):
-            snap, stats, stage, error = promote_transaction(
+            undo, stats, stage, error = promote_transaction(
                 function,
                 self.model,
                 profile,
@@ -324,7 +360,7 @@ class _WorkerPromoter:
             )
             reply.stats = stats.as_dict()
             reply.payload = snapshot_function(function)
-            snap.restore()
+            undo()
         else:
             reply = WorkerReply(
                 name,
@@ -351,10 +387,10 @@ class PromotionPipeline:
     algorithm; the baselines pass theirs (``lu_cooper_promote``,
     ``mahlke_promote``, or a :func:`functools.partial` of one).  It must
     be picklable (a module-level function or a partial of one) for the
-    supervised path.  Every function is snapshotted before it is
-    transformed; failures roll the function back instead of aborting
-    the run, and a phase-5 behaviour divergence triggers bisection over
-    the transformed functions.
+    supervised path.  Every function is imaged once, before phase 1;
+    failures roll the function back instead of aborting the run, and a
+    phase-5 behaviour divergence triggers bisection over the transformed
+    functions.
 
     ``resilience`` (a :class:`~repro.robustness.ResilienceOptions`) runs
     phases 3+4 in one supervised worker process
@@ -475,22 +511,23 @@ class PromotionPipeline:
         tracer = self.observability.tracer
 
         # Phase 1: prepare every function (transaction: skip on failure).
+        # Its image is the function's only one: rollbacks and bisection
+        # restore it and replay this phase.
+        images: Dict[str, FunctionSnapshot] = {}
         trees: Dict[str, IntervalTree] = {}
         prepared: List[str] = []
         with tracer.span("phase:prepare", category="phase"):
             for function in list(module.functions.values()):
                 started = time.perf_counter()
-                pre = snapshot_function(function)
+                image = snapshot_function(function)
                 with tracer.span(
                     "prepare:" + function.name, category="prepare"
                 ) as prep_span:
                     try:
-                        construct_ssa(function)
-                        trees[function.name] = normalize_for_promotion(function)
-                        verify_function(function, check_ssa=True)
+                        tree = _prepare(function)
+                        verify_function(function, check_ssa=True, domtree=tree.domtree)
                     except Exception as exc:
-                        pre.restore()
-                        trees.pop(function.name, None)
+                        image.restore()
                         prep_span.set("status", "skipped")
                         prep_span.set("error_type", type(exc).__name__)
                         diags.record_skip(
@@ -500,6 +537,8 @@ class PromotionPipeline:
                             duration_ms=(time.perf_counter() - started) * 1e3,
                         )
                     else:
+                        images[function.name] = image
+                        trees[function.name] = tree
                         prepared.append(function.name)
 
         result.static_before = StaticCounts.of_module(module)
@@ -542,17 +581,16 @@ class PromotionPipeline:
 
         # Phases 3+4: memory SSA, promotion, and cleanup — one
         # transaction per function, verified before committing.
-        snapshots: Dict[str, FunctionSnapshot] = {}
         committed: Dict[str, FunctionState] = {}
         with tracer.span("phase:promote", category="phase") as promote_span:
             supervised = False
             if self.resilience is not None and prepared:
                 supervised = self._phase34_supervised(
-                    module, result, prepared, snapshots, committed
+                    module, result, prepared, committed
                 )
             if not supervised:
                 self._phase34_in_process(
-                    module, result, trees, prepared, snapshots, committed
+                    module, result, images, trees, prepared, committed
                 )
             promote_span.set("functions", len(prepared))
 
@@ -563,7 +601,7 @@ class PromotionPipeline:
             compiled, reused = code.compiled, code.reused
             with tracer.span("phase:re-execute", category="phase") as rerun_span:
                 self._check_behaviour(
-                    module, result, before_run, snapshots, committed, steps, code
+                    module, result, before_run, images, committed, steps, code
                 )
                 rerun_span.set("output_matches", result.output_matches)
                 rerun_span.set("units_compiled", code.compiled - compiled)
@@ -575,9 +613,9 @@ class PromotionPipeline:
         self,
         module: Module,
         result: PipelineResult,
+        images: Dict[str, FunctionSnapshot],
         trees: Dict[str, IntervalTree],
         prepared: List[str],
-        snapshots: Dict[str, FunctionSnapshot],
         committed: Dict[str, FunctionState],
     ) -> None:
         diags = result.diagnostics
@@ -585,7 +623,7 @@ class PromotionPipeline:
         for name in prepared:
             function = module.functions[name]
             started = time.perf_counter()
-            snap, stats, stage, error = promote_transaction(
+            _, stats, stage, error = promote_transaction(
                 function,
                 model,
                 result.profile,
@@ -593,6 +631,7 @@ class PromotionPipeline:
                 self.promoter,
                 self.options,
                 self.observability.tracer,
+                rollback=functools.partial(_replay, images[name]),
             )
             duration_ms = (time.perf_counter() - started) * 1e3
             if error is not None:
@@ -603,7 +642,6 @@ class PromotionPipeline:
                 )
                 continue
             result.stats[name] = stats
-            snapshots[name] = snap
             committed[name] = capture_state(function)
             diags.record_promoted(
                 name, duration_ms=duration_ms, webs_promoted=stats.webs_promoted
@@ -614,7 +652,6 @@ class PromotionPipeline:
         module: Module,
         result: PipelineResult,
         prepared: List[str],
-        snapshots: Dict[str, FunctionSnapshot],
         committed: Dict[str, FunctionState],
     ) -> bool:
         """Phases 3+4 in one supervised worker process: deadlines, retry
@@ -691,7 +728,6 @@ class PromotionPipeline:
                 continue
             stats = FunctionPromotionStats()
             if reply.status == FunctionOutcome.PROMOTED:
-                snap = snapshot_function(function)
                 try:
                     reply.payload.install(module)
                 except TransportError as exc:
@@ -700,7 +736,6 @@ class PromotionPipeline:
                 else:
                     stats.absorb(reply.stats)
                     result.stats[name] = stats
-                    snapshots[name] = snap
                     committed[name] = capture_state(function)
                     record = diags.record_promoted(
                         name,
@@ -742,7 +777,7 @@ class PromotionPipeline:
         module: Module,
         result: PipelineResult,
         before_run: ExecutionResult,
-        snapshots: Dict[str, FunctionSnapshot],
+        images: Dict[str, FunctionSnapshot],
         committed: Dict[str, FunctionState],
         steps: Dict[str, int],
         code: CodeObjects,
@@ -768,20 +803,25 @@ class PromotionPipeline:
             return
 
         # Delta-debug: find the minimal culprit set among the transformed
-        # functions, toggling each between its promoted and pre-promotion
-        # IR and re-running from the snapshots.
+        # functions, toggling each between its promoted and prepared IR.
+        # One phase-1 replay per function gives the prepared IR; after
+        # that, toggling installs captured states and copies nothing.
         diags.warn(
             f"{reason}; bisecting over {len(committed)} transformed function(s)"
         )
         candidates = list(committed)
+        prepared: Dict[str, FunctionState] = {}
+        for name in candidates:
+            _replay(images[name])
+            prepared[name] = capture_state(module.functions[name])
+
+        def install(kept) -> None:
+            for name in candidates:
+                state = committed[name] if name in kept else prepared[name]
+                state.install(module.functions[name])
 
         def diverges(kept: List[str]) -> bool:
-            kept_set = set(kept)
-            for name in candidates:
-                if name in kept_set:
-                    committed[name].install(module.functions[name])
-                else:
-                    snapshots[name].restore()
+            install(set(kept))
             run, _ = self._execute(module, steps, code)
             return run is None or not _behaviour_matches(before_run, run)
 
@@ -789,11 +829,7 @@ class PromotionPipeline:
         diags.bisection = BisectionReport(candidates, culprits, tests_run, resolved)
 
         culprit_set = set(culprits)
-        for name in candidates:
-            if name in culprit_set:
-                snapshots[name].restore()
-            else:
-                committed[name].install(module.functions[name])
+        install({name for name in candidates if name not in culprit_set})
         for name in culprits:
             result.stats[name] = FunctionPromotionStats()
             self._mark_decision(name, "rolled_back")

@@ -12,10 +12,11 @@
   webs terminate;
 * when stores are removed, ``insert_stores_for_aliased_loads`` and
   ``insert_stores_at_interval_tails`` place the compensating stores,
-  after which one batched incremental SSA update
-  (:func:`repro.ssa.incremental.update_ssa_for_cloned_resources`) renames
-  downstream uses and deletes the dead original stores and phis —
-  the paper's ``deleteStores`` falls out of the update's step 4;
+  after which a batched incremental SSA update
+  (:class:`repro.ssa.incremental.ClonedResourceUpdate`, shared by the
+  interval's webs) renames downstream uses and deletes the dead original
+  stores and phis — the paper's ``deleteStores`` falls out of the
+  update's step 4;
 * finally a dummy aliased load summarizing the web's memory expectation
   is placed in the interval preheader for the enclosing interval.
 """
@@ -30,7 +31,7 @@ from repro.ir.basicblock import BasicBlock
 from repro.ir.function import Function
 from repro.ir.values import VReg
 from repro.memory.resources import MemName
-from repro.ssa.incremental import update_ssa_for_cloned_resources
+from repro.ssa.incremental import ClonedResourceUpdate
 from repro.observability import decisions as decision_journal
 from repro.promotion.profitability import WebPlan
 
@@ -196,23 +197,36 @@ class WebPromotion:
             )
             self.stats["tail_stores_inserted"] += 1
 
-    def run_ssa_update(self, all_names: List[MemName]) -> None:
-        """Batched incremental update for the cloned stores; its dead-code
-        step performs the paper's ``deleteStores``."""
+    def add_ssa_update(
+        self, update: ClonedResourceUpdate, all_names: List[MemName]
+    ) -> bool:
+        """Add the cloned stores to ``update`` (its phi placement runs
+        now; see :class:`~repro.ssa.incremental.ClonedResourceUpdate`),
+        with ``all_names`` plus the live-on-entry name as the old names.
+        False when nothing was cloned."""
         if not self.cloned:
-            return
+            return False
         old = list(all_names)
         if not any(n is self.entry_name for n in old):
             old.append(self.entry_name)
-        stats = update_ssa_for_cloned_resources(
-            self.function, old, self.cloned, domtree=self.domtree
-        )
-        self.stats["stores_deleted"] += stats.defs_deleted - stats.phis_deleted
+        update.add(old, self.cloned)
+        return True
 
-    def insert_dummy_aliased_load(self, preheader: Optional[BasicBlock]) -> None:
-        """Summarize this web's entry expectation for the parent interval."""
+    def run_ssa_update(self, all_names: List[MemName]) -> None:
+        """Incremental update for this web's cloned stores alone; its
+        dead-code step performs the paper's ``deleteStores``."""
+        update = ClonedResourceUpdate(self.function, self.domtree)
+        if self.add_ssa_update(update, all_names):
+            stats = update.run()
+            self.stats["stores_deleted"] += stats.defs_deleted - stats.phis_deleted
+
+    def insert_dummy_aliased_load(
+        self, preheader: Optional[BasicBlock]
+    ) -> Optional[I.DummyAliasedLoad]:
+        """Summarize this web's entry expectation for the parent interval;
+        returns the dummy, or None when there is no place or no name."""
         if preheader is None or self.web.live_in is None:
-            return
+            return None
         dummy = I.DummyAliasedLoad(self.web.live_in)
         term = preheader.terminator
         if term is not None:
@@ -223,6 +237,7 @@ class WebPromotion:
             dummy, "dummy", self.web, self.interval, "dummy-aliased-load"
         )
         self.stats["dummies_inserted"] += 1
+        return dummy
 
     # -- helpers ------------------------------------------------------------
 

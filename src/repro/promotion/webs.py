@@ -15,7 +15,7 @@ live-in resource, and the interval phis.
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.analysis.intervals import Interval
 from repro.ir import instructions as I
@@ -96,45 +96,59 @@ def construct_ssa_webs(function: Function, interval: Interval) -> List[Web]:
                         uf.add(name)
 
     webs: List[Web] = []
+    owner: Dict[int, Web] = {}
     for group in uf.groups():
         web = Web(group[0].var, interval)
         web.names = group
-        _collect_references(function, web)
+        for name in group:
+            owner[id(name)] = web
         webs.append(web)
+    # The webs are built before any of them is promoted, so one scan
+    # fills every web's reference lists in the order a scan per web would.
+    _collect_references(interval, owner)
+    for web in webs:
+        _set_live_in(web)
     webs.sort(key=lambda w: (w.var.name, min(n.version for n in w.names)))
     return webs
 
 
-def _collect_references(function: Function, web: Web) -> None:
-    """Scan the interval once, filling the web's reference sets."""
-    in_web = {id(n) for n in web.names}
-    interval = web.interval
-
+def _collect_references(interval: Interval, owner: Dict[int, Web]) -> None:
+    """Scan the interval once, filling each web's reference sets;
+    ``owner`` maps each web name (by identity) to its web."""
     for block in interval.blocks:
         for inst in block.instructions:
             if isinstance(inst, I.MemPhi):
-                if id(inst.dst_name) in in_web:
+                web = owner.get(id(inst.dst_name))
+                if web is not None:
                     web.phis.append(inst)
                     web.defs_in_interval.append(inst.dst_name)
                 continue
             if isinstance(inst, I.Load):
-                if inst.mem_uses and id(inst.mem_uses[0]) in in_web:
-                    web.load_refs.append(inst)
+                if inst.mem_uses:
+                    web = owner.get(id(inst.mem_uses[0]))
+                    if web is not None:
+                        web.load_refs.append(inst)
                 continue
             if isinstance(inst, I.Store):
-                if inst.mem_defs and id(inst.mem_defs[0]) in in_web:
-                    web.store_refs.append(inst)
-                    web.defs_in_interval.append(inst.mem_defs[0])
+                if inst.mem_defs:
+                    web = owner.get(id(inst.mem_defs[0]))
+                    if web is not None:
+                        web.store_refs.append(inst)
+                        web.defs_in_interval.append(inst.mem_defs[0])
                 continue
             if inst.is_aliased_mem_op:
                 for name in inst.mem_uses:
-                    if id(name) in in_web:
+                    web = owner.get(id(name))
+                    if web is not None:
                         web.aliased_load_refs.append((inst, name))
                 for name in inst.mem_defs:
-                    if id(name) in in_web:
+                    web = owner.get(id(name))
+                    if web is not None:
                         web.aliased_store_refs.append((inst, name))
                         web.defs_in_interval.append(name)
 
+
+def _set_live_in(web: Web) -> None:
     defined_inside = {id(n) for n in web.defs_in_interval}
     outside = [n for n in web.names if id(n) not in defined_inside]
     # Single-threaded memory: at most one live-in resource per web for a

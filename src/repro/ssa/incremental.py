@@ -98,112 +98,196 @@ def update_ssa_for_cloned_resources(
     ``old_names`` must contain every existing name of the variable that
     may reach an affected use (passing *all* names of the variable is
     always safe); ``cloned_names`` are the freshly inserted definitions.
-    All names must belong to one variable.
+    All names must belong to one variable.  This is a
+    :class:`ClonedResourceUpdate` of one variable.
     """
-    stats = UpdateStats()
     if not cloned_names:
+        return UpdateStats()
+    update = ClonedResourceUpdate(function, domtree or DominatorTree.compute(function))
+    update.add(old_names, cloned_names)
+    return update.run()
+
+
+class _Variable:
+    """One variable's share of a :class:`ClonedResourceUpdate`."""
+
+    __slots__ = ("old_names", "all_defs", "block_defs")
+
+    def __init__(self, old_names: Sequence[MemName], all_defs: List[MemName]) -> None:
+        self.old_names = old_names
+        #: Old, cloned and newly placed phi names: the reaching-definition
+        #: candidates, and the deletion candidates of step 4.
+        self.all_defs = all_defs
+        #: Per-block ordered (index, name) lists of ``all_defs``.
+        self.block_defs: Dict[int, List[Tuple[int, MemName]]] = {}
+
+
+class ClonedResourceUpdate:
+    """One batched update (Figure 11) over the cloned definitions of one
+    or more variables.
+
+    :meth:`add` runs step 1, phi placement, for one variable at once;
+    :meth:`run` then runs steps 2-4 for every variable added, in one
+    walk over the function.  Versions are numbered per variable and the
+    variables' names never meet, so the result is the same as one update
+    per variable, each run when its variable was added, provided nothing
+    between :meth:`add` and :meth:`run` reads or writes the names of a
+    variable already added.
+    """
+
+    def __init__(self, function: Function, domtree: DominatorTree) -> None:
+        self.function = function
+        self.domtree = domtree
+        self.stats = UpdateStats()
+        self._vars: Dict[int, _Variable] = {}
+        self._new_phis: Set[int] = set()
+
+    def pending(self, var: MemoryVar) -> bool:
+        """True when ``var`` was added and has not been run yet."""
+        return id(var) in self._vars
+
+    def add(
+        self, old_names: Sequence[MemName], cloned_names: Sequence[MemName]
+    ) -> None:
+        """Step 1 for one variable, now: place a memory phi on the
+        iterated dominance frontier of every old and cloned definition."""
+        if not cloned_names:
+            return
+        var = cloned_names[0].var
+        for name in list(old_names) + list(cloned_names):
+            if name.var is not var:
+                raise ValueError(
+                    f"mixed variables in SSA update: {name} is not a name of {var.name}"
+                )
+        if self.pending(var):
+            raise ValueError(f"variable {var.name} is already in this SSA update")
+        function = self.function
+
+        init_def_blocks: List[BasicBlock] = []
+        seen_blocks: Set[int] = set()
+        for name in list(old_names) + list(cloned_names):
+            block = _def_block(function, name)
+            if id(block) not in seen_blocks:
+                seen_blocks.add(id(block))
+                init_def_blocks.append(block)
+
+        phi_targets: List[MemName] = []
+        for block in iterated_dominance_frontier(self.domtree, init_def_blocks):
+            existing = _phi_for_var(block, var)
+            if existing is not None:
+                self.stats.phis_reused += 1
+                continue
+            target = function.new_mem_name(var)
+            phi = I.MemPhi(var, target, [])
+            block.insert_at_front(phi)
+            self._new_phis.add(id(phi))
+            phi_targets.append(target)
+            self.stats.phis_placed += 1
+
+        self._vars[id(var)] = _Variable(
+            old_names, list(old_names) + list(cloned_names) + phi_targets
+        )
+
+    def run(self) -> UpdateStats:
+        """Steps 2-4 for every variable added; returns the whole update's
+        stats and leaves this object empty for reuse."""
+        stats, variables = self.stats, self._vars
+        new_phis = self._new_phis
+        self.stats, self._vars, self._new_phis = UpdateStats(), {}, set()
+        if not variables:
+            return stats
+        function, domtree = self.function, self.domtree
+
+        owner: Dict[int, _Variable] = {}
+        for variable in variables.values():
+            for name in variable.all_defs:
+                owner[id(name)] = variable
+        for block in function.blocks:
+            for pos, inst in enumerate(block.instructions):
+                for name in inst.mem_defs:
+                    variable = owner.get(id(name))
+                    if variable is not None:
+                        variable.block_defs.setdefault(id(block), []).append(
+                            (pos, name)
+                        )
+
+        def reaching_def(
+            variable: _Variable, var: MemoryVar, block: BasicBlock, position: int
+        ) -> MemName:
+            found = _compute_reaching_def(
+                domtree, variable.block_defs, variable.old_names, block, position
+            )
+            if found is None:
+                raise ValueError(
+                    f"no reaching definition of {var.name} at {block.name}:{position}"
+                )
+            return found
+
+        # ---- Step 2: rename the uses of old names ------------------------
+        old_owner: Dict[int, _Variable] = {}
+        for variable in variables.values():
+            for name in variable.old_names:
+                old_owner[id(name)] = variable
+        phi_worklist: List[I.MemPhi] = []
+        enqueued: Set[int] = set()
+
+        def note_reaching_phi(name: MemName) -> None:
+            inst = name.def_inst
+            if inst is not None and id(inst) in new_phis and id(inst) not in enqueued:
+                enqueued.add(id(inst))
+                phi_worklist.append(inst)  # type: ignore[arg-type]
+
+        for block in function.blocks:
+            for index, inst in enumerate(block.instructions):
+                if isinstance(inst, I.MemPhi):
+                    if id(inst.var) not in variables or id(inst) in new_phis:
+                        continue
+                    for pred, name in list(inst.incoming):
+                        variable = old_owner.get(id(name))
+                        if variable is None:
+                            continue
+                        new_name = reaching_def(
+                            variable, name.var, pred, len(pred.instructions)
+                        )
+                        if new_name is not name:
+                            inst.set_incoming(pred, new_name)
+                            stats.uses_renamed += 1
+                        note_reaching_phi(new_name)
+                else:
+                    for slot, name in enumerate(inst.mem_uses):
+                        variable = old_owner.get(id(name))
+                        if variable is None:
+                            continue
+                        new_name = reaching_def(variable, name.var, block, index)
+                        if new_name is not name:
+                            inst.mem_uses[slot] = new_name
+                            stats.uses_renamed += 1
+                        note_reaching_phi(new_name)
+
+        # ---- Step 3: fill live phis, propagating liveness ----------------
+        while phi_worklist:
+            phi = phi_worklist.pop()
+            block = phi.block
+            assert block is not None
+            variable = variables[id(phi.var)]
+            for pred in block.preds:
+                # A "virtual use instruction at the end of predBB".
+                name = reaching_def(variable, phi.var, pred, len(pred.instructions))
+                phi.set_incoming(pred, name)
+                note_reaching_phi(name)
+
+        # ---- Step 4: delete dead definitions -----------------------------
+        candidates = [n for v in variables.values() for n in v.all_defs]
+        stats.defs_deleted, stats.phis_deleted = _delete_dead_defs(function, candidates)
+
+        metrics = ambient()
+        metrics.inc("ssa.incremental.updates")
+        metrics.inc("ssa.incremental.phis_placed", stats.phis_placed)
+        metrics.inc("ssa.incremental.phis_reused", stats.phis_reused)
+        metrics.inc("ssa.incremental.uses_renamed", stats.uses_renamed)
+        metrics.inc("ssa.incremental.defs_deleted", stats.defs_deleted)
+        metrics.inc("ssa.incremental.phis_deleted", stats.phis_deleted)
         return stats
-    var = cloned_names[0].var
-    for name in list(old_names) + list(cloned_names):
-        if name.var is not var:
-            raise ValueError(
-                f"mixed variables in SSA update: {name} is not a name of {var.name}"
-            )
-    domtree = domtree or DominatorTree.compute(function)
-    positions = _positions(function)
-
-    # ---- Step 1: batched phi placement -------------------------------
-    init_def_blocks: List[BasicBlock] = []
-    seen_blocks: Set[int] = set()
-    for name in list(old_names) + list(cloned_names):
-        block = _def_block(function, name, positions)
-        if id(block) not in seen_blocks:
-            seen_blocks.add(id(block))
-            init_def_blocks.append(block)
-
-    phi_targets: List[MemName] = []
-    new_phis: Set[int] = set()
-    for block in iterated_dominance_frontier(domtree, init_def_blocks):
-        existing = _phi_for_var(block, var)
-        if existing is not None:
-            stats.phis_reused += 1
-            continue
-        target = function.new_mem_name(var)
-        phi = I.MemPhi(var, target, [])
-        block.insert_at_front(phi)
-        new_phis.add(id(phi))
-        phi_targets.append(target)
-        stats.phis_placed += 1
-    positions = _positions(function)  # phi insertion shifted indices
-
-    all_defs: List[MemName] = list(old_names) + list(cloned_names) + phi_targets
-    all_def_ids = {id(n) for n in all_defs}
-    block_defs = _block_def_index(function, all_def_ids, positions)
-
-    def reaching_def(block: BasicBlock, position: int) -> MemName:
-        found = _compute_reaching_def(domtree, block_defs, old_names, block, position)
-        if found is None:
-            raise ValueError(
-                f"no reaching definition of {var.name} at {block.name}:{position}"
-            )
-        return found
-
-    # ---- Step 2: rename the uses of old names ----------------------------
-    old_ids = {id(n) for n in old_names}
-    phi_worklist: List[I.MemPhi] = []
-    enqueued: Set[int] = set()
-
-    def note_reaching_phi(name: MemName) -> None:
-        inst = name.def_inst
-        if inst is not None and id(inst) in new_phis and id(inst) not in enqueued:
-            enqueued.add(id(inst))
-            phi_worklist.append(inst)  # type: ignore[arg-type]
-
-    for block in function.blocks:
-        for index, inst in enumerate(block.instructions):
-            if isinstance(inst, I.MemPhi):
-                if inst.var is not var or id(inst) in new_phis:
-                    continue
-                for pred, name in list(inst.incoming):
-                    if id(name) not in old_ids:
-                        continue
-                    new_name = reaching_def(pred, len(pred.instructions))
-                    if new_name is not name:
-                        inst.set_incoming(pred, new_name)
-                        stats.uses_renamed += 1
-                    note_reaching_phi(new_name)
-            else:
-                for slot, name in enumerate(inst.mem_uses):
-                    if id(name) not in old_ids:
-                        continue
-                    new_name = reaching_def(block, index)
-                    if new_name is not name:
-                        inst.mem_uses[slot] = new_name
-                        stats.uses_renamed += 1
-                    note_reaching_phi(new_name)
-
-    # ---- Step 3: fill live phis, propagating liveness --------------------
-    while phi_worklist:
-        phi = phi_worklist.pop()
-        block = phi.block
-        assert block is not None
-        for pred in block.preds:
-            # A "virtual use instruction at the end of predBB".
-            name = reaching_def(pred, len(pred.instructions))
-            phi.set_incoming(pred, name)
-            note_reaching_phi(name)
-
-    # ---- Step 4: delete dead definitions ---------------------------------
-    stats.defs_deleted, stats.phis_deleted = _delete_dead_defs(function, all_defs)
-
-    metrics = ambient()
-    metrics.inc("ssa.incremental.updates")
-    metrics.inc("ssa.incremental.phis_placed", stats.phis_placed)
-    metrics.inc("ssa.incremental.phis_reused", stats.phis_reused)
-    metrics.inc("ssa.incremental.uses_renamed", stats.uses_renamed)
-    metrics.inc("ssa.incremental.defs_deleted", stats.defs_deleted)
-    metrics.inc("ssa.incremental.phis_deleted", stats.phis_deleted)
-    return stats
 
 
 def convert_var_to_ssa(function, var, alias_model) -> MemName:
@@ -274,19 +358,7 @@ def _delete_dead_defs(
         remaining = [n for n in remaining if n not in victims]
 
 
-def _positions(function: Function) -> Dict[int, Tuple[BasicBlock, int]]:
-    positions: Dict[int, Tuple[BasicBlock, int]] = {}
-    for block in function.blocks:
-        for index, inst in enumerate(block.instructions):
-            positions[id(inst)] = (block, index)
-    return positions
-
-
-def _def_block(
-    function: Function,
-    name: MemName,
-    positions: Dict[int, Tuple[BasicBlock, int]],
-) -> BasicBlock:
+def _def_block(function: Function, name: MemName) -> BasicBlock:
     if name.def_inst is None:
         return function.entry  # live-on-entry: defined "above" the entry
     block = name.def_inst.block
@@ -300,24 +372,6 @@ def _phi_for_var(block: BasicBlock, var: MemoryVar) -> Optional[I.MemPhi]:
         if phi.var is var:
             return phi
     return None
-
-
-def _block_def_index(
-    function: Function,
-    def_ids: Set[int],
-    positions: Dict[int, Tuple[BasicBlock, int]],
-) -> Dict[int, List[Tuple[int, MemName]]]:
-    """Per-block ordered (index, name) lists of the tracked definitions."""
-    index: Dict[int, List[Tuple[int, MemName]]] = {}
-    for block in function.blocks:
-        entries: List[Tuple[int, MemName]] = []
-        for pos, inst in enumerate(block.instructions):
-            for name in inst.mem_defs:
-                if id(name) in def_ids:
-                    entries.append((pos, name))
-        if entries:
-            index[id(block)] = entries
-    return index
 
 
 def _compute_reaching_def(

@@ -267,3 +267,24 @@ def test_report_compare_rows_get_the_resilience(monkeypatch, capsys):
     assert code == 3
     assert "repro-report: resilience: " in captured.err
     assert "across 1/1 degraded workload(s)" in captured.err
+
+
+def test_report_compare_baseline_rows_get_the_resilience_and_recorder(
+    monkeypatch, capsys, tmp_path
+):
+    # The Lu-Cooper and Mahlke rows run under the same supervisor and
+    # recorder as the Sastry-Ju rows: their retries reach the resilience
+    # line and their pipelines reach the trace.
+    from repro.bench.workloads import WORKLOADS
+    from repro.frontend.lower import compile_source
+
+    monkeypatch.setattr(report, "ORDER", ["compress"])
+    trace = tmp_path / "trace.json"
+    flags = "--table 3 --compare --retries 1 --chaos crash=1.0,seed=1".split()
+    code = report.main(flags + ["--trace-out", str(trace)])
+    captured = capsys.readouterr()
+    assert code == 3
+    functions = len(compile_source(WORKLOADS["compress"].source).functions)
+    assert f"{3 * functions} retries across 1/1 degraded workload(s)" in captured.err
+    events = json.loads(trace.read_text())["traceEvents"]
+    assert sum(event["name"] == "pipeline" for event in events) == 3
