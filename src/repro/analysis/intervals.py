@@ -58,6 +58,10 @@ class Interval:
         #: common dominator of the entries for improper ones).  Assigned
         #: by :func:`normalize_for_promotion` / :meth:`IntervalTree.compute`.
         self.preheader: Optional[BasicBlock] = None
+        #: :meth:`exit_edges` of the final CFG, recorded once when the
+        #: preheaders are assigned; promotion, which never edits the CFG,
+        #: reads this list once per web.
+        self.exits: Optional[List[Tuple[BasicBlock, BasicBlock]]] = None
 
     @property
     def is_proper(self) -> bool:
@@ -132,10 +136,13 @@ class IntervalTree:
 
     def assign_preheaders(self, domtree: DominatorTree) -> None:
         """Locate each interval's preheader position (without editing the
-        CFG; :func:`normalize_for_promotion` creates dedicated blocks)."""
+        CFG; :func:`normalize_for_promotion` creates dedicated blocks) and
+        record its exit edges.  Called once, on the final CFG."""
         self.domtree = domtree
         self.root.preheader = None  # loads go at the top of the entry block
+        self.root.exits = self.root.exit_edges()
         for interval in self.intervals:
+            interval.exits = interval.exit_edges()
             if interval.is_proper:
                 # None when the interval needs a dedicated block.
                 interval.preheader = _dedicated_preheader(interval)

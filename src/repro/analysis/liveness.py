@@ -71,8 +71,3 @@ class Liveness:
                     result.live_in[block] = new_in
                     changed = True
         return result
-
-    def live_across(self, reg: VReg) -> int:
-        """Number of blocks whose live-out set contains ``reg`` (a cheap
-        live-range-size proxy used in diagnostics)."""
-        return sum(1 for s in self.live_out.values() if reg in s)

@@ -321,10 +321,6 @@ class Load(Instruction):
         self._set_dst(dst)
         self.var = var
 
-    @property
-    def loaded_name(self) -> Optional[MemName]:
-        return self.mem_uses[0] if self.mem_uses else None
-
 
 class Store(Instruction):
     """``st [var], value`` — a singleton store to a scalar memory location.
@@ -344,10 +340,6 @@ class Store(Instruction):
     @property
     def value(self) -> Value:
         return self.operands[0]
-
-    @property
-    def stored_name(self) -> Optional[MemName]:
-        return self.mem_defs[0] if self.mem_defs else None
 
     @property
     def has_side_effects(self) -> bool:

@@ -62,14 +62,6 @@ def parse_module(text: str) -> Module:
     return module
 
 
-def parse_function(text: str, module: Optional[Module] = None) -> Function:
-    """Parse a single ``func`` block into (a fresh module if needed)."""
-    module = module if module is not None else Module()
-    lines = _strip(text)
-    _parse_function(module, lines, 0)
-    return list(module.functions.values())[-1]
-
-
 def _parse_init(token: str):
     """An array initializer: a fill integer or a ``{v, v, ...}`` list."""
     if token.startswith("{"):

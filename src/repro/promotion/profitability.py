@@ -181,7 +181,7 @@ def _tail_store_cost(
     from repro.promotion.webpromote import reaching_web_name
 
     cost = 0
-    for src, tail in web.interval.exit_edges():
+    for src, tail in web.interval.exits:
         live_out = reaching_web_name(web, domtree, src)
         if live_out is None:
             continue

@@ -177,7 +177,7 @@ class WebPromotion:
         reaching definition is a store or phi of the web."""
         defined_by_store = {id(s.mem_defs[0]) for s in self.web.store_refs}
         defined_by_phi = {id(p.dst_name) for p in self.web.phis}
-        for src, tail in self.web.interval.exit_edges():
+        for src, tail in self.web.interval.exits:
             live_out = self._reaching_web_name(src)
             if live_out is None:
                 continue

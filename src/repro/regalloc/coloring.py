@@ -25,10 +25,6 @@ class ColoringResult:
     def colorable(self) -> bool:
         return not self.spilled
 
-    @property
-    def colors_used(self) -> int:
-        return len(set(self.assignment.values())) if self.assignment else 0
-
 
 def color_graph(graph: InterferenceGraph, k: int) -> ColoringResult:
     """Briggs optimistic coloring with k colors.

@@ -36,6 +36,7 @@ _LAZY_EXPORTS = {
     "RouterConfig": "repro.service.router",
     "hrw_order": "repro.service.routing",
     "routing_key": "repro.service.routing",
+    "two_choice_order": "repro.service.routing",
 }
 
 
@@ -82,4 +83,5 @@ __all__ = [
     "hrw_order",
     "routing_key",
     "run_daemon",
+    "two_choice_order",
 ]

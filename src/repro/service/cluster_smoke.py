@@ -10,17 +10,23 @@ the router and checks the properties the sharding design promises:
    promoted IR text, printed output, return value — matches a fresh
    serial run in this process, exactly as the single-daemon smoke
    demands.  A router in the path must be invisible to results.
-2. **Stickiness.**  A warm re-run of the same eight workloads lands
-   each on the same backend as the cold pass (via the
-   ``X-Repro-Backend`` header) and the router's own
-   ``stickiness_hit_rate`` reads at least 0.9.
+2. **Two-choice placement.**  In the concurrent cold and warm waves
+   every job lands on one of its first two HRW choices (via the
+   ``X-Repro-Backend`` header) with no failover, and the router's
+   counters agree: ``sticky.hits + spills == sticky.routed``.  Four
+   concurrent jobs that share a home and a second choice stay on those
+   two and spill at least once.  A sequential warm pass, on an idle
+   router, lands 8 of 8 jobs at home.  After every wave each backend's
+   in-flight count returns to 0.
 3. **A job's own deadline is not a backend fault.**  Three
    over-deadline jobs each come back 504 ``deadline-exceeded`` from one
    backend with no failover, and the next healthy job is still served.
 4. **Failover under loss.**  One backend is SIGTERMed in the middle of
    a concurrent wave; every job in the wave must still come back 200
    and byte-identical (a 429 or 5xx counts as a failed job), and a
-   post-kill wave over the surviving shards succeeds too.
+   post-kill wave over the surviving shards succeeds too.  Four
+   concurrent jobs whose home survives and whose second choice is the
+   dead shard all stay home: a job never spills to an unhealthy shard.
 5. **Clean teardown.**  The killed backend drains to exit 0, the rest
    of the cluster SIGTERMs to exit 0, and no process group leaks
    workers.
@@ -50,6 +56,7 @@ from repro.bench.workloads import ORDER, WORKLOADS
 from repro.observability import TraceContext
 from repro.service.client import Response, ServiceClient
 from repro.service.cluster import LocalCluster
+from repro.service.routing import hrw_order, routing_key
 from repro.service.smoke import (
     SmokeFailure,
     check,
@@ -91,6 +98,103 @@ def _router_counter(doc: Dict[str, object], name: str) -> object:
     """One ``router.*`` counter from the router's ``/metrics`` document."""
     entry = doc["router"].get(name)
     return 0 if entry is None else entry.get("value", 0)
+
+
+#: The counters a wave's placement is checked against.
+_PLACEMENT_COUNTERS = (
+    "router.sticky.routed",
+    "router.sticky.hits",
+    "router.spills",
+    "router.failovers",
+    "router.skips.down",
+)
+
+
+def _router_counters(doc: Dict[str, object]) -> Dict[str, int]:
+    return {name: _router_counter(doc, name) for name in _PLACEMENT_COUNTERS}
+
+
+def hrw_choices(payload: Dict[str, object], backend_ids: List[str]) -> List[str]:
+    """The job's HRW order over ``backend_ids``, as every router computes it."""
+    return hrw_order(routing_key(payload), backend_ids)
+
+
+async def settled_inflight(client: ServiceClient, timeout_s: float = 5.0) -> None:
+    """Each backend's in-flight count, from the router's ``/healthz``,
+    must return to 0 once a wave has been answered.  A leaked count
+    never returns, and would steer jobs away from its shard for good."""
+    deadline = time.monotonic() + timeout_s
+    while True:
+        backends = (await client.get("/healthz")).json()["backends"]
+        inflight = {b: doc["inflight"] for b, doc in backends.items()}
+        if not any(inflight.values()):
+            return
+        check(
+            time.monotonic() < deadline,
+            f"in-flight counts never returned to 0: {inflight}",
+        )
+        await asyncio.sleep(0.05)
+
+
+async def placed_wave(
+    client: ServiceClient,
+    payloads: List[Tuple[str, Dict[str, object]]],
+    references: Dict[str, Tuple[str, List[str], int]],
+    backend_ids: List[str],
+    where: str,
+) -> Tuple[Dict[str, str], Dict[str, int]]:
+    """Submit ``payloads`` concurrently and check the two-choice
+    contract: byte identity, each job on one of its first two HRW
+    choices, no failover, ``hits + spills == routed``, and in-flight
+    counts back at 0.  Returns (name → serving backend, counter deltas)."""
+    before = _router_counters((await client.get("/metrics")).json())
+    responses = await asyncio.gather(*(client.submit(p) for _, p in payloads))
+    served = assert_wave_identical(responses, payloads, references, where)
+    for name, payload in payloads:
+        choices = hrw_choices(payload, backend_ids)[:2]
+        check(
+            served[name] in choices,
+            f"{where}: {name} landed on {served[name]}, outside its two "
+            f"HRW choices {choices}",
+        )
+    await settled_inflight(client)
+    after = _router_counters((await client.get("/metrics")).json())
+    delta = {name: after[name] - before[name] for name in after}
+    check(
+        delta["router.failovers"] == 0,
+        f"{where}: {delta['router.failovers']} failovers on a healthy cluster",
+    )
+    routed = delta["router.sticky.routed"]
+    hits, spills = delta["router.sticky.hits"], delta["router.spills"]
+    check(
+        routed == len(payloads) and hits + spills == routed,
+        f"{where}: sticky.hits {hits} + spills {spills} != sticky.routed "
+        f"{routed} ({len(payloads)} jobs)",
+    )
+    return served, delta
+
+
+def shared_choice_payloads(
+    name: str,
+    payload: Dict[str, object],
+    backend_ids: List[str],
+    choices: Optional[List[str]] = None,
+    count: int = 4,
+) -> List[Tuple[str, Dict[str, object]]]:
+    """``count`` whitespace variants of one program (each its own
+    routing key, none in any result cache) whose first two HRW choices
+    are ``choices`` — by default, those of the first variant found."""
+    variants: List[Tuple[str, Dict[str, object]]] = []
+    for pad in range(1, 2000):
+        variant = dict(payload, source=str(payload["source"]) + "\n" * pad)
+        first_two = hrw_choices(variant, backend_ids)[:2]
+        if choices is None:
+            choices = first_two
+        if first_two == choices:
+            variants.append((f"{name}+{pad}", variant))
+            if len(variants) == count:
+                return variants
+    raise RuntimeError(f"no {count} variants of {name} share choices {choices}")
 
 
 def assert_wave_identical(
@@ -142,33 +246,75 @@ async def run_checks(
     check(ready.status == 200, f"router readyz says {ready.status}")
     print("cluster-smoke: router health/readiness ok")
 
-    # 2. Cold pass: all eight workloads, byte-identical through the hop.
-    cold = await asyncio.gather(*(client.submit(p) for _, p in payloads))
-    cold_map = assert_wave_identical(cold, payloads, references, "cold pass")
+    # 2. Cold pass: all eight workloads at once, byte-identical through
+    # the hop, each on one of its two HRW choices.
+    backend_ids = [d.address for d in cluster.daemons]
+    cold_map, cold = await placed_wave(
+        client, payloads, references, backend_ids, "cold pass"
+    )
     spread = sorted(set(cold_map.values()))
     print(
         f"cluster-smoke: cold pass ok ({len(payloads)} workloads "
-        f"byte-identical across {len(spread)} backends)"
+        f"byte-identical across {len(spread)} backends, "
+        f"{cold['router.spills']} spilled to their second choice)"
     )
 
-    # 3. Warm pass: same workloads land on the same shards, and the
-    # router's own stickiness meter agrees.
-    warm = await asyncio.gather(*(client.submit(p) for _, p in payloads))
-    warm_map = assert_wave_identical(warm, payloads, references, "warm pass")
-    moved = {n for n in cold_map if warm_map[n] != cold_map[n]}
-    check(not moved, f"warm pass re-routed workloads: {sorted(moved)}")
-    metrics = (await client.get("/metrics")).json()
-    rate = metrics.get("stickiness_hit_rate")
+    # 3. Warm pass, concurrent: the same two-choice contract.
+    _, warm = await placed_wave(client, payloads, references, backend_ids, "warm pass")
+    print(
+        f"cluster-smoke: warm pass ok ({warm['router.sticky.hits']} at home, "
+        f"{warm['router.spills']} spilled to their second choice)"
+    )
+
+    # 3a. Warm pass, sequential: an idle router keeps every job home.
+    before = _router_counters((await client.get("/metrics")).json())
+    at_home = []
+    for name, payload in payloads:
+        response = await client.submit(payload)
+        served = assert_wave_identical(
+            [response], [(name, payload)], references, "sequential warm pass"
+        )
+        if served[name] == hrw_choices(payload, backend_ids)[0]:
+            at_home.append(name)
+    after = _router_counters((await client.get("/metrics")).json())
+    spills = after["router.spills"] - before["router.spills"]
     check(
-        rate is not None and rate >= 0.9,
-        f"stickiness_hit_rate {rate!r} is below the 0.9 floor",
+        len(at_home) == len(payloads) and spills == 0,
+        f"sequential warm pass: {len(at_home)} of {len(payloads)} jobs at "
+        f"home ({sorted(set(ORDER) - set(at_home))} were not), {spills} spills",
     )
-    print(f"cluster-smoke: warm pass ok (stickiness_hit_rate {rate})")
+    metrics = (await client.get("/metrics")).json()
+    print(
+        f"cluster-smoke: sequential warm pass ok ({len(at_home)} of "
+        f"{len(payloads)} at home; stickiness_hit_rate "
+        f"{metrics.get('stickiness_hit_rate')} over all waves)"
+    )
 
-    # 3a. Over-deadline jobs: a 504 is the job's own outcome, relayed
+    # 3b. A busy home spills to its second choice and nowhere else:
+    # four concurrent jobs (fresh variants of the slowest workload)
+    # that share both HRW choices.
+    name, heavy = payloads[0]
+    shared = shared_choice_payloads(name, heavy, backend_ids)
+    _, delta = await placed_wave(
+        client,
+        shared,
+        {n: fresh_serial_run(p) for n, p in shared},
+        backend_ids,
+        "shared-home wave",
+    )
+    check(
+        delta["router.spills"] >= 1,
+        "shared-home wave: four concurrent jobs with one home never spilled",
+    )
+    print(
+        f"cluster-smoke: shared-home wave ok ({delta['router.spills']} of "
+        f"{len(shared)} spilled to their second choice, none further)"
+    )
+
+    # 3c. Over-deadline jobs: a 504 is the job's own outcome, relayed
     # from the one backend that ran it.  No failover, and no backend is
     # held against it — the next healthy job is served.
-    before = _router_counter(metrics, "router.failovers")
+    before = _router_counter((await client.get("/metrics")).json(), "router.failovers")
     for _ in range(3):
         response = await client.submit(over_deadline_payload())
         check(
@@ -188,7 +334,7 @@ async def run_checks(
     )
     print("cluster-smoke: deadline wave ok (3 x 504, no failover, next job 200)")
 
-    # 3b. One streaming job through the router: the NDJSON span
+    # 3d. One streaming job through the router: the NDJSON span
     # timeline must pass through intact, ending in the result event.
     events = await client.submit(payloads[0][1], stream=True)
     check(bool(events), "streaming job through router produced no events")
@@ -198,7 +344,7 @@ async def run_checks(
     )
     print(f"cluster-smoke: streaming ok ({len(events)} NDJSON events relayed)")
 
-    # 3c. End-to-end trace continuity: a caller-minted trace survives
+    # 3e. End-to-end trace continuity: a caller-minted trace survives
     # the router hop into the backend, and every stamped span — the
     # router's relay span and the daemon/worker spans streamed back —
     # agrees on the one trace id, with the daemon's root span parented
@@ -259,6 +405,7 @@ async def run_checks(
     rc = victim.wait(timeout_s=60.0)
     check(rc == 0, f"SIGTERMed backend exited {rc}, expected graceful 0")
     victim.assert_no_orphans()
+    await settled_inflight(client)
     print(
         f"cluster-smoke: kill wave ok (backend {victim_address} drained to "
         f"exit 0, {len(wave)} jobs all byte-identical)"
@@ -283,6 +430,33 @@ async def run_checks(
     print(
         f"cluster-smoke: post-kill wave ok "
         f"({len(set(post_map.values()))} surviving backends serving)"
+    )
+
+    # 5a. Never a spill to an unhealthy shard: four concurrent jobs whose
+    # home survived and whose second choice is the dead backend all
+    # stay home, however busy it gets.
+    survivor = next(b for b in backend_ids if b != victim_address)
+    pinned = shared_choice_payloads(
+        name, heavy, backend_ids, choices=[survivor, victim_address]
+    )
+    served, delta = await placed_wave(
+        client,
+        pinned,
+        {n: fresh_serial_run(p) for n, p in pinned},
+        backend_ids,
+        "down-second-choice wave",
+    )
+    check(
+        set(served.values()) == {survivor}
+        and delta["router.spills"] == 0
+        and delta["router.skips.down"] == 0,
+        f"down-second-choice wave: served by {sorted(set(served.values()))}, "
+        f"{delta['router.spills']} spills, "
+        f"{delta['router.skips.down']} skips of the down shard",
+    )
+    print(
+        f"cluster-smoke: down-second-choice wave ok ({len(pinned)} jobs "
+        f"kept home on {survivor}, 0 spills)"
     )
 
     # 6. Final metrics snapshot for the CI artifact.

@@ -1,4 +1,4 @@
-"""The front tier: a source-sticky router over many daemons.
+"""The front tier: a source-keyed router over many daemons.
 
 ``repro-route`` scales the service horizontally: it fans out to N
 backend ``repro-serve`` instances and speaks their HTTP/1.1 job
@@ -8,17 +8,26 @@ body limits, introspection routes and drain triggers are one code path.
 Each daemon owns a result cache whose value comes entirely from seeing
 the same programs again — so the router keys placement on a **digest of
 the submitted kind and source** (:func:`~repro.service.routing.routing_key`)
-and the same program always lands on the same shard while it is
-healthy.  The key is one hash computed inline: the router never
+and the same program lands on one of the same two shards while they
+are healthy.  The key is one hash computed inline: the router never
 compiles or parses what it relays.
 
 Moving parts:
 
-* **Sticky routing with deterministic failover** —
+* **Two-choice placement with deterministic failover** —
   :func:`~repro.service.routing.hrw_order` turns (routing key, backend
   ids) into a total order; element 0 is the home shard, the tail is the
   failover sequence every router instance agrees on without
-  coordination.
+  coordination.  Every job is CPU-bound on its daemon, so pure
+  stickiness would leave a shard idle whenever two in-flight jobs share
+  a home.  The router therefore counts the relays it has in flight per
+  backend (:attr:`BackendState.inflight`, up before the dial, down in a
+  ``finally``) and :func:`~repro.service.routing.two_choice_order` sends
+  a job to its second choice when its home has strictly more relays in
+  flight (a *spill*).  Ties keep the home, so an idle router and
+  sequential traffic stay fully sticky, and a program's cached result
+  lives on at most two shards.  The counts are per router instance:
+  two routers in front of one shard set each balance their own relays.
 * **One health record per backend** — :class:`HealthTracker` polls
   each backend's ``/readyz`` and walks instances through ``healthy →
   draining → down``; it is the only thing that decides whether a
@@ -53,8 +62,9 @@ Moving parts:
   NDJSON stream, the router's own ``router:relay`` span line first),
   so a streamed job keeps a single span timeline end to end.
 * **Router-level observability** — ``/healthz``, ``/readyz``, and
-  ``/metrics`` export ``router.*`` counters (failovers, skips by
-  backend status, stickiness hit-rate) through the shared
+  ``/metrics`` export ``router.*`` counters (failovers, spills, skips
+  by backend status, stickiness hit-rate) and each backend's relays in
+  flight through the shared
   :class:`~repro.observability.metrics.MetricsRegistry`.
 """
 
@@ -92,7 +102,7 @@ from repro.service.http import (
     read_response_head,
     send_request,
 )
-from repro.service.routing import hrw_order, routing_key
+from repro.service.routing import hrw_order, routing_key, two_choice_order
 
 #: Bound on each health probe and backend ``/metrics`` scrape.
 PROBE_TIMEOUT_S = 2.0
@@ -187,7 +197,7 @@ class RouterConfig:
 
 class BackendState:
     """One shard as the router sees it: address, health status, strikes,
-    and per-backend accounting."""
+    relays in flight, and per-backend accounting."""
 
     def __init__(self, host: str, port: int) -> None:
         self.host = host
@@ -199,6 +209,8 @@ class BackendState:
         self.status = HEALTHY
         self.strikes = 0
         self.transitions = 0
+        #: This router's relays to the shard that have not finished yet.
+        self.inflight = 0
         self.jobs_total = 0
         self.failures_total = 0
         self.last_probe_error: Optional[str] = None
@@ -217,6 +229,7 @@ class BackendState:
             "status": self.status,
             "strikes": self.strikes,
             "transitions": self.transitions,
+            "inflight": self.inflight,
             "jobs_total": self.jobs_total,
             "failures_total": self.failures_total,
             "last_probe_error": self.last_probe_error,
@@ -360,7 +373,7 @@ class PromotionRouter(HttpFront):
 
     def plan(self, payload: object) -> Tuple[str, List[str]]:
         """(routing key, HRW backend order) for a decoded payload — the
-        pure routing decision."""
+        pure routing decision, before in-flight relays are weighed."""
         key = routing_key(payload)
         return key, hrw_order(key, self.backend_ids)
 
@@ -381,6 +394,15 @@ class PromotionRouter(HttpFront):
         # two half-delivered requests.
         assert body is not None
         key, order = self.plan(_json_or_none(body))
+        home = order[0]
+        # No await until the first dial has counted itself in flight, so
+        # the next job's placement already sees this one.
+        states = self.backends.items()
+        order = two_choice_order(
+            order,
+            {backend_id: state.inflight for backend_id, state in states},
+            {backend_id for backend_id, state in states if state.status == HEALTHY},
+        )
         # The router's hop in the trace: each backend leg is a child of
         # this span id, so the daemon's ``daemon:job`` span hangs off it.
         hop = trace.child()
@@ -388,12 +410,15 @@ class PromotionRouter(HttpFront):
             "router.job",
             trace_id=trace.trace_id,
             key=key,
-            home=order[0],
+            home=home,
+            placed=order[0],
             stream=stream,
         )
         self.metrics.inc("router.jobs_total")
         if stream:
             self.metrics.inc("router.jobs.stream")
+        if order[0] != home:
+            self.metrics.inc("router.spills")
 
         attempts = 0
         last_error: Optional[Tuple[str, Tuple[int, Dict[str, object]]]] = None
@@ -416,7 +441,7 @@ class PromotionRouter(HttpFront):
             )
             if served:
                 self.metrics.inc("router.sticky.routed")
-                if backend_id == order[0]:
+                if backend_id == home:
                     self.metrics.inc("router.sticky.hits")
                 return
             # Not served: fall through to the next backend in HRW order.
@@ -465,17 +490,22 @@ class PromotionRouter(HttpFront):
         out, which another shard would only repeat.  The relayed head
         gains ``X-Repro-Backend``; on a 200 NDJSON stream the first line
         the client sees is the router's own ``router:relay`` span, same
-        ``trace_id`` as every span the backend streams after it."""
+        ``trace_id`` as every span the backend streams after it.
+
+        The dispatch counts in ``state.inflight`` from before the dial
+        until it ends, however it ends."""
         started_s = time.time()
+        state.inflight += 1
+        upstream: Optional[asyncio.StreamWriter] = None
         try:
-            reader, upstream = await asyncio.wait_for(
-                asyncio.open_connection(state.host, state.port),
-                timeout=CONNECT_TIMEOUT_S,
-            )
-        except (OSError, asyncio.TimeoutError):
-            self.tracker.note_failure(state)
-            return False, None
-        try:
+            try:
+                reader, upstream = await asyncio.wait_for(
+                    asyncio.open_connection(state.host, state.port),
+                    timeout=CONNECT_TIMEOUT_S,
+                )
+            except (OSError, asyncio.TimeoutError):
+                self.tracker.note_failure(state)
+                return False, None
             try:
                 await send_request(
                     upstream,
@@ -546,7 +576,11 @@ class PromotionRouter(HttpFront):
                     client_ok = await _write_raw(writer, chunk)
             return True, None
         finally:
-            await close_quietly(upstream)
+            # Out of flight before the close: a client that already holds
+            # the whole answer may be sending its next job.
+            state.inflight -= 1
+            if upstream is not None:
+                await close_quietly(upstream)
 
     # -- introspection ---------------------------------------------------
 
@@ -620,6 +654,14 @@ class PromotionRouter(HttpFront):
                     "gauge",
                     1.0,
                     {**labels, "status": state.status},
+                )
+            )
+            samples.append(
+                Sample(
+                    "repro_router_backend_inflight",
+                    "gauge",
+                    float(state.inflight),
+                    labels,
                 )
             )
             samples.append(
@@ -702,7 +744,8 @@ def _json_or_none(body: bytes) -> object:
 
 
 def _print_plan(options, backends: Sequence[Tuple[str, int]]) -> int:
-    """Operator triage: routing key + chosen backend, no dispatch."""
+    """Operator triage: routing key, home backend, failover order and
+    spill target, no dispatch."""
     try:
         with open(options.print_plan) as handle:
             source = handle.read()
@@ -719,6 +762,7 @@ def _print_plan(options, backends: Sequence[Tuple[str, int]]) -> int:
     print(f"backend {order[0]}")
     if len(order) > 1:
         print("failover " + " -> ".join(order[1:]))
+        print(f"spill {order[1]} (when the home has more jobs in flight)")
     return 0
 
 
@@ -729,7 +773,7 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     parser = argparse.ArgumentParser(
         prog="repro-route",
-        description="source-sticky front-tier router over repro-serve backends",
+        description="source-keyed front-tier router over repro-serve backends",
     )
     parser.add_argument("--host", default="127.0.0.1")
     parser.add_argument(
@@ -776,8 +820,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument(
         "--print-plan",
         metavar="SOURCE",
-        help="print the routing key and chosen backend for a source "
-        "file, then exit without dispatching",
+        help="print the routing key, home backend, failover order and "
+        "spill target for a source file, then exit without dispatching",
     )
     parser.add_argument(
         "--kind",

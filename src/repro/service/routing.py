@@ -1,4 +1,5 @@
-"""Sticky routing primitives: rendezvous hashing over a source digest.
+"""Routing primitives: rendezvous hashing over a source digest, and
+the two-choice placement rule.
 
 The front tier (:mod:`repro.service.router`) spreads jobs across many
 daemon instances.  The one piece of state a daemon carries from job to
@@ -10,7 +11,7 @@ submit the same text land on the same shard, where a repeat can be
 served from that shard's result cache, while unrelated programs spread
 out.
 
-Two pieces, both pure enough to test exhaustively:
+Three pieces, all pure enough to test exhaustively:
 
 * :func:`routing_key` — the sha256 of ``kind \\x00 source``.  Every job
   pair that could share a result-cache entry shares a key, and
@@ -26,12 +27,21 @@ Two pieces, both pure enough to test exhaustively:
   router across restarts — agrees; and removing a backend only moves
   the keys whose first choice was the removed backend (minimal
   redistribution), everything else stays sticky.
+* :func:`two_choice_order` — the placement rule on top of HRW.  Pure
+  stickiness sends concurrent jobs that share a home to one CPU-bound
+  daemon while another sits idle; so a job whose healthy home has
+  strictly more relays in flight than its healthy second choice goes to
+  the second choice instead (Mitzenmacher's "power of two choices").
+  Only the first two entries ever trade places: ties, an idle router
+  and every later failover step keep the HRW order, so sequential
+  traffic stays fully sticky and a program's cached result lives on at
+  most two shards.
 """
 
 from __future__ import annotations
 
 import hashlib
-from typing import List, Sequence
+from typing import AbstractSet, List, Mapping, Sequence
 
 
 def routing_key(payload: object) -> str:
@@ -67,3 +77,29 @@ def hrw_order(key: str, backend_ids: Sequence[str]) -> List[str]:
         ).digest()
 
     return sorted(backend_ids, key=lambda b: (score(b), b), reverse=True)
+
+
+def two_choice_order(
+    order: Sequence[str],
+    inflight: Mapping[str, int],
+    healthy: AbstractSet[str],
+) -> List[str]:
+    """The order a job walks: ``order`` (an :func:`hrw_order`) with its
+    first two entries swapped when both are ``healthy`` and the home has
+    strictly more relays in flight than the second choice.
+
+    The job then spills to its second choice and nowhere else: a busy
+    home never sends work to the third choice or later, nor to a shard
+    that may not take it, and an unroutable home is left to the
+    failover walk.  Everything after the first two entries keeps its
+    HRW position.
+    """
+    placed = list(order)
+    if (
+        len(placed) > 1
+        and placed[0] in healthy
+        and placed[1] in healthy
+        and inflight[placed[0]] > inflight[placed[1]]
+    ):
+        placed[0], placed[1] = placed[1], placed[0]
+    return placed

@@ -87,6 +87,7 @@ def test_api_imports():
         hrw_order,
         routing_key,
         run_daemon,
+        two_choice_order,
     )
 
 

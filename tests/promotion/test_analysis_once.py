@@ -58,6 +58,32 @@ def test_dominator_tree_is_computed_at_most_twice_per_prepared_function(
         assert worst <= 2, (key, computed)
 
 
+def test_recorded_exit_edges_equal_a_fresh_walk_after_promotion(monkeypatch):
+    # Each interval's exit edges are recorded once, on the final CFG of
+    # phase 1; promotion reads the record once per web.  It never edits
+    # the CFG, so the record still equals a fresh walk after the run.
+    trees = []
+    real = pipeline_module._prepare
+
+    def recording(function):
+        tree = real(function)
+        trees.append(tree)
+        return tree
+
+    monkeypatch.setattr(pipeline_module, "_prepare", recording)
+    checked = 0
+    for key, (source, entry, args) in CORPUS.items():
+        trees.clear()
+        module = compile_source(source, key)
+        PromotionPipeline(entry=entry, args=list(args)).run(module)
+        assert len(trees) == len(module.functions), key
+        for tree in trees:
+            for interval in [tree.root, *tree.intervals]:
+                assert interval.exits == interval.exit_edges(), (key, interval)
+                checked += bool(interval.exits)
+    assert checked > len(CORPUS)
+
+
 def test_each_function_is_imaged_once(monkeypatch):
     images = Counter()
     real = pipeline_module.snapshot_function

@@ -3,7 +3,8 @@
 A real :class:`PromotionRouter` on a real socket, in front of real
 :class:`PromotionDaemon` instances (for byte-identity, stickiness, and
 streaming) and canned fake backends (for the failure matrix: 5xx,
-connect errors, 429 propagation, drain rerouting) — all in one loop.
+connect errors, 429 propagation, drain rerouting; and, held busy, for
+two-choice spills and in-flight accounting) — all in one loop.
 """
 
 import asyncio
@@ -26,7 +27,7 @@ from repro.service.router import (
     RouterConfig,
 )
 from repro.service.router import main as router_main
-from repro.service.routing import routing_key
+from repro.service.routing import hrw_order, routing_key
 from repro.service.smoke import fresh_serial_run
 
 PROGRAM = """
@@ -46,11 +47,15 @@ def payload_for(source=PROGRAM):
 
 class FakeBackend:
     """A canned upstream: ready on ``/readyz`` probes, scripted on job
-    posts; ``paths`` records every request target it was sent."""
+    posts; ``paths`` records every request target it was sent.  Given
+    ``hold`` (an :class:`asyncio.Event`), it counts each job in
+    ``jobs_seen`` at once but answers only after the event is set — a
+    shard kept busy for as long as a test needs."""
 
-    def __init__(self, status=200, body=None):
+    def __init__(self, status=200, body=None, hold=None):
         self.status = status
         self.body = json.dumps(body if body is not None else {"ok": True}).encode()
+        self.hold = hold
         self.jobs_seen = 0
         self.paths = []
         self.server = None
@@ -81,8 +86,12 @@ class FakeBackend:
             self.paths.append(first.split(" ")[1])
             if first.startswith("GET /readyz"):
                 status, body = 200, b'{"ready": true}'
+            elif first.startswith("GET "):
+                status, body = 404, b'{"error": "not-found"}'
             else:
                 self.jobs_seen += 1
+                if self.hold is not None:
+                    await self.hold.wait()
                 status, body = self.status, self.body
             writer.write(
                 (
@@ -143,6 +152,32 @@ def homed_source(router, target_id):
 
 def counter(router, name):
     return router.metrics.value(name) or 0
+
+
+def backend_id(fake):
+    return f"{fake.host}:{fake.port}"
+
+
+async def eventually(predicate, timeout_s=5.0):
+    deadline = asyncio.get_running_loop().time() + timeout_s
+    while not predicate():
+        assert asyncio.get_running_loop().time() < deadline, "timed out waiting"
+        await asyncio.sleep(0.005)
+
+
+async def assert_inflight_settles(router, timeout_s=2.0):
+    """Every backend's in-flight count returns to 0 once the relays end
+    (a relay's ``finally`` may run just after its client got the last
+    byte).  A leaked count never returns, and would steer jobs away from
+    that shard for good."""
+    try:
+        await eventually(
+            lambda: not any(s.inflight for s in router.backends.values()),
+            timeout_s,
+        )
+    except AssertionError:
+        leaked = {b: s.inflight for b, s in router.backends.items()}
+        raise AssertionError(f"in-flight counts never settled: {leaked}") from None
 
 
 def test_endpoints_and_metrics_shape():
@@ -496,6 +531,166 @@ def test_router_reads_request_targets_like_the_daemon(target):
     asyncio.run(body())
 
 
+async def unused_address():
+    """A (host, port) that nothing listens on."""
+    server = await asyncio.start_server(lambda r, w: None, "127.0.0.1", 0)
+    address = server.sockets[0].getsockname()[:2]
+    server.close()
+    await server.wait_closed()
+    return address
+
+
+def test_busy_home_spills_a_concurrent_job_to_the_second_choice():
+    async def body():
+        release = asyncio.Event()
+        busy = FakeBackend(hold=release)
+        idle = FakeBackend()
+        await busy.start()
+        await idle.start()
+        backends = [(busy.host, busy.port), (idle.host, idle.port)]
+        async with running_router(backends) as (router, client):
+            source = homed_source(router, backend_id(busy))
+            first = asyncio.ensure_future(client.submit(payload_for(source)))
+            await eventually(lambda: busy.jobs_seen == 1)
+            assert router.backends[backend_id(busy)].inflight == 1
+            # The same program again while its home is held busy: it
+            # lands on its second choice.
+            second = await client.submit(payload_for(source))
+            assert second.status == 200
+            assert second.headers["x-repro-backend"] == backend_id(idle)
+            assert counter(router, "router.spills") == 1
+            release.set()
+            first = await first
+            assert first.headers["x-repro-backend"] == backend_id(busy)
+            assert counter(router, "router.sticky.routed") == 2
+            assert counter(router, "router.sticky.hits") == 1
+            assert counter(router, "router.failovers") == 0
+            await assert_inflight_settles(router)
+            # An idle router sends the program home again.
+            third = await client.submit(payload_for(source))
+            assert third.headers["x-repro-backend"] == backend_id(busy)
+            assert counter(router, "router.spills") == 1
+        await busy.stop()
+        await idle.stop()
+
+    asyncio.run(body())
+
+
+def test_busy_home_keeps_the_job_when_the_second_choice_is_down():
+    async def body():
+        release = asyncio.Event()
+        busy = FakeBackend(hold=release)
+        await busy.start()
+        dead = await unused_address()
+        async with running_router([(busy.host, busy.port), dead]) as (router, client):
+            dead_id = f"{dead[0]}:{dead[1]}"
+            # Nothing listens there, so no probe can bring it back.
+            router.backends[dead_id].set_status(DOWN)
+            source = homed_source(router, backend_id(busy))
+            jobs = [
+                asyncio.ensure_future(client.submit(payload_for(source)))
+                for _ in range(2)
+            ]
+            await eventually(lambda: busy.jobs_seen == 2)
+            assert router.backends[backend_id(busy)].inflight == 2
+            release.set()
+            for response in await asyncio.gather(*jobs):
+                assert response.headers["x-repro-backend"] == backend_id(busy)
+            assert counter(router, "router.spills") == 0
+            assert counter(router, "router.skips.down") == 0
+            assert counter(router, "router.sticky.hits") == 2
+            await assert_inflight_settles(router)
+        await busy.stop()
+
+    asyncio.run(body())
+
+
+@pytest.mark.parametrize("outcome", ["success", "5xx-failover", "connect-error", "504"])
+def test_inflight_counts_return_to_zero_after_each_outcome(outcome):
+    async def body():
+        survivor = FakeBackend()
+        await survivor.start()
+        fakes = [survivor]
+        if outcome == "success":
+            home = (survivor.host, survivor.port)
+        elif outcome == "connect-error":
+            home = await unused_address()
+        else:
+            status = 500 if outcome == "5xx-failover" else 504
+            fakes.append(FakeBackend(status=status, body={"error": outcome}))
+            home = await fakes[-1].start()
+        backends = list(dict.fromkeys([home, (survivor.host, survivor.port)]))
+        async with running_router(backends) as (router, client):
+            source = homed_source(router, f"{home[0]}:{home[1]}")
+            response = await client.submit(payload_for(source))
+            assert response.status == (504 if outcome == "504" else 200)
+            failed_over = outcome in ("5xx-failover", "connect-error")
+            assert counter(router, "router.failovers") == int(failed_over)
+            await assert_inflight_settles(router)
+        for fake in fakes:
+            await fake.stop()
+
+    asyncio.run(body())
+
+
+def test_inflight_count_returns_to_zero_when_the_client_leaves_mid_relay():
+    async def body():
+        release = asyncio.Event()
+        held = FakeBackend(hold=release)
+        await held.start()
+        async with running_router([(held.host, held.port)]) as (router, client):
+            envelope = json.dumps(payload_for()).encode()
+            _, writer = await asyncio.open_connection(client.host, client.port)
+            writer.write(
+                b"POST /v1/jobs HTTP/1.1\r\nHost: router\r\n"
+                b"Content-Type: application/json\r\n"
+                b"Content-Length: %d\r\n\r\n" % len(envelope) + envelope
+            )
+            await writer.drain()
+            await eventually(lambda: held.jobs_seen == 1)
+            assert router.backends[backend_id(held)].inflight == 1
+            writer.close()
+            await writer.wait_closed()
+            release.set()
+            await assert_inflight_settles(router)
+            # The relay ended cleanly: the next job is served.
+            response = await client.submit(payload_for())
+            assert response.status == 200
+            await assert_inflight_settles(router)
+        await held.stop()
+
+    asyncio.run(body())
+
+
+def test_healthz_and_metrics_report_each_backends_inflight():
+    async def body():
+        release = asyncio.Event()
+        held = FakeBackend(hold=release)
+        await held.start()
+        held_id = backend_id(held)
+        async with running_router([(held.host, held.port)]) as (router, client):
+            job = asyncio.ensure_future(client.submit(payload_for()))
+            await eventually(lambda: held.jobs_seen == 1)
+            health = (await client.get("/healthz")).json()
+            assert health["backends"][held_id]["inflight"] == 1
+            metrics = (await client.get("/metrics")).json()
+            assert metrics["backends"][held_id]["inflight"] == 1
+            prometheus = await client.request(
+                "GET", "/metrics", headers={"Accept": "text/plain"}
+            )
+            text = prometheus.body.decode()
+            assert "# TYPE repro_router_backend_inflight gauge" in text
+            assert f'repro_router_backend_inflight{{backend="{held_id}"}} 1' in text
+            release.set()
+            await job
+            await assert_inflight_settles(router)
+            health = (await client.get("/healthz")).json()
+            assert health["backends"][held_id]["inflight"] == 0
+        await held.stop()
+
+    asyncio.run(body())
+
+
 class TestHealthTracker:
     def make(self, down_after=2):
         state = BackendState("127.0.0.1", 9999)
@@ -582,6 +777,25 @@ def test_print_plan_reports_fingerprint_and_backend(tmp_path, capsys):
     assert lines[1].startswith("backend 127.0.0.1:")
     assert lines[2].startswith("failover ")
     assert len(lines[2].split(" -> ")) == 2
+
+
+def test_print_plan_names_the_second_choice_as_spill_target(tmp_path, capsys):
+    module = tmp_path / "program.c"
+    module.write_text(PROGRAM)
+    backends = ["127.0.0.1:9001", "127.0.0.1:9002", "127.0.0.1:9003"]
+    argv = ["--print-plan", str(module)]
+    for address in backends:
+        argv += ["--backend", address]
+    assert router_main(argv) == 0
+    lines = capsys.readouterr().out.strip().splitlines()
+    order = hrw_order(routing_key({"kind": "minic", "source": PROGRAM}), backends)
+    assert lines[1] == f"backend {order[0]}"
+    assert lines[2] == "failover " + " -> ".join(order[1:])
+    assert lines[3].startswith(f"spill {order[1]} ")
+    # One backend has nowhere to spill to.
+    assert router_main(["--print-plan", str(module), "--backend", backends[0]]) == 0
+    lines = capsys.readouterr().out.strip().splitlines()
+    assert lines == [lines[0], f"backend {backends[0]}"]
 
 
 def test_print_plan_missing_file_is_a_config_error(tmp_path, capsys):

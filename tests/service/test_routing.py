@@ -1,16 +1,20 @@
-"""Unit tests for the pure routing layer: rendezvous hashing and the
-routing key.
+"""Unit tests for the pure routing layer: rendezvous hashing, the
+two-choice placement rule, and the routing key.
 
 Everything here is deterministic and IO-free, so the properties the
 sharded tier leans on — restart-stable placement, minimal
-redistribution, one key for every job pair that can share a result-cache
-entry, no compile on the request path — are pinned exhaustively.
+redistribution, spills only to a healthy second choice, one key for
+every job pair that can share a result-cache entry, no compile on the
+request path — are pinned exhaustively.
 """
 
 import hashlib
+import itertools
 import os
 import subprocess
 import sys
+
+import pytest
 
 import repro.frontend
 import repro.frontend.lower
@@ -20,7 +24,7 @@ from repro.frontend.lower import compile_source
 from repro.ir.printer import print_module
 from repro.service.jobs import JobRequest
 from repro.service.router import PromotionRouter, RouterConfig
-from repro.service.routing import hrw_order, routing_key
+from repro.service.routing import hrw_order, routing_key, two_choice_order
 from tests.property.genprog import random_program
 
 BACKENDS = [f"127.0.0.1:{9000 + i}" for i in range(5)]
@@ -93,6 +97,70 @@ class TestHrwOrder:
 
     def test_single_backend(self):
         assert hrw_order("k", ["a:1"]) == ["a:1"]
+
+
+#: ``two_choice_order`` rows over the HRW order a, b(, c): in-flight
+#: counts, the healthy set, and the order the job walks.
+PLACEMENT_TABLE = [
+    # K = 2: an idle router and ties stay home.
+    ("ab", (0, 0), "ab", "ab"),
+    ("ab", (3, 3), "ab", "ab"),
+    ("ab", (0, 1), "ab", "ab"),
+    # A strictly busier healthy home spills to the second choice.
+    ("ab", (1, 0), "ab", "ba"),
+    ("ab", (5, 2), "ab", "ba"),
+    # Never to an unhealthy second choice; an unhealthy home is left to
+    # the failover walk.
+    ("ab", (1, 0), "a", "ab"),
+    ("ab", (1, 0), "b", "ab"),
+    ("ab", (1, 0), "", "ab"),
+    # K = 3: only the first two entries ever trade places.
+    ("abc", (1, 0, 0), "abc", "bac"),
+    ("abc", (2, 1, 0), "abc", "bac"),
+    ("abc", (1, 1, 0), "abc", "abc"),
+    ("abc", (1, 2, 0), "abc", "abc"),
+    ("abc", (1, 0, 0), "ac", "abc"),
+    ("abc", (1, 0, 0), "bc", "abc"),
+    ("abc", (0, 0, 0), "c", "abc"),
+]
+
+
+@pytest.mark.parametrize("order, inflight, healthy, placed", PLACEMENT_TABLE)
+def test_two_choice_placement_table(order, inflight, healthy, placed):
+    counts = dict(zip(order, inflight))
+    assert two_choice_order(list(order), counts, set(healthy)) == list(placed)
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_two_choice_placement_over_every_combination(k):
+    # Every in-flight count in 0..2 and every healthy subset, for K = 2
+    # and 3, checked against the rule stated one clause at a time.
+    order = [f"127.0.0.1:{9000 + i}" for i in range(k)]
+    for inflight in itertools.product(range(3), repeat=k):
+        counts = dict(zip(order, inflight))
+        for mask in itertools.product((False, True), repeat=k):
+            healthy = {b for b, up in zip(order, mask) if up}
+            placed = two_choice_order(order, counts, healthy)
+            home, second = order[0], order[1]
+            # Only the first two entries may trade places.
+            assert placed[2:] == order[2:]
+            assert placed[:2] in ([home, second], [second, home])
+            busier = counts[home] > counts[second]
+            spills = placed[0] == second
+            assert spills == (busier and {home, second} <= healthy), (counts, healthy)
+            # Ties go home.
+            if counts[home] == counts[second]:
+                assert not spills
+
+
+def test_two_choice_placement_is_pure():
+    order = ["a", "b", "c"]
+    counts = {"a": 2, "b": 0, "c": 0}
+    healthy = {"a", "b", "c"}
+    assert two_choice_order(order, counts, healthy) == ["b", "a", "c"]
+    assert order == ["a", "b", "c"]
+    assert counts == {"a": 2, "b": 0, "c": 0}
+    assert two_choice_order(["a"], {"a": 9}, {"a"}) == ["a"]
 
 
 class TestFingerprintResolver:
