@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.bench.metrics import measure_workload, pressure_rows
+from repro.bench.metrics import measure_workload
 from repro.bench.workloads import ORDER, WORKLOADS
 
 
@@ -28,5 +28,5 @@ def mahlke_rows():
 
 
 @pytest.fixture(scope="session")
-def pressure():
-    return {name: pressure_rows(WORKLOADS[name]) for name in ORDER}
+def pressure(sastry_rows):
+    return {name: sastry_rows[name].pressure for name in ORDER}

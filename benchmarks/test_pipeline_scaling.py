@@ -48,20 +48,18 @@ def test_frontend_only_batch(benchmark):
 
 def test_promotion_only_go_proxy(benchmark):
     """Promotion phases alone (no interpreter runs) on the go proxy."""
-    from repro.analysis.intervals import normalize_for_promotion
     from repro.bench.workloads import WORKLOADS
     from repro.memory.aliasing import AliasModel
     from repro.memory.memssa import build_memory_ssa
     from repro.profile.estimator import estimate_profile
     from repro.promotion.driver import promote_function
-    from repro.ssa.construct import construct_ssa
+    from repro.promotion.pipeline import _prepare
 
     def run():
         module = compile_source(WORKLOADS["go"].source)
         trees = {}
         for f in module.functions.values():
-            construct_ssa(f)
-            trees[f.name] = normalize_for_promotion(f)
+            trees[f.name] = _prepare(f)
         profile = estimate_profile(module)
         model = AliasModel.conservative(module)
         stats = []

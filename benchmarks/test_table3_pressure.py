@@ -50,12 +50,13 @@ def test_table3_shape(pressure):
 
 
 def test_table3_collection_cost(benchmark):
-    """Cost of one pressure measurement (compile, promote, liveness,
-    interference, coloring search)."""
-    from repro.bench.metrics import pressure_rows
+    """Cost of one measured row, Table 3 included (compile, promote,
+    phase 1 again for "before", liveness, interference, coloring
+    search)."""
+    from repro.bench.metrics import measure_workload
     from repro.bench.workloads import WORKLOADS
 
-    rows = benchmark.pedantic(
-        pressure_rows, args=(WORKLOADS["ijpeg"],), rounds=3, iterations=1
+    row = benchmark.pedantic(
+        measure_workload, args=(WORKLOADS["ijpeg"],), rounds=3, iterations=1
     )
-    assert rows and all(r.colors_before >= 1 for r in rows)
+    assert row.pressure and all(r.colors_before >= 1 for r in row.pressure)

@@ -14,7 +14,6 @@ from repro.bench import (
     format_table2,
     format_table3,
     measure_workload,
-    pressure_rows,
 )
 from repro.bench.tables import format_comparison
 from repro.bench.workloads import ORDER
@@ -28,8 +27,7 @@ def main() -> None:
     print()
     print(format_table2(ours))
     print()
-    pressure = [row for name in ORDER for row in pressure_rows(WORKLOADS[name])]
-    print(format_table3(pressure))
+    print(format_table3([p for row in ours for p in row.pressure]))
     print()
     print(
         format_comparison(

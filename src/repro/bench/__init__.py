@@ -11,7 +11,7 @@ DESIGN.md's substitution table).  The harness reproduces:
 * **Table 3** — register pressure (colors needed) before/after.
 """
 
-from repro.bench.metrics import BenchmarkRow, measure_workload, pressure_rows
+from repro.bench.metrics import BenchmarkRow, measure_workload
 from repro.bench.tables import format_table1, format_table2, format_table3
 from repro.bench.workloads import WORKLOADS, Workload
 
@@ -23,5 +23,4 @@ __all__ = [
     "format_table2",
     "format_table3",
     "measure_workload",
-    "pressure_rows",
 ]

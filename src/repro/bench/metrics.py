@@ -5,7 +5,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
-from repro.analysis.intervals import normalize_for_promotion
 from repro.baselines import BASELINES
 from repro.bench.workloads import Workload
 from repro.frontend.lower import compile_source
@@ -14,19 +13,30 @@ from repro.promotion.pipeline import (
     PipelineResult,
     PromotionPipeline,
     Promoter,
+    _prepare,
     improvement,
 )
 from repro.regalloc.coloring import colors_needed
 from repro.regalloc.interference import build_interference_graph
-from repro.ssa.construct import construct_ssa
 
 #: name -> per-function promoter; "sastry-ju" is the paper's algorithm.
 PROMOTERS: Dict[str, Promoter] = {"sastry-ju": promote_function, **BASELINES}
 
 
 @dataclass
+class PressureRow:
+    """One routine's register pressure (one row of Table 3)."""
+
+    name: str
+    routine: str
+    colors_before: int
+    colors_after: int
+
+
+@dataclass
 class BenchmarkRow:
-    """One workload's before/after counts (one row of Tables 1 and 2)."""
+    """One workload's before/after counts (one row of Tables 1 and 2),
+    and its routines' register pressure (its rows of Table 3)."""
 
     name: str
     promoter: str
@@ -43,6 +53,8 @@ class BenchmarkRow:
     quarantined: List[str] = field(default_factory=list)
     retries: int = 0
     degraded: bool = False
+    #: Table 3's rows: colors before and after, per pressure routine.
+    pressure: List[PressureRow] = field(default_factory=list)
     #: The run's full ``PipelineDiagnostics.as_dict()``, for
     #: ``--diagnostics-dir``; excluded from repr — it is large.
     diagnostics: Optional[Dict[str, object]] = field(default=None, repr=False)
@@ -71,16 +83,6 @@ class BenchmarkRow:
         return improvement(before, after)
 
 
-@dataclass
-class PressureRow:
-    """One routine's register pressure (one row of Table 3)."""
-
-    name: str
-    routine: str
-    colors_before: int
-    colors_after: int
-
-
 def measure_workload(
     workload: Workload,
     promoter: str = "sastry-ju",
@@ -94,7 +96,9 @@ def measure_workload(
     ``resilience``/``observability`` configure its execution layer
     whichever promoter it applies.  Passing one ``observability`` bundle
     across several workloads accumulates their traces (one ``pipeline``
-    root span per workload) and counters.
+    root span per workload) and counters.  Table 3's colors after are
+    read off this run's module, and before off phase 1 on a fresh
+    compile (phase 1 is deterministic).
     """
     module = compile_source(workload.source)
     pipeline = PromotionPipeline(
@@ -106,6 +110,13 @@ def measure_workload(
         observability=observability,
     )
     result: PipelineResult = pipeline.run(module)
+    prepared = compile_source(workload.source)
+    pressure = []
+    for routine in workload.pressure_routines:
+        _prepare(prepared.functions[routine])
+        before = colors_needed(build_interference_graph(prepared.functions[routine]))
+        after = colors_needed(build_interference_graph(module.functions[routine]))
+        pressure.append(PressureRow(workload.name, routine, before, after))
     diags = result.diagnostics
     counters = diags.resilience or {}
     return BenchmarkRow(
@@ -123,27 +134,6 @@ def measure_workload(
         quarantined=list(diags.quarantined_functions),
         retries=int(counters.get("retries", 0) or 0),
         degraded=diags.degraded,
+        pressure=pressure,
         diagnostics=diags.as_dict(),
     )
-
-
-def pressure_rows(workload: Workload) -> List[PressureRow]:
-    """Colors needed to color each selected routine's interference graph
-    before and after promotion (Table 3)."""
-    # Before: same preparation the pipeline applies, minus promotion.
-    before_module = compile_source(workload.source)
-    for function in before_module.functions.values():
-        construct_ssa(function)
-        normalize_for_promotion(function)
-    before: Dict[str, int] = {
-        name: colors_needed(build_interference_graph(before_module.functions[name]))
-        for name in workload.pressure_routines
-    }
-
-    after_module = compile_source(workload.source)
-    PromotionPipeline(entry=workload.entry, args=list(workload.args)).run(after_module)
-    rows = []
-    for routine in workload.pressure_routines:
-        after = colors_needed(build_interference_graph(after_module.functions[routine]))
-        rows.append(PressureRow(workload.name, routine, before[routine], after))
-    return rows

@@ -9,6 +9,9 @@ Usage::
     repro-report --json         # Tables 1-3 as one JSON document
     repro-report --chaos "crash=0.15,seed=1234" --timeout 10
 
+Table 3 reads the same measured rows as Tables 1 and 2, so the
+resilience flags and exit codes cover it too.
+
 Exit codes: 0 on success, 1 when a printed row's behaviour diverged from
 the unpromoted program's, 2 on driver errors (bad flags, an unwritable
 ``--diagnostics-dir``), and 3 when every workload completed but only in
@@ -23,7 +26,7 @@ import os
 import sys
 from typing import List, Optional
 
-from repro.bench.metrics import measure_workload, pressure_rows
+from repro.bench.metrics import measure_workload
 from repro.bench.tables import (
     format_comparison,
     format_table1,
@@ -120,7 +123,7 @@ def collect_rows(
 
 def collect_json(rows, resilience=None) -> dict:
     """All evaluation data as one JSON-serializable document: ``rows``
-    (from :func:`collect_rows`) plus Table 3's pressure rows."""
+    (from :func:`collect_rows`) and their Table 3 pressure rows."""
     doc: dict = {"workloads": {}, "pressure": []}
     for row in rows:
         entry = {
@@ -152,14 +155,13 @@ def collect_json(rows, resilience=None) -> dict:
                 "degraded": row.degraded,
             }
         doc["workloads"][row.name] = entry
-    for name in ORDER:
-        for row in pressure_rows(WORKLOADS[name]):
+        for pressure in row.pressure:
             doc["pressure"].append(
                 {
-                    "workload": row.name,
-                    "routine": row.routine,
-                    "colors_before": row.colors_before,
-                    "colors_after": row.colors_after,
+                    "workload": pressure.name,
+                    "routine": pressure.routine,
+                    "colors_before": pressure.colors_before,
+                    "colors_after": pressure.colors_after,
                 }
             )
     return doc
@@ -275,12 +277,10 @@ def main(argv: Optional[List[str]] = None) -> int:
             FlightRecorder("report", artifacts_dir=options.diagnostics_dir)
         )
 
-    rows = None
-    if options.json or options.compare or options.table in ("1", "2", "all"):
-        rows = collect_rows(resilience=resilience, observability=observability)
+    rows = collect_rows(resilience=resilience, observability=observability)
     # Every row whose numbers reach stdout; any divergence among them
     # fails the run.
-    printed = list(rows or [])
+    printed = rows
     if options.json:
         output = json.dumps(collect_json(rows, resilience), indent=2, sort_keys=True)
     else:
@@ -290,10 +290,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         if options.table in ("2", "all"):
             sections.append(format_table2(rows))
         if options.table in ("3", "all"):
-            pressure = [
-                row for name in ORDER for row in pressure_rows(WORKLOADS[name])
-            ]
-            sections.append(format_table3(pressure))
+            sections.append(format_table3([p for row in rows for p in row.pressure]))
         if options.compare:
             compared = [
                 rows,
@@ -308,7 +305,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         print(f"WARNING: behaviour changed for {diverged}", file=sys.stderr)
     print(output)
 
-    if options.diagnostics_dir and rows is not None:
+    if options.diagnostics_dir:
         try:
             os.makedirs(options.diagnostics_dir, exist_ok=True)
             for row in rows:
@@ -330,7 +327,7 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     export_observability()
 
-    if rows is not None and resilience is not None:
+    if resilience is not None:
         # Every printed row counts, the compared baselines' included; a
         # workload is degraded when any of its rows is.
         quarantined = sorted({name for row in printed for name in row.quarantined})

@@ -81,19 +81,19 @@ def build_memory_ssa(
             v for v in alias_model.may_def_vars(function, inst) if id(v) in tracked_ids
         ]
 
+    # Each variable's definition blocks, bucketed in one sweep.
+    def_blocks: Dict[int, List[BasicBlock]] = {id(v): [] for v in result.tracked}
+    for block in domtree.reachable:
+        for inst in block.instructions:
+            for var in may_def[id(inst)]:
+                blocks = def_blocks[id(var)]
+                if not blocks or blocks[-1] is not block:
+                    blocks.append(block)
+
     # Phi placement: IDF of each variable's definition blocks.
     phi_vars: Dict[int, List[MemoryVar]] = {id(b): [] for b in domtree.reachable}
     for var in result.tracked:
-        def_blocks: List[BasicBlock] = []
-        seen = set()
-        for block in domtree.reachable:
-            for inst in block.instructions:
-                if var in may_def[id(inst)] and id(block) not in seen:
-                    seen.add(id(block))
-                    def_blocks.append(block)
-        if not def_blocks:
-            continue
-        for block in iterated_dominance_frontier(domtree, def_blocks):
+        for block in iterated_dominance_frontier(domtree, def_blocks[id(var)]):
             phi_vars[id(block)].append(var)
 
     for block in domtree.reachable:

@@ -2,9 +2,9 @@
 
 Order of operations per function:
 
-1. remove unreachable blocks, run classic SSA construction (mem2reg) for
-   unexposed locals, and normalize the CFG for promotion (split critical
-   edges, dedicated preheaders and exit tails);
+1. normalize the CFG for promotion (remove unreachable blocks, split
+   critical edges, dedicated preheaders and exit tails), then run
+   classic SSA construction (mem2reg) for unexposed locals on it;
 2. profile: execute the program once with the interpreter (or fall back
    to the static estimator), collecting block frequencies and the
    "before" dynamic costs;
@@ -38,12 +38,13 @@ only those back, so the module the caller gets is always
 behaviour-preserving.  The result's ``diagnostics`` names every
 rolled-back function with its reason.
 
-Phase 1 computes one dominator tree per function on its final CFG
-(carried by the :class:`~repro.analysis.intervals.IntervalTree`), and
-phases 3 and 4, which never change the CFG, use it instead of computing
-their own.  A replay builds fresh blocks, so ``result.profile`` (keyed
-by block identity) does not cover a rolled-back function's blocks; read
-its counts by block name, as :func:`_block_counts` does.
+Phase 1 computes one dominator tree per function, on its final CFG
+(carried by the :class:`~repro.analysis.intervals.IntervalTree`):
+mem2reg and phases 3 and 4, none of which change the CFG, use it
+instead of computing their own.  A replay builds fresh blocks, so
+``result.profile`` (keyed by block identity) does not cover a
+rolled-back function's blocks; read its counts by block name, as
+:func:`_block_counts` does.
 
 The result object carries everything Tables 1 and 2 need.
 """
@@ -265,10 +266,11 @@ def promote_transaction(
 
 
 def _prepare(function) -> IntervalTree:
-    """Phase 1's transformations: mem2reg, then CFG normalization.  The
-    returned tree carries the dominator tree of the final CFG."""
-    construct_ssa(function)
-    return normalize_for_promotion(function)
+    """Phase 1's transformations: CFG normalization, then mem2reg on the
+    returned tree's dominator tree, the one of the final CFG."""
+    tree = normalize_for_promotion(function)
+    construct_ssa(function, domtree=tree.domtree)
+    return tree
 
 
 def _replay(image: FunctionSnapshot) -> IntervalTree:

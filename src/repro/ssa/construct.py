@@ -10,7 +10,7 @@ exactly the candidate set of the paper's register promotion.
 
 from __future__ import annotations
 
-from typing import Dict, List
+from typing import Dict, List, Optional
 
 from repro.analysis.dominance import DominatorTree
 from repro.analysis.idf import iterated_dominance_frontier
@@ -30,35 +30,34 @@ def promotable_locals(function: Function) -> List[MemoryVar]:
     ]
 
 
-def construct_ssa(function: Function) -> int:
+def construct_ssa(function: Function, domtree: Optional[DominatorTree] = None) -> int:
     """Run mem2reg on ``function``; returns the number of promoted locals.
 
     Promoted variables' loads and stores are deleted; their frame slots
     are removed from the function.  Reads of a never-stored variable see
     ``undef`` (the interpreter reads undef as 0, matching the front end's
-    zero-initialization of locals).
+    zero-initialization of locals).  mem2reg never changes the CFG, so a
+    caller that holds the current ``domtree`` may pass it in.
     """
     candidates = promotable_locals(function)
     if not candidates:
         return 0
     candidate_ids = {id(v) for v in candidates}
-    domtree = DominatorTree.compute(function)
+    domtree = domtree or DominatorTree.compute(function)
+
+    # Each variable's store blocks, bucketed in one sweep.
+    def_blocks: Dict[int, List[BasicBlock]] = {id(v): [] for v in candidates}
+    for block in domtree.reachable:
+        for inst in block.instructions:
+            if isinstance(inst, I.Store) and id(inst.var) in candidate_ids:
+                blocks = def_blocks[id(inst.var)]
+                if not blocks or blocks[-1] is not block:
+                    blocks.append(block)
 
     # Phi placement at the IDF of each variable's store blocks.
     phi_var: Dict[int, MemoryVar] = {}
     for var in candidates:
-        def_blocks: List[BasicBlock] = []
-        seen = set()
-        for block in domtree.reachable:
-            for inst in block.instructions:
-                if (
-                    isinstance(inst, I.Store)
-                    and inst.var is var
-                    and id(block) not in seen
-                ):
-                    seen.add(id(block))
-                    def_blocks.append(block)
-        for block in iterated_dominance_frontier(domtree, def_blocks):
+        for block in iterated_dominance_frontier(domtree, def_blocks[id(var)]):
             phi = I.Phi(function.new_reg(var.name), [])
             block.insert_at_front(phi)
             phi_var[id(phi)] = var

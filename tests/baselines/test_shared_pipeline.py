@@ -11,7 +11,6 @@ stats and agree on behaviour.
 
 import pytest
 
-from repro.analysis.intervals import normalize_for_promotion
 from repro.baselines import lu_cooper_promote, mahlke_promote
 from repro.bench.workloads import ORDER, WORKLOADS
 from repro.frontend.lower import compile_source
@@ -33,21 +32,21 @@ from repro.promotion.pipeline import (
     PipelineResult,
     PromotionPipeline,
     StaticCounts,
+    _prepare,
 )
-from repro.ssa.construct import construct_ssa
 
 from tests.property.genprog import random_program
 
 
 def _frozen_baseline_run(promote_fn, module, entry="main", args=()):
-    """The previous baseline pipeline's ``run``, frozen."""
+    """The previous baseline pipeline's ``run``, frozen, apart from
+    phase 1: that is the pipeline's own :func:`_prepare`."""
     max_steps = 50_000_000
     args = list(args)
     result = PipelineResult(module)
     trees = {}
     for function in module.functions.values():
-        construct_ssa(function)
-        trees[function.name] = normalize_for_promotion(function)
+        trees[function.name] = _prepare(function)
     result.static_before = StaticCounts.of_module(module)
 
     before_run = None

@@ -2,7 +2,6 @@ from repro.bench.metrics import (
     PROMOTERS,
     BenchmarkRow,
     measure_workload,
-    pressure_rows,
 )
 from repro.bench.tables import (
     format_comparison,
@@ -50,7 +49,7 @@ def test_all_promoters_registered():
 
 
 def test_pressure_rows_structure():
-    rows = pressure_rows(WORKLOADS["gcc"])
+    rows = measure_workload(WORKLOADS["gcc"]).pressure
     assert [r.routine for r in rows] == list(WORKLOADS["gcc"].pressure_routines)
     for row in rows:
         assert row.colors_before >= 1
@@ -61,8 +60,7 @@ def test_table_formatters_smoke():
     row = measure_workload(WORKLOADS["compress"])
     assert "compress" in format_table1([row])
     assert "compress" in format_table2([row])
-    pressure = pressure_rows(WORKLOADS["compress"])
-    assert "compress" in format_table3(pressure)
+    assert "compress" in format_table3(row.pressure)
     assert "compress" in format_comparison(
         [row],
         [measure_workload(WORKLOADS["compress"], "lucooper")],
@@ -76,6 +74,33 @@ def test_report_cli_runs(capsys):
     assert main(["--table", "3"]) == 0
     out = capsys.readouterr().out
     assert "Table 3" in out
+
+
+#: Table 3 as ``repro-report --table 3`` prints it: (bench, routine,
+#: colors before, colors after).
+TABLE3 = [
+    ("go", "scan_board", 4, 7),
+    ("go", "main", 7, 7),
+    ("li", "eval_node", 4, 4),
+    ("ijpeg", "quantize_block", 6, 8),
+    ("perl", "run", 5, 4),
+    ("m88ksim", "simulate", 5, 5),
+    ("gcc", "fold_pass", 5, 6),
+    ("compress", "main", 6, 6),
+    ("vortex", "main", 5, 5),
+]
+
+
+def test_table3_rows_are_pinned(capsys):
+    from repro.bench.report import main
+
+    assert main(["--table", "3"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    rows = [
+        (bench, routine, int(before), int(after))
+        for bench, routine, before, after, _ in map(str.split, lines[2:-1])
+    ]
+    assert rows == TABLE3
 
 
 def test_paper_reference_tables_cover_all_workloads():

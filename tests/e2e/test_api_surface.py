@@ -73,7 +73,7 @@ def test_api_imports():
     )
     from repro.passes.unroll import unroll_function, unroll_module
     from repro.regalloc import build_interference_graph, color_graph, colors_needed
-    from repro.bench import WORKLOADS, measure_workload, pressure_rows
+    from repro.bench import WORKLOADS, measure_workload
     from repro.bench.tables import format_table1, format_table2, format_table3
     from repro.service import (
         ClusterConfig,

@@ -269,6 +269,19 @@ def test_report_compare_rows_get_the_resilience(monkeypatch, capsys):
     assert "across 1/1 degraded workload(s)" in captured.err
 
 
+def test_report_table3_gets_the_resilience(monkeypatch, capsys):
+    # Table 3 reads the same measured rows as Tables 1 and 2: chaos that
+    # quarantines every function leaves scan_board's colors unpromoted
+    # (4, not 7) and the run exits degraded.
+    monkeypatch.setattr(report, "ORDER", ["go"])
+    flags = "--table 3 --retries 0 --chaos crash=1.0,seed=1".split()
+    code = report.main(flags)
+    captured = capsys.readouterr()
+    assert code == 3
+    assert "repro-report: resilience: " in captured.err
+    assert "go        scan_board                   4             4" in captured.out
+
+
 def test_report_compare_baseline_rows_get_the_resilience_and_recorder(
     monkeypatch, capsys, tmp_path
 ):

@@ -34,12 +34,9 @@ from repro.robustness.snapshot import snapshot_function
 from tests.promotion.test_golden_outputs import CORPUS
 
 
-def test_dominator_tree_is_computed_at_most_twice_per_prepared_function(
-    monkeypatch,
-):
-    # construct_ssa's tree (before normalization changes the CFG) and the
-    # tree of the final CFG; memory SSA, promotion and both
-    # verifications reuse the second.
+def test_at_most_one_dominator_tree_per_prepared_function(monkeypatch):
+    # The tree of the final CFG, computed by normalization; mem2reg (run
+    # after it), memory SSA, promotion and both verifications reuse it.
     computed = Counter()
     real = DominatorTree.compute.__func__
 
@@ -55,7 +52,7 @@ def test_dominator_tree_is_computed_at_most_twice_per_prepared_function(
         assert result.diagnostics.skipped_functions == []
         assert set(computed) <= set(module.functions)
         worst = max(computed.values())
-        assert worst <= 2, (key, computed)
+        assert worst <= 1, (key, computed)
 
 
 def test_recorded_exit_edges_equal_a_fresh_walk_after_promotion(monkeypatch):

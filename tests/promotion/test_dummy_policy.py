@@ -10,7 +10,6 @@ These tests run the promotion driver with cleanup suppressed so the
 dummies are observable.
 """
 
-from repro.analysis.intervals import normalize_for_promotion
 from repro.frontend.lower import compile_source
 from repro.ir import instructions as I
 from repro.memory.aliasing import AliasModel
@@ -18,7 +17,7 @@ from repro.memory.memssa import build_memory_ssa
 from repro.profile.interp import Interpreter
 from repro.profile.profiles import ProfileData
 from repro.promotion.driver import PromotionOptions, promote_function
-from repro.ssa.construct import construct_ssa
+from repro.promotion.pipeline import _prepare
 
 
 def _promote_raw(src, options=None):
@@ -26,8 +25,7 @@ def _promote_raw(src, options=None):
     module = compile_source(src)
     trees = {}
     for f in module.functions.values():
-        construct_ssa(f)
-        trees[f.name] = normalize_for_promotion(f)
+        trees[f.name] = _prepare(f)
     run = Interpreter(module).run("main", [])
     profile = ProfileData.from_execution(run)
     model = AliasModel.conservative(module)

@@ -4,7 +4,6 @@ program behaviour in isolation, and printing must round-trip."""
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.analysis.intervals import normalize_for_promotion
 from repro.frontend.lower import compile_source
 from repro.ir.parser import parse_module
 from repro.ir.printer import print_module
@@ -12,6 +11,7 @@ from repro.ir.verify import verify_module
 from repro.memory.aliasing import AliasModel
 from repro.memory.memssa import build_memory_ssa
 from repro.profile.interp import run_module
+from repro.promotion.pipeline import _prepare
 from repro.ssa.construct import construct_ssa
 from repro.ssa.destruct import destruct_ssa, eliminate_phis
 
@@ -44,8 +44,7 @@ def test_normalization_preserves_semantics(seed):
     baseline = observe(compile_source(source))
     module = compile_source(source)
     for function in module.functions.values():
-        construct_ssa(function)
-        normalize_for_promotion(function)
+        _prepare(function)
     verify_module(module, check_ssa=True)
     assert observe(module) == baseline
 
@@ -56,8 +55,7 @@ def test_memssa_annotations_verify_and_do_not_change_behaviour(seed):
     source = random_program(seed)
     module = compile_source(source)
     for function in module.functions.values():
-        construct_ssa(function)
-        normalize_for_promotion(function)
+        _prepare(function)
     baseline = observe(module)
     model = AliasModel.conservative(module)
     for function in module.functions.values():

@@ -2,15 +2,17 @@
 failures roll the affected function back and the rest of the module still
 promotes."""
 
-from repro.analysis.intervals import normalize_for_promotion
 from repro.ir.parser import parse_module
 from repro.memory.aliasing import AliasModel
 from repro.observability import NULL_OBSERVABILITY
 from repro.profile.estimator import estimate_profile
 from repro.profile.interp import run_module
 from repro.promotion.driver import PromotionOptions, promote_function
-from repro.promotion.pipeline import PromotionPipeline, promote_transaction
-from repro.ssa.construct import construct_ssa
+from repro.promotion.pipeline import (
+    PromotionPipeline,
+    _prepare,
+    promote_transaction,
+)
 from repro.robustness import FaultInjector
 
 TEXT = """
@@ -159,8 +161,7 @@ def test_promotion_error_names_web_and_interval(monkeypatch):
     # The transaction hands back the structured error it rolled back.
     module = parse_module(TEXT)
     function = module.get_function("main")
-    construct_ssa(function)
-    tree = normalize_for_promotion(function)
+    tree = _prepare(function)
     _, stats, stage, error = promote_transaction(
         function,
         AliasModel.conservative(module),
@@ -185,10 +186,10 @@ def test_prepare_failure_skips_function(monkeypatch):
 
     real_construct = pipeline_module.construct_ssa
 
-    def sabotaged(function):
+    def sabotaged(function, **kwargs):
         if function.name == "bad":
             raise ValueError("mem2reg refused")
-        return real_construct(function)
+        return real_construct(function, **kwargs)
 
     monkeypatch.setattr(pipeline_module, "construct_ssa", sabotaged)
 

@@ -9,7 +9,6 @@ import pickle
 
 import pytest
 
-from repro.analysis.intervals import normalize_for_promotion
 from repro.bench.workloads import ORDER, WORKLOADS
 from repro.frontend.lower import compile_source
 from repro.ir import Function, Module
@@ -18,7 +17,7 @@ from repro.ir.parser import parse_module
 from repro.ir.printer import print_function, print_module
 from repro.memory.resources import MemoryVar
 from repro.profile.interp import run_module
-from repro.promotion.pipeline import PromotionPipeline
+from repro.promotion.pipeline import PromotionPipeline, _prepare
 from repro.robustness import (
     FaultInjector,
     TransportError,
@@ -300,8 +299,7 @@ def _check_images(module):
 def _differential(source, entry="main", args=()):
     prepared = compile_source(source)
     for function in prepared.functions.values():
-        construct_ssa(function)
-        normalize_for_promotion(function)
+        _prepare(function)
     _check_images(prepared)
     promoted = compile_source(source)
     PromotionPipeline(entry=entry, args=list(args)).run(promoted)
