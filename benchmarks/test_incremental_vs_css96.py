@@ -8,13 +8,18 @@ definitions including the cloned ones and the old ones are handled
 simultaneously."
 
 We synthesize a chain-of-diamonds CFG with ``n`` blocks, insert ``m``
-cloned stores of one global, and time both updaters.  The batched update
-must win, and its advantage must *grow* with m.
+cloned stores of one global, and run both updaters.  The batched update
+must do less work, and its advantage must *grow* with m: counted as IDF
+computations and the blocks they visit, and timed.
 """
 
 from __future__ import annotations
 
+import copy
 import time
+from collections import Counter
+
+import repro.ssa.incremental as incremental
 
 from repro.ir import instructions as I
 from repro.ir.module import Module
@@ -126,3 +131,55 @@ def test_batched_beats_css96_and_scales(benchmark):
     assert many_b < many_p
     # ...and the per-definition scheme degrades faster as m grows.
     assert many_p / max(few_p, 1e-9) > many_b / max(few_b, 1e-9)
+
+
+class _CountingChildren(dict):
+    """A dominator tree's children map that counts its lookups: the
+    DJ-graph IDF looks up the children of each block it visits once."""
+
+    lookups = 0
+
+    def get(self, block, default=None):
+        self.lookups += 1
+        return super().get(block, default)
+
+
+def idf_work(update, clone_every: int) -> Counter:
+    """IDF computations and blocks visited by them while ``update``
+    inserts one cloned store every ``clone_every`` diamonds."""
+    work = Counter()
+    real = incremental.iterated_dominance_frontier
+
+    def counting(domtree, defs):
+        view = copy.copy(domtree)
+        view.children = children = _CountingChildren(domtree.children)
+        idf = real(view, defs)
+        work["idf"] += 1
+        work["blocks"] += children.lookups
+        return idf
+
+    module, func, x0, sites = build_diamond_chain(N_DIAMONDS, clone_every)
+    cloned = insert_clones(func, x0.var, sites)
+    incremental.iterated_dominance_frontier = counting
+    try:
+        update(func, [x0], cloned)
+    finally:
+        incremental.iterated_dominance_frontier = real
+    return work
+
+
+def test_batched_does_less_idf_work_and_scales():
+    """The claim on deterministic counts: one IDF for all m definitions
+    against one per definition, so CSS96's work grows with m (on this
+    chain: 181 blocks visited batched at both m, 543 and 5,430 by CSS96)."""
+    few_b = idf_work(update_ssa_for_cloned_resources, clone_every=20)  # m = 3
+    few_p = idf_work(css96_update, clone_every=20)
+    many_b = idf_work(update_ssa_for_cloned_resources, clone_every=2)  # m = 30
+    many_p = idf_work(css96_update, clone_every=2)
+    assert (few_b["idf"], many_b["idf"]) == (1, 1)
+    assert (few_p["idf"], many_p["idf"]) == (3, 30)
+    assert min(few_b["blocks"], many_b["blocks"]) > 0
+    # Batched does less work at high m...
+    assert many_b["blocks"] < many_p["blocks"]
+    # ...and the per-definition scheme's work grows faster with m.
+    assert many_p["blocks"] / few_p["blocks"] > many_b["blocks"] / few_b["blocks"]

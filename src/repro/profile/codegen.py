@@ -5,9 +5,11 @@ function once it has run :data:`_TIER_UP` classic steps per instruction.
 A run given each function's profiled steps (a re-execution of a
 profiled program) decides at a function's first call: it compiles it
 then, in the form that can continue a classic activation, when its
-steps reach :data:`_BREAK_EVEN`, and otherwise keeps it classic.  A run
-looks each generated text up in the :class:`CodeObjects` it is given
-before compiling it, so runs that share one reuse each other's code.
+steps reach :data:`_BREAK_EVEN`, and otherwise keeps it classic.  Every
+run looks each generated text up in :data:`CODE`, one table for the
+whole process, before compiling it, so a text is compiled once however
+many runs, pipelines and threads generate it; each run still executes
+the code in a namespace of its own.
 
 Registers become locals, blocks the arms of an integer ``while True``
 dispatch, phis parallel assignments on edges.  Block entries count
@@ -32,9 +34,12 @@ from __future__ import annotations
 
 import math
 import re
+import threading
 import traceback
+from collections import OrderedDict
 from functools import partial
-from typing import Dict, List, Optional, Set
+from types import CodeType
+from typing import Dict, List, Optional, Set, Tuple
 
 from repro.ir import instructions as I
 from repro.ir.function import Function
@@ -75,13 +80,58 @@ _INT, _PTR, _ANY = "int", "P", ""
 _LOCAL_NAME = re.compile(r"'r(\d+)'")
 
 
-class CodeObjects(dict):
-    """Code objects keyed by ``(function name, source text)``, handed
-    from run to run within one caller.  The name is part of the key
-    because :meth:`TieredRun.unassigned` tells units apart by code
-    object.  ``compiled`` and ``reused`` count misses and hits."""
+class CodeTable:
+    """Code objects keyed by ``(function name, unit text)``, the least
+    recently used dropped once the texts held exceed ``max_chars``.
 
-    compiled = reused = 0
+    A code object depends only on its text, and each run executes it in
+    its own namespace, so runs share entries but no state.  The name is
+    part of the key because :meth:`TieredRun.unassigned` tells a run's
+    units apart by code object.  One lock guards the table: engine
+    threads run pipelines at once.
+    """
+
+    def __init__(self, max_chars: int) -> None:
+        self.max_chars = max_chars
+        #: Characters of text held: Σ len(text) over the keys.
+        self.chars = 0
+        self._codes: OrderedDict[Tuple[str, str], CodeType] = OrderedDict()
+        self._lock = threading.Lock()
+
+    def code(self, name: str, text: str) -> Tuple[CodeType, bool]:
+        """The code of ``text``, and whether this call compiled it."""
+        key = (name, text)
+        with self._lock:
+            code = self._codes.get(key)
+            if code is not None:
+                self._codes.move_to_end(key)
+                return code, False
+            code = compile(text, f"<ir @{name}>", "exec")
+            self._codes[key] = code
+            self.chars += len(text)
+            while self.chars > self.max_chars:
+                (_, dropped), _ = self._codes.popitem(last=False)
+                self.chars -= len(dropped)
+            return code, True
+
+    def keys(self) -> List[Tuple[str, str]]:
+        """The keys held, least recently used first."""
+        with self._lock:
+            return list(self._codes)
+
+    def clear(self) -> None:
+        with self._lock:
+            self._codes.clear()
+            self.chars = 0
+
+
+#: Characters of unit text :data:`CODE` holds at most.  The 71 units of
+#: one pipeline over each of the 8 proxies hold 197,505; a character
+#: costs about 1.3 to 1.6 bytes with its code object (tracemalloc).
+_TABLE_CHARS = 1 << 20
+
+#: The process's code table: every tiered run compiles through it.
+CODE = CodeTable(_TABLE_CHARS)
 
 
 def profiled_steps(run) -> Dict[str, int]:
@@ -97,8 +147,7 @@ def profiled_steps(run) -> Dict[str, int]:
 
 def run_tiered(interp, result, globals_store, function: Function, args) -> None:
     """Run ``function`` tiered, recording into ``result``; the units are
-    dropped on the way out, their code objects kept in
-    ``interp.code_objects`` if given."""
+    dropped on the way out, their code objects kept in :data:`CODE`."""
     tiers = TieredRun if interp.profiled_steps is None else ProfiledRun
     run = tiers(interp, result, globals_store)
     try:
@@ -118,9 +167,6 @@ class TieredRun:
 
     def __init__(self, interp, result, globals_store) -> None:
         self.interp, self.result, self.globals_store = interp, result, globals_store
-        self.code = interp.code_objects
-        if self.code is None:
-            self.code = CodeObjects()
         self.units: Dict[Function, _Unit] = {}
         #: Function -> classic-tier steps left before it is compiled, as
         #: of the start of its innermost running classic activation.
@@ -184,13 +230,11 @@ class TieredRun:
             self.budgets[function] = math.inf
             return None
         text = "\n".join(unit.lines) + "\n"
-        code = self.code.get((function.name, text))
-        if code is None:
-            code = compile(text, f"<ir @{function.name}>", "exec")
-            self.code[function.name, text] = code
-            self.code.compiled += 1
+        code, compiled = CODE.code(function.name, text)
+        if compiled:
+            self.result.units_compiled += 1
         else:
-            self.code.reused += 1
+            self.result.units_reused += 1
         exec(code, unit.namespace)
         unit.fn, unit.lines = unit.namespace.pop("F"), []  # no F <-> globals cycle
         self.units[function] = unit

@@ -22,16 +22,13 @@ loads/stores and per-block frequencies, which is everything Tables 1 and
 from __future__ import annotations
 
 import math
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.ir import instructions as I
 from repro.ir.basicblock import BasicBlock
 from repro.ir.function import Function
 from repro.ir.module import Module
 from repro.ir.values import Const, Undef, Value, VReg
-
-if TYPE_CHECKING:
-    from repro.profile.codegen import CodeObjects
 
 
 #: The default step budget of every run: the interpreter's, the
@@ -89,6 +86,10 @@ class ExecutionResult:
         self.calls = 0
         self.copies = 0
         self.steps = 0
+        #: Source-tier units this run compiled, and those whose code it
+        #: found in the process's code table (:data:`repro.profile.codegen.CODE`).
+        self.units_compiled = 0
+        self.units_reused = 0
 
     def globals_snapshot(self) -> Dict[str, int]:
         return dict(self._globals_final)
@@ -104,13 +105,13 @@ class Interpreter:
     can come up to one block earlier.  ``compiled=False`` runs only the
     classic loop: the executable spec the tiered engine is tested against.
 
-    Two arguments let a tiered run build on an earlier run of the same
-    program.  ``profiled_steps`` (function name -> steps, from
-    :func:`~repro.profile.codegen.profiled_steps`) fixes each function's
-    tier at its first call instead of tiering up on the way.
-    ``code_objects`` (a :class:`~repro.profile.codegen.CodeObjects`) is
-    looked up before compiling a unit and receives every unit compiled.
-    Neither changes what a run observes."""
+    ``profiled_steps`` (function name -> steps of an earlier run of the
+    same program, from :func:`~repro.profile.codegen.profiled_steps`)
+    fixes each function's tier at its first call instead of tiering up
+    on the way.  Every tiered run compiles through one code table for
+    the whole process (:data:`repro.profile.codegen.CODE`), so a unit
+    whose text an earlier run compiled is not compiled again.  Neither
+    changes what a run observes."""
 
     def __init__(
         self,
@@ -120,7 +121,6 @@ class Interpreter:
         externals: Optional[Dict[str, Callable[..., int]]] = None,
         compiled: bool = True,
         profiled_steps: Optional[Dict[str, int]] = None,
-        code_objects: Optional[CodeObjects] = None,
     ) -> None:
         self.module = module
         self.max_steps = max_steps
@@ -128,7 +128,6 @@ class Interpreter:
         self.externals = externals or {}
         self.compiled = compiled
         self.profiled_steps = profiled_steps
-        self.code_objects = code_objects
 
     def run(self, entry: str = "main", args: Sequence[int] = ()) -> ExecutionResult:
         result = ExecutionResult()

@@ -76,7 +76,7 @@ from repro.passes.dce import (
     dead_memory_elimination,
     remove_dummy_loads,
 )
-from repro.profile.codegen import CodeObjects, profiled_steps
+from repro.profile.codegen import profiled_steps
 from repro.profile.estimator import estimate_profile
 from repro.profile.interp import (
     MAX_STEPS,
@@ -279,6 +279,12 @@ def _replay(image: FunctionSnapshot) -> IntervalTree:
     return _prepare(image.restore())
 
 
+def _count_units(span, runs: List[ExecutionResult]) -> None:
+    """A phase span's source-tier unit counts, summed over its ``runs``."""
+    span.set("units_compiled", sum(run.units_compiled for run in runs))
+    span.set("units_reused", sum(run.units_reused for run in runs))
+
+
 def _block_counts(profile: ProfileData, module: Module) -> Dict[str, Dict[str, int]]:
     """The profile keyed by ``{function: {block: count}}``.
 
@@ -301,14 +307,18 @@ class _WorkerPromoter:
     its own images: one to undo an attempt, and the transport image of
     the promoted IR it ships back.
 
-    The module travels as bytes pickled once, here: the parent's module
-    changes as promoted images install, and a restarted worker must
-    still start from the prepared module.
+    The module travels as bytes pickled once, here, with phase 1's
+    interval tree of each function: the parent's module changes as
+    promoted images install, and a restarted worker must still start
+    from the prepared module.  An attempt uses its function's tree up:
+    the undo that follows builds fresh blocks, which a later attempt in
+    the same worker computes a tree for.
     """
 
     def __init__(
         self,
         module: Module,
+        trees: Dict[str, IntervalTree],
         profile: ProfileData,
         promoter: Promoter,
         options: PromotionOptions,
@@ -317,7 +327,9 @@ class _WorkerPromoter:
         journal: bool,
         trace_id: Optional[str],
     ) -> None:
-        self.module_data = pickle.dumps(module, protocol=pickle.HIGHEST_PROTOCOL)
+        self.module_data = pickle.dumps(
+            (module, trees), protocol=pickle.HIGHEST_PROTOCOL
+        )
         self.block_counts = _block_counts(profile, module)
         self.promoter = promoter
         self.options = options
@@ -327,7 +339,7 @@ class _WorkerPromoter:
         self.trace_id = trace_id
 
     def setup(self) -> None:
-        self.module = pickle.loads(self.module_data)
+        self.module, self.trees = pickle.loads(self.module_data)
         self.model = self.alias_model_factory(self.module)
 
     def promote(self, name: str) -> WorkerReply:
@@ -350,7 +362,7 @@ class _WorkerPromoter:
                 function,
                 self.model,
                 profile,
-                IntervalTree.compute(function),
+                self.trees.pop(name, None) or IntervalTree.compute(function),
                 self.promoter,
                 self.options,
                 obs.tracer,
@@ -547,17 +559,15 @@ class PromotionPipeline:
 
         # Phase 2: profile (a run that trips the step limit or traps
         # falls back to the static estimate instead of aborting the run).
-        # Its code objects and per-function steps go to phase 5; both die
-        # with this call.
+        # Its per-function steps go to phase 5.
         before_run: Optional[ExecutionResult] = None
-        code = CodeObjects()
         steps: Dict[str, int] = {}
         with tracer.span("phase:profile", category="phase") as profile_span:
             if self.use_interpreter_profile and self.entry in module.functions:
                 try:
-                    before_run = Interpreter(
-                        module, max_steps=self.max_steps, code_objects=code
-                    ).run(self.entry, self.args)
+                    before_run = Interpreter(module, max_steps=self.max_steps).run(
+                        self.entry, self.args
+                    )
                 except InterpreterError as exc:
                     if isinstance(exc, InterpreterLimitError):
                         cause = f"hit the interpreter limit ({exc})"
@@ -578,8 +588,7 @@ class PromotionPipeline:
                 result.profile = estimate_profile(module)
                 diags.profile_source = "estimator"
             profile_span.set("profile_source", diags.profile_source)
-            profile_span.set("units_compiled", code.compiled)
-            profile_span.set("units_reused", code.reused)
+            _count_units(profile_span, [before_run] if before_run else [])
 
         # Phases 3+4: memory SSA, promotion, and cleanup — one
         # transaction per function, verified before committing.
@@ -588,7 +597,7 @@ class PromotionPipeline:
             supervised = False
             if self.resilience is not None and prepared:
                 supervised = self._phase34_supervised(
-                    module, result, prepared, committed
+                    module, result, trees, prepared, committed
                 )
             if not supervised:
                 self._phase34_in_process(
@@ -600,14 +609,12 @@ class PromotionPipeline:
 
         # Phase 5: re-execute, compare behaviour, and bisect divergence.
         if before_run is not None:
-            compiled, reused = code.compiled, code.reused
             with tracer.span("phase:re-execute", category="phase") as rerun_span:
-                self._check_behaviour(
-                    module, result, before_run, images, committed, steps, code
+                runs = self._check_behaviour(
+                    module, result, before_run, images, committed, steps
                 )
                 rerun_span.set("output_matches", result.output_matches)
-                rerun_span.set("units_compiled", code.compiled - compiled)
-                rerun_span.set("units_reused", code.reused - reused)
+                _count_units(rerun_span, runs)
 
     # -- phases 3+4 ------------------------------------------------------
 
@@ -653,6 +660,7 @@ class PromotionPipeline:
         self,
         module: Module,
         result: PipelineResult,
+        trees: Dict[str, IntervalTree],
         prepared: List[str],
         committed: Dict[str, FunctionState],
     ) -> bool:
@@ -664,6 +672,7 @@ class PromotionPipeline:
         try:
             promoter = _WorkerPromoter(
                 module,
+                trees,
                 result.profile,
                 self.promoter,
                 self.options,
@@ -760,15 +769,12 @@ class PromotionPipeline:
 
     # -- phase 5 ---------------------------------------------------------
 
-    def _execute(self, module: Module, steps: Dict[str, int], code: CodeObjects):
-        """One re-execution attempt, tiered by the profiled ``steps`` and
-        reusing ``code``: (run, error) with exactly one set."""
+    def _execute(self, module: Module, steps: Dict[str, int]):
+        """One re-execution attempt, tiered by the profiled ``steps``:
+        (run, error) with exactly one set."""
         try:
             run = Interpreter(
-                module,
-                max_steps=self.max_steps,
-                profiled_steps=steps,
-                code_objects=code,
+                module, max_steps=self.max_steps, profiled_steps=steps
             ).run(self.entry, self.args)
         except InterpreterError as exc:
             return None, exc
@@ -782,15 +788,23 @@ class PromotionPipeline:
         images: Dict[str, FunctionSnapshot],
         committed: Dict[str, FunctionState],
         steps: Dict[str, int],
-        code: CodeObjects,
-    ) -> None:
+    ) -> List[ExecutionResult]:
+        """Phase 5; returns the re-executions that ran to the end."""
         diags = result.diagnostics
-        after_run, error = self._execute(module, steps, code)
+        runs: List[ExecutionResult] = []
+
+        def execute():
+            run, error = self._execute(module, steps)
+            if run is not None:
+                runs.append(run)
+            return run, error
+
+        after_run, error = execute()
         result.final_run = after_run
         if after_run is not None and _behaviour_matches(before_run, after_run):
             result.dynamic_after = DynamicCounts.of_execution(after_run)
             result.output_matches = True
-            return
+            return runs
 
         reason = (
             f"re-execution raised {type(error).__name__}: {error}"
@@ -802,7 +816,7 @@ class PromotionPipeline:
             result.output_matches = False
             if after_run is not None:
                 result.dynamic_after = DynamicCounts.of_execution(after_run)
-            return
+            return runs
 
         # Delta-debug: find the minimal culprit set among the transformed
         # functions, toggling each between its promoted and prepared IR.
@@ -824,7 +838,7 @@ class PromotionPipeline:
 
         def diverges(kept: List[str]) -> bool:
             install(set(kept))
-            run, _ = self._execute(module, steps, code)
+            run, _ = execute()
             return run is None or not _behaviour_matches(before_run, run)
 
         culprits, tests_run, resolved = isolate_culprits(candidates, diverges)
@@ -841,7 +855,7 @@ class PromotionPipeline:
                 reason="behaviour divergence isolated by bisection",
             )
 
-        final_run, _ = self._execute(module, steps, code)
+        final_run, _ = execute()
         result.final_run = final_run
         result.output_matches = final_run is not None and _behaviour_matches(
             before_run, final_run
@@ -854,3 +868,4 @@ class PromotionPipeline:
                 "behaviour divergence persists after rolling back every "
                 "transformed function; promotion is not the cause"
             )
+        return runs

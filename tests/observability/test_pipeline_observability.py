@@ -103,7 +103,9 @@ def test_ssa_counters_record_through_the_ambient_registry():
     assert doc["ssa.incremental.updates"]["value"] >= 1
 
 
-def test_interpreter_phases_count_compiled_and_reused_units(monkeypatch):
+def test_interpreter_phases_count_compiled_and_reused_units(
+    monkeypatch, cold_code_table
+):
     # Phase 5 runs as source exactly the functions whose profiled steps
     # reach the break-even point, and finds some of phase 2's code.
     profiles = []

@@ -716,41 +716,59 @@ def test_jump_out_of_the_function_keeps_it_classic():
 # -- re-execution on a profile -----------------------------------------------
 #
 # A re-execution is given each function's profiled steps, which fix its
-# tier at its first call, and the code objects of an earlier tiered run.
-# It must agree with the classic loop on everything above.  A step-limit
-# error can still come up to one block early, which its type and
-# message do not show.
+# tier at its first call, and finds the code an earlier tiered run
+# compiled in the process's code table.  It must agree with the classic
+# loop on everything above.  A step-limit error can still come up to one
+# block early, which its type and message do not show.
+
+
+@contextmanager
+def _table_lookups():
+    """Record each lookup in the code table as ``(key, compiled)``."""
+    lookups = []
+    real = codegen.CODE.code
+
+    def recording(name, text):
+        code, compiled = real(name, text)
+        lookups.append(((name, text), compiled))
+        return code, compiled
+
+    with mock.patch.object(codegen.CODE, "code", recording):
+        yield lookups
 
 
 def _hints(module, entry="main", args=(), max_steps=10_000_000):
-    """Per-function steps and code objects of a run of ``module``, as
-    phase 2 hands them to phase 5; the steps sum to each run's total."""
+    """Per-function steps of a run of ``module``, as phase 2 hands them
+    to phase 5 (the steps sum to each run's total), and the code table
+    lookups of its tiered run."""
     classic = Interpreter(module, max_steps, compiled=False).run(entry, args)
-    code = codegen.CodeObjects()
-    tiered = Interpreter(module, max_steps, code_objects=code).run(entry, args)
+    with _table_lookups() as lookups:
+        tiered = Interpreter(module, max_steps).run(entry, args)
     steps = codegen.profiled_steps(classic)
     assert sum(steps.values()) == classic.steps
     assert codegen.profiled_steps(tiered) == steps
-    return steps, code
+    return steps, lookups
 
 
 def _agree_hinted(profiled, module, entry="main", args=(), **kwargs):
     """``module`` re-run on the profile of ``profiled`` agrees with the
     classic loop, at the break-even point and with every function hot.
-    Returns the classic outcome and the code objects the first re-run
-    found in ``profiled``'s run: none under a small budget, since the
-    profiling run needs a larger one and the limit is in the text."""
-    steps, code = _hints(profiled, entry, args, max(kwargs["max_steps"], 10**7))
+    Returns the classic outcome and how many units the first re-run found
+    among the code of ``profiled``'s run: none under a small budget,
+    since the profiling run needs a larger one and the limit is in the
+    text."""
+    steps, lookups = _hints(profiled, entry, args, max(kwargs["max_steps"], 10**7))
+    earlier = {key for key, _ in lookups}
     expected = _outcome(module, "classic", entry, args, **kwargs)
     reused = []
     for break_even in (codegen._BREAK_EVEN, 0):
         with mock.patch.object(codegen, "_BREAK_EVEN", break_even):
-            hinted = _outcome(
-                module, "tiered", entry, args,
-                profiled_steps=steps, code_objects=code, **kwargs,
-            )
+            with _table_lookups() as lookups:
+                hinted = _outcome(
+                    module, "tiered", entry, args, profiled_steps=steps, **kwargs
+                )
         assert hinted == expected
-        reused.append(code.reused)
+        reused.append(sum(not compiled and key in earlier for key, compiled in lookups))
     return expected, reused[0]
 
 
@@ -783,15 +801,13 @@ def test_profile_hinted_engine_agrees_on_generated_programs(first, max_steps):
         _agree_hinted(raw, _promoted(source, f"g{seed}"), max_steps=max_steps)
 
 
-def test_cold_and_unprofiled_functions_stay_classic():
+def test_cold_and_unprofiled_functions_stay_classic(cold_code_table):
     module = parse_module(FIB)
-    code = codegen.CodeObjects()
     steps = {"fib": codegen._BREAK_EVEN - 1}  # main is not in the profile
-    outcome = _outcome(
-        module, "tiered", profiled_steps=steps, code_objects=code
-    )
+    with _table_lookups() as lookups:
+        outcome = _outcome(module, "tiered", profiled_steps=steps)
     assert outcome == _outcome(module, "classic")
-    assert not code and code.compiled == code.reused == 0
+    assert not cold_code_table.keys() and lookups == []
 
 
 def test_hot_function_runs_as_source_from_its_first_call():
@@ -833,16 +849,16 @@ done:
 """
 
 
-def test_a_later_run_reuses_the_code_of_an_earlier_one():
+def test_a_later_run_reuses_the_code_of_an_earlier_one(cold_code_table):
     first = parse_module(LOOP)
-    steps, code = _hints(first, entry="loop", max_steps=MAX_STEPS)  # mid-loop
-    assert (len(code), code.compiled, code.reused) == (1, 1, 0)
+    steps, lookups = _hints(first, entry="loop", max_steps=MAX_STEPS)  # mid-loop
+    ((key, compiled),) = lookups
+    assert compiled and cold_code_table.keys() == [key]
     # A fresh parse: new blocks and variables, the same text.
     again = parse_module(LOOP)
-    outcome = _outcome(
-        again, "tiered", entry="loop", profiled_steps=steps, code_objects=code
-    )
-    assert (len(code), code.compiled, code.reused) == (1, 1, 1)
+    with _table_lookups() as lookups:
+        outcome = _outcome(again, "tiered", entry="loop", profiled_steps=steps)
+    assert lookups == [(key, False)] and cold_code_table.keys() == [key]
     assert outcome == _outcome(again, "classic", entry="loop")
     assert outcome["globals"] == {"x": 1999000}
 
@@ -862,7 +878,7 @@ use:
 
 
 @pytest.mark.parametrize("order", [("f", "g"), ("g", "f")])
-def test_functions_with_identical_text_get_their_own_code(order):
+def test_functions_with_identical_text_get_their_own_code(order, cold_code_table):
     # f and g differ only in register names, which their text does not
     # show; the second one called reads its register unassigned.
     first, second = order
@@ -878,14 +894,15 @@ def test_functions_with_identical_text_get_their_own_code(order):
         }}
         """
     )
-    code = codegen.CodeObjects()
     hot = codegen._BREAK_EVEN
-    outcome = _outcome(
-        module, "tiered", profiled_steps={"f": hot, "g": hot}, code_objects=code
-    )
+    outcome = _outcome(module, "tiered", profiled_steps={"f": hot, "g": hot})
     register = {"f": "%x", "g": "%u"}[second]
     assert outcome == _outcome(module, "classic")
     assert outcome["message"] == f"read of unassigned register {register}"
-    (f_name, f_text), (g_name, g_text) = sorted(code)
+    (f_name, f_text), (g_name, g_text) = sorted(cold_code_table.keys())
     assert (f_name, g_name) == ("f", "g") and f_text == g_text
-    assert code[f_name, f_text] is not code[g_name, g_text]
+    (f_code, f_compiled), (g_code, g_compiled) = (
+        cold_code_table.code(f_name, f_text),
+        cold_code_table.code(g_name, g_text),
+    )
+    assert not f_compiled and not g_compiled and f_code is not g_code

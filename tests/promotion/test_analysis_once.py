@@ -12,6 +12,8 @@ from __future__ import annotations
 
 import hashlib
 import json
+import multiprocessing
+import os
 from collections import Counter
 
 import pytest
@@ -27,7 +29,7 @@ from repro.ir.printer import print_function, print_module
 from repro.ir.values import Const
 from repro.ir.verify import VerificationError, verify_function
 from repro.promotion.pipeline import PromotionPipeline, _prepare
-from repro.robustness import FaultInjector, UnsoundAliasModel
+from repro.robustness import FaultInjector, ResilienceOptions, UnsoundAliasModel
 from repro.robustness.faults import FaultInjectionError
 from repro.robustness.snapshot import snapshot_function
 
@@ -53,6 +55,66 @@ def test_at_most_one_dominator_tree_per_prepared_function(monkeypatch):
         assert set(computed) <= set(module.functions)
         worst = max(computed.values())
         assert worst <= 1, (key, computed)
+
+
+@pytest.mark.skipif(
+    multiprocessing.get_start_method() != "fork",
+    reason="the counting wrapper reaches the worker only in a forked process",
+)
+def test_a_supervised_worker_uses_phase_one_trees(monkeypatch, tmp_path):
+    # The worker receives each function's tree with the prepared module,
+    # so parent and worker together compute one tree per function.
+    log = tmp_path / "trees"
+    real = DominatorTree.compute.__func__
+
+    def counting(cls, function):
+        with open(log, "a") as handle:
+            handle.write(f"{os.getpid()} {function.name}\n")
+        return real(cls, function)
+
+    monkeypatch.setattr(DominatorTree, "compute", classmethod(counting))
+    for name in ("compress", "go"):
+        log.write_text("")
+        module, result = _run(name, resilience=ResilienceOptions(timeout_s=30))
+        assert result.diagnostics.resilience is not None
+        assert result.output_matches
+        lines = [line.split() for line in log.read_text().splitlines()]
+        assert {pid for pid, _ in lines} == {str(os.getpid())}, name
+        assert Counter(fn for _, fn in lines) == Counter(list(module.functions)), name
+        in_process, _ = _run(name)
+        assert print_module(module) == print_module(in_process), name
+
+
+def test_a_second_attempt_in_one_worker_gets_a_fresh_tree():
+    # An attempt's undo builds fresh blocks, so its tree is used up; a
+    # retry in the same worker computes one and promotes the same way.
+    workload = WORKLOADS["go"]
+    module = compile_source(workload.source, "go")
+    trees = {name: _prepare(function) for name, function in module.functions.items()}
+    profile = pipeline_module.estimate_profile(module)
+    worker = pipeline_module._WorkerPromoter(
+        module,
+        trees,
+        profile,
+        pipeline_module.promote_function,
+        pipeline_module.PromotionOptions(),
+        pipeline_module.AliasModel.conservative,
+        observe=False,
+        journal=False,
+        trace_id=None,
+    )
+    worker.setup()
+    for name in module.functions:
+        first, second = worker.promote(name), worker.promote(name)
+        assert first.status == second.status, name
+        assert first.stats == second.stats, name
+        promoted = []
+        for reply in (first, second):
+            if reply.payload is not None:
+                copy = compile_source(workload.source, "go")
+                reply.payload.install(copy)
+                promoted.append(print_function(copy.functions[name]))
+        assert len(set(promoted)) <= 1, name
 
 
 def test_recorded_exit_edges_equal_a_fresh_walk_after_promotion(monkeypatch):

@@ -119,10 +119,10 @@ def _bisected(monkeypatch, classic):
     units = []
     execute = PromotionPipeline._execute
 
-    def counted(self, module, steps, code):
-        before = code.compiled + code.reused
-        outcome = execute(self, module, steps, code)
-        units.append(code.compiled + code.reused - before)
+    def counted(self, module, steps):
+        outcome = execute(self, module, steps)
+        run = outcome[0]
+        units.append(run.units_compiled + run.units_reused if run else None)
         return outcome
 
     with monkeypatch.context() as patch:
