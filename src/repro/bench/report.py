@@ -34,7 +34,12 @@ from repro.bench.tables import (
     format_table3,
 )
 from repro.bench.workloads import ORDER, WORKLOADS
-from repro.robustness.supervise import ResilienceOptions
+from repro.frontend.runflags import (
+    add_run_flags,
+    export_observability,
+    observability_from,
+    resilience_from,
+)
 
 #: File name ``--diagnostics-dir`` checks for a router metrics document
 #: (the JSON shape ``GET /metrics`` on ``repro-route`` serves; drop a
@@ -176,37 +181,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument(
         "--json", action="store_true", help="emit machine-readable JSON instead"
     )
-    parser.add_argument(
-        "--timeout",
-        type=float,
-        default=None,
-        metavar="SECONDS",
-        help="per-function deadline in the supervised promotion worker",
-    )
-    parser.add_argument(
-        "--retries",
-        type=int,
-        default=None,
-        metavar="N",
-        help="extra attempts before quarantine (default 2)",
-    )
-    parser.add_argument(
-        "--chaos",
-        metavar="SPEC",
-        help="inject seeded worker faults during promotion, e.g. "
-        "'crash=0.1,hang=0.1,transient=0.2,seed=42'",
-    )
-    parser.add_argument(
-        "--trace-out",
-        metavar="FILE",
-        help="write the suite's span trace (Chrome trace-event JSON; a "
-        ".jsonl suffix writes the event log; one pipeline root per workload)",
-    )
-    parser.add_argument(
-        "--metrics-out",
-        metavar="FILE",
-        help="write the suite's aggregated metrics registry as JSON",
-    )
+    add_run_flags(parser)
     parser.add_argument(
         "--diagnostics-dir",
         metavar="DIR",
@@ -216,55 +191,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     )
     options = parser.parse_args(argv)
 
-    observability = None
-    if options.trace_out or options.metrics_out:
-        from repro.observability import Observability
-
-        observability = Observability.recording()
-
-    def export_observability() -> None:
-        # Best-effort by design: a failed artifact write reports on
-        # stderr but never changes the exit code (it must not mask a
-        # degraded exit 3 or manufacture a failure).
-        if observability is None:
-            return
-        from repro.observability import build_metadata, write_metrics, write_trace
-
-        metadata = build_metadata(
-            profile_source=None,
-            config={
-                "resilience": None if resilience is None else resilience.as_dict(),
-            },
-            tool="repro-report",
-        )
-        if options.trace_out:
-            try:
-                write_trace(
-                    options.trace_out,
-                    observability.tracer,
-                    observability.metrics,
-                    metadata,
-                )
-            except OSError as exc:
-                print(
-                    f"repro-report: warning: cannot write trace to "
-                    f"{options.trace_out}: {exc.strerror or exc}",
-                    file=sys.stderr,
-                )
-        if options.metrics_out:
-            try:
-                write_metrics(options.metrics_out, observability.metrics, metadata)
-            except OSError as exc:
-                print(
-                    f"repro-report: warning: cannot write metrics to "
-                    f"{options.metrics_out}: {exc.strerror or exc}",
-                    file=sys.stderr,
-                )
-
+    observability = observability_from(options)
     try:
-        resilience = ResilienceOptions.from_flags(
-            options.timeout, options.retries, options.chaos
-        )
+        resilience = resilience_from(options)
     except ValueError as exc:
         print(f"repro-report: {exc}", file=sys.stderr)
         return 2
@@ -325,7 +254,17 @@ def main(argv: Optional[List[str]] = None) -> int:
     if options.diagnostics_dir:
         _surface_router_metrics(options.diagnostics_dir)
 
-    export_observability()
+    if observability is not None:
+        from repro.observability import build_metadata
+
+        metadata = build_metadata(
+            profile_source=None,
+            config={
+                "resilience": None if resilience is None else resilience.as_dict(),
+            },
+            tool="repro-report",
+        )
+        export_observability("repro-report", options, observability, metadata)
 
     if resilience is not None:
         # Every printed row counts, the compared baselines' included; a

@@ -33,6 +33,13 @@ from typing import List, Optional
 
 from repro.frontend.errors import CompileError
 from repro.frontend.lower import compile_source
+from repro.frontend.runflags import (
+    add_run_flags,
+    export_observability,
+    observability_from,
+    resilience_from,
+    write_best_effort,
+)
 from repro.ir.printer import print_module
 from repro.profile.interp import MAX_STEPS, Interpreter, InterpreterError
 
@@ -76,39 +83,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         metavar="N",
         help="interpreter step budget for profiling and execution",
     )
-    parser.add_argument(
-        "--timeout",
-        type=float,
-        default=None,
-        metavar="SECONDS",
-        help="per-function wall-clock deadline; a hung worker is killed "
-        "and the attempt retried",
-    )
-    parser.add_argument(
-        "--retries",
-        type=int,
-        default=None,
-        metavar="N",
-        help="extra attempts for transient failures before a function is "
-        "quarantined to its unpromoted IR (default 2)",
-    )
-    parser.add_argument(
-        "--chaos",
-        metavar="SPEC",
-        help="inject seeded worker faults, e.g. "
-        "'crash=0.1,hang=0.1,transient=0.2,seed=42,hang_seconds=5'",
-    )
-    parser.add_argument(
-        "--trace-out",
-        metavar="FILE",
-        help="write the run's span trace (Chrome trace-event JSON; a "
-        ".jsonl suffix writes the event log instead; requires --promote)",
-    )
-    parser.add_argument(
-        "--metrics-out",
-        metavar="FILE",
-        help="write the run's metrics registry as JSON (requires --promote)",
-    )
+    add_run_flags(parser, requires="--promote")
     parser.add_argument(
         "--decisions-out",
         metavar="FILE",
@@ -143,12 +118,8 @@ def main(argv: Optional[List[str]] = None) -> int:
         unrolled = unroll_module(module)
         print(f"unrolled {unrolled} loop(s)", file=sys.stderr)
 
-    from repro.robustness.supervise import ResilienceOptions
-
     try:
-        resilience = ResilienceOptions.from_flags(
-            options.timeout, options.retries, options.chaos
-        )
+        resilience = resilience_from(options)
     except ValueError as exc:
         return _error(str(exc))
     if resilience is not None and (
@@ -156,13 +127,11 @@ def main(argv: Optional[List[str]] = None) -> int:
     ):
         return _error("--timeout/--retries/--chaos require --promote")
 
-    observability = None
-    if options.trace_out or options.metrics_out:
-        if not options.promote or options.baseline is not None:
-            return _error("--trace-out/--metrics-out require --promote")
-        from repro.observability import Observability
-
-        observability = Observability.recording()
+    observability = observability_from(options)
+    if observability is not None and (
+        not options.promote or options.baseline is not None
+    ):
+        return _error("--trace-out/--metrics-out require --promote")
 
     decisions = None
     if options.decisions_out:
@@ -193,52 +162,28 @@ def main(argv: Optional[List[str]] = None) -> int:
         print(result.report(), file=sys.stderr)
 
     if observability is not None and pipeline is not None and result is not None:
-        # Exporting is best-effort: observability must never change the
-        # run's semantics, so a failed write reports on stderr and leaves
-        # the exit code (and its 2 > 1 > 3 precedence) untouched.
-        from repro.observability import build_metadata, write_metrics, write_trace
-
-        metadata = build_metadata(
-            profile_source=result.diagnostics.profile_source,
-            config=pipeline.config_stamp(),
-        )
-        if options.trace_out:
-            try:
-                write_trace(
-                    options.trace_out, observability.tracer, observability.metrics,
-                    metadata,
-                )
-            except OSError as exc:
-                print(
-                    f"repro-minic: warning: cannot write trace to "
-                    f"{options.trace_out}: {exc.strerror or exc}",
-                    file=sys.stderr,
-                )
-        if options.metrics_out:
-            try:
-                write_metrics(options.metrics_out, observability.metrics, metadata)
-            except OSError as exc:
-                print(
-                    f"repro-minic: warning: cannot write metrics to "
-                    f"{options.metrics_out}: {exc.strerror or exc}",
-                    file=sys.stderr,
-                )
-
-    if decisions is not None and result is not None:
-        # Same best-effort contract as the trace/metrics exports.
         from repro.observability import build_metadata
 
-        try:
-            decisions.write(
-                options.decisions_out,
-                build_metadata(profile_source=result.diagnostics.profile_source),
-            )
-        except OSError as exc:
-            print(
-                f"repro-minic: warning: cannot write decisions to "
-                f"{options.decisions_out}: {exc.strerror or exc}",
-                file=sys.stderr,
-            )
+        export_observability(
+            "repro-minic",
+            options,
+            observability,
+            build_metadata(
+                profile_source=result.diagnostics.profile_source,
+                config=pipeline.config_stamp(),
+            ),
+        )
+
+    if decisions is not None and result is not None:
+        from repro.observability import build_metadata
+
+        metadata = build_metadata(profile_source=result.diagnostics.profile_source)
+        write_best_effort(
+            "repro-minic",
+            "decisions",
+            options.decisions_out,
+            lambda path: decisions.write(path, metadata),
+        )
 
     if options.diagnostics:
         if result is None:

@@ -37,24 +37,6 @@ class MemorySSA:
         #: The live-on-entry (version 0) name of each tracked variable.
         self.entry_names: Dict[MemoryVar, MemName] = {}
 
-    def names_of(self, var: MemoryVar) -> List[MemName]:
-        """All names of ``var`` currently referenced in the function
-        (defined by an instruction, or the entry name if used)."""
-        names: List[MemName] = []
-        seen = set()
-
-        def visit(name: Optional[MemName]) -> None:
-            if name is not None and name.var is var and id(name) not in seen:
-                seen.add(id(name))
-                names.append(name)
-
-        for inst in self.function.instructions():
-            for n in inst.mem_uses:
-                visit(n)
-            for n in inst.mem_defs:
-                visit(n)
-        return names
-
 
 def build_memory_ssa(
     function: Function,

@@ -9,14 +9,12 @@ from repro.passes.copyprop import propagate_copies
 from repro.passes.dce import (
     dead_code_elimination,
     dead_memory_elimination,
-    dead_memphi_elimination,
     remove_dummy_loads,
 )
 
 __all__ = [
     "dead_code_elimination",
     "dead_memory_elimination",
-    "dead_memphi_elimination",
     "propagate_copies",
     "remove_dummy_loads",
 ]

@@ -2,14 +2,12 @@
 
 ``dead_code_elimination`` removes pure instructions whose results are
 never used — including singleton loads, whose only effect is producing a
-value.  Stores are *never* removed here: memory-SSA-aware dead-store
-logic lives in the incremental updater's step 4, where it is provably
-safe.
+value.  It never removes a store.
 
-``dead_memphi_elimination`` removes memory phis that no non-phi
-instruction transitively reads (a mark-and-sweep, so cyclic phi webs in
-loops are collected too — the plain "no use" rule of Fig. 11 cannot
-collect those).
+``dead_memory_elimination`` removes the memory phis and singleton stores
+whose memory names no non-phi instruction transitively reads (a
+mark-and-sweep, so cyclic phi webs in loops are collected too — the plain
+"no use" rule of Fig. 11 cannot collect those).
 """
 
 from __future__ import annotations
@@ -47,45 +45,6 @@ def dead_code_elimination(function: Function) -> int:
         for inst in victims:
             inst.remove_from_block()
             removed += 1
-
-
-def dead_memphi_elimination(function: Function) -> int:
-    """Delete memory phis not transitively read by any non-phi.
-
-    A memory name is live when a non-phi instruction uses it; liveness
-    propagates backward through live phis to their operands.  Memory phis
-    whose targets end up dead are removed (cycle-aware).
-    """
-    phis: List[I.MemPhi] = [
-        inst for inst in function.instructions() if isinstance(inst, I.MemPhi)
-    ]
-    if not phis:
-        return 0
-
-    live: Set[int] = set()
-    worklist: List = []
-    for inst in function.instructions():
-        if isinstance(inst, I.MemPhi):
-            continue
-        for name in inst.mem_uses:
-            if id(name) not in live:
-                live.add(id(name))
-                worklist.append(name)
-    while worklist:
-        name = worklist.pop()
-        def_inst = name.def_inst
-        if isinstance(def_inst, I.MemPhi):
-            for _, operand in def_inst.incoming:
-                if id(operand) not in live:
-                    live.add(id(operand))
-                    worklist.append(operand)
-
-    removed = 0
-    for phi in phis:
-        if id(phi.dst_name) not in live:
-            phi.remove_from_block()
-            removed += 1
-    return removed
 
 
 def dead_memory_elimination(function: Function) -> int:

@@ -229,7 +229,7 @@ def promote_transaction(
     By default the function is imaged first and the image restored; the
     in-process loop passes a phase-1 replay from the function's
     pre-phase-1 image instead, and takes no image here.  Returns
-    ``(rollback, stats, stage, error)``: ``error`` is ``None`` when the
+    ``(stats, stage, error)``: ``error`` is ``None`` when the
     transformation stands, and otherwise the exception raised in
     ``stage`` after ``rollback`` ran.  The in-process loop and the
     supervised worker both run this.
@@ -259,10 +259,10 @@ def promote_transaction(
         except Exception as exc:
             rollback()
             fn_span.set("status", "rolled_back").set("stage", stage)
-            return rollback, None, stage, exc
+            return None, stage, exc
         fn_span.set("status", "promoted")
         fn_span.set("webs_promoted", stats.webs_promoted)
-        return rollback, stats, stage, None
+        return stats, stage, None
 
 
 def _prepare(function) -> IntervalTree:
@@ -302,17 +302,17 @@ class _WorkerPromoter:
     """The worker half of a supervised run (see
     :mod:`repro.robustness.supervise`): shipped with the pre-phase-3
     module, then promotes one function per request with
-    :func:`promote_transaction` and restores its copy afterwards, so
-    every attempt starts from the module the parent prepared.  It keeps
-    its own images: one to undo an attempt, and the transport image of
-    the promoted IR it ships back.
+    :func:`promote_transaction`.  A promoted function stays promoted in
+    the worker's copy, as in the in-process loop, and ships back as a
+    transport image; a failed attempt is rolled back from an image the
+    transaction takes, so a retry starts from the prepared function.
 
     The module travels as bytes pickled once, here, with phase 1's
     interval tree of each function: the parent's module changes as
     promoted images install, and a restarted worker must still start
-    from the prepared module.  An attempt uses its function's tree up:
-    the undo that follows builds fresh blocks, which a later attempt in
-    the same worker computes a tree for.
+    from the prepared module.  An attempt uses its function's tree up: a
+    rollback builds fresh blocks, which a retry in the same worker
+    computes a tree for.
     """
 
     def __init__(
@@ -358,7 +358,7 @@ class _WorkerPromoter:
         with activate_metrics(
             obs.metrics if obs.enabled else None
         ), activate_decisions(journal):
-            undo, stats, stage, error = promote_transaction(
+            stats, stage, error = promote_transaction(
                 function,
                 self.model,
                 profile,
@@ -374,7 +374,6 @@ class _WorkerPromoter:
             )
             reply.stats = stats.as_dict()
             reply.payload = snapshot_function(function)
-            undo()
         else:
             reply = WorkerReply(
                 name,
@@ -485,6 +484,15 @@ class PromotionPipeline:
         overrode the promotion attempt (rollback, quarantine)."""
         if self.decisions is not None:
             self.decisions.mark(name, status)
+
+    def _roll_back(
+        self, result: PipelineResult, name: str, **details
+    ) -> FunctionOutcome:
+        """Record ``name`` as rolled back: empty stats, a re-stamped
+        decision, and a diagnostics outcome built from ``details``."""
+        result.stats[name] = FunctionPromotionStats()
+        self._mark_decision(name, "rolled_back")
+        return result.diagnostics.record_rollback(name, **details)
 
     def _finalize_observability(self, result: PipelineResult) -> None:
         """Publish run aggregates into the metrics registry and the
@@ -632,7 +640,7 @@ class PromotionPipeline:
         for name in prepared:
             function = module.functions[name]
             started = time.perf_counter()
-            _, stats, stage, error = promote_transaction(
+            stats, stage, error = promote_transaction(
                 function,
                 model,
                 result.profile,
@@ -644,10 +652,8 @@ class PromotionPipeline:
             )
             duration_ms = (time.perf_counter() - started) * 1e3
             if error is not None:
-                result.stats[name] = FunctionPromotionStats()
-                self._mark_decision(name, "rolled_back")
-                diags.record_rollback(
-                    name, stage=stage, error=error, duration_ms=duration_ms
+                self._roll_back(
+                    result, name, stage=stage, error=error, duration_ms=duration_ms
                 )
                 continue
             result.stats[name] = stats
@@ -737,7 +743,6 @@ class PromotionPipeline:
                     attempts=attempts,
                 )
                 continue
-            stats = FunctionPromotionStats()
             if reply.status == FunctionOutcome.PROMOTED:
                 try:
                     reply.payload.install(module)
@@ -745,6 +750,7 @@ class PromotionPipeline:
                     reply.stage, reply.reason = "install", first_line(exc)
                     reply.error_type = type(exc).__name__
                 else:
+                    stats = FunctionPromotionStats()
                     stats.absorb(reply.stats)
                     result.stats[name] = stats
                     committed[name] = capture_state(function)
@@ -755,9 +761,8 @@ class PromotionPipeline:
                     )
                     record.attempts = attempts
                     continue
-            result.stats[name] = stats
-            self._mark_decision(name, "rolled_back")
-            record = diags.record_rollback(
+            record = self._roll_back(
+                result,
                 name,
                 stage=reply.stage,
                 reason=reply.reason,
@@ -847,9 +852,8 @@ class PromotionPipeline:
         culprit_set = set(culprits)
         install({name for name in candidates if name not in culprit_set})
         for name in culprits:
-            result.stats[name] = FunctionPromotionStats()
-            self._mark_decision(name, "rolled_back")
-            diags.record_rollback(
+            self._roll_back(
+                result,
                 name,
                 stage="re-execution",
                 reason="behaviour divergence isolated by bisection",

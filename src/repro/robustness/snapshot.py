@@ -5,9 +5,9 @@ A phase-1 failure restores it; a later rollback restores it and replays
 phase 1, which is deterministic and gives the prepared IR again, so no
 second image is needed.  Divergence bisection replays once per function
 and then toggles between :class:`FunctionState` captures, which copy
-nothing.  The supervised worker keeps images of its own: one to undo an
-attempt in its copy of the module, and the transport image of the
-promoted IR it ships back to the parent.
+nothing.  The supervised worker takes images of its own: one per
+attempt, restored only when the attempt fails, and the transport image
+of the promoted IR it ships back to the parent.
 
 A :class:`FunctionSnapshot` is a pickled image of everything a pass may
 mutate — blocks, instructions, virtual registers, frame variables, naming

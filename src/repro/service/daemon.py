@@ -284,7 +284,11 @@ class PromotionDaemon(HttpFront):
 
     async def readiness(self) -> Tuple[int, Dict[str, object]]:
         """(status, body) for ``/readyz``: 200 only when the daemon is
-        accepting and the pool answers a live probe."""
+        accepting and some pool thread is not held by an abandoned job.
+
+        Abandoned jobs are the only way the pool wedges, and every job
+        has a deadline, so a stuck thread is counted within one deadline
+        of sticking; a pool that is merely busy stays ready."""
         if self._draining:
             return 503, {"ready": False, "reason": "draining"}
         if self.breaker.state == "open" and self.breaker.retry_after_s() > 0:
@@ -293,8 +297,7 @@ class PromotionDaemon(HttpFront):
                 "reason": "circuit-open",
                 "retry_after_s": round(self.breaker.retry_after_s(), 3),
             }
-        alive = await self.engine.probe(timeout_s=self.config.heartbeat_s * 4)
-        if not alive:
+        if self.engine.abandoned >= self.engine.workers:
             return 503, {"ready": False, "reason": "worker-pool-wedged"}
         return 200, {"ready": True}
 

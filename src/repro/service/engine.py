@@ -14,9 +14,11 @@ Deadline semantics for the pool thread itself: Python threads cannot be
 interrupted, so a job that outlives its deadline is **abandoned** — the
 caller gets a 504 immediately, the thread runs to completion in the
 background, and the engine accounts for it (``abandoned`` gauge, slot
-pressure visible in ``/healthz``).  An abandoned job's result is
-discarded, never cached; shared state stays consistent because every
-job builds its own module from source (shared-nothing).
+pressure visible in ``/healthz``).  Abandoned threads are the only way
+the pool wedges, so ``/readyz`` reads that gauge instead of queueing a
+probe behind the jobs.  An abandoned job's result is discarded, never
+cached; shared state stays consistent because every job builds its own
+module from source (shared-nothing).
 
 Failure taxonomy: anything the *client* caused (malformed source, input
 over limits, runtime error in the submitted program) raises a
@@ -292,19 +294,6 @@ class PromotionEngine:
 
         cfuture.add_done_callback(_reap)
 
-    async def probe(self, timeout_s: float = 1.0) -> bool:
-        """Readiness probe: can the pool still turn a trivial job
-        around?  False means the pool is wedged (all threads abandoned
-        or deadlocked)."""
-        loop = asyncio.get_event_loop()
-        future = loop.run_in_executor(self._pool, lambda: 42)
-        done, pending = await asyncio.wait({future}, timeout=timeout_s)
-        if pending:
-            future.cancel()
-            future.add_done_callback(_swallow)
-            return False
-        return future.result() == 42
-
     # -- lifecycle -------------------------------------------------------
 
     def shutdown(self, wait: bool = True) -> None:
@@ -321,9 +310,3 @@ class PromotionEngine:
                 "result_cache_hits": self.result_cache_hits,
                 "result_cache_entries": len(self._result_cache),
             }
-
-
-def _swallow(future: "asyncio.Future") -> None:
-    if future.cancelled():
-        return
-    future.exception()

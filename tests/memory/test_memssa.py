@@ -3,6 +3,7 @@ from repro.ir.parser import parse_module
 from repro.ir.verify import verify_function
 from repro.memory.aliasing import AliasModel
 from repro.memory.memssa import build_memory_ssa
+from repro.ssa.incremental import names_of_var
 
 from tests.support import diamond, simple_loop
 
@@ -132,7 +133,7 @@ def test_figure1_web_shape():
     x = module.get_global("x")
     # Names: x0 entry, phi at h1, store def, phi at h2, call def = 5 names,
     # exactly the paper's web {x0, x1, x2, x3, x4}.
-    names = mssa.names_of(x)
+    names = names_of_var(func, x)
     assert len(names) == 5
     h1_phis = list(func.find_block("h1").mem_phis())
     h2_phis = list(func.find_block("h2").mem_phis())

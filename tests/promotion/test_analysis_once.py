@@ -31,7 +31,8 @@ from repro.ir.verify import VerificationError, verify_function
 from repro.promotion.pipeline import PromotionPipeline, _prepare
 from repro.robustness import FaultInjector, ResilienceOptions, UnsoundAliasModel
 from repro.robustness.faults import FaultInjectionError
-from repro.robustness.snapshot import snapshot_function
+from repro.robustness.diagnostics import FunctionOutcome
+from repro.robustness.snapshot import FunctionSnapshot, snapshot_function
 
 from tests.promotion.test_golden_outputs import CORPUS
 
@@ -85,10 +86,38 @@ def test_a_supervised_worker_uses_phase_one_trees(monkeypatch, tmp_path):
         assert print_module(module) == print_module(in_process), name
 
 
-def test_a_second_attempt_in_one_worker_gets_a_fresh_tree():
-    # An attempt's undo builds fresh blocks, so its tree is used up; a
-    # retry in the same worker computes one and promotes the same way.
+def test_a_second_attempt_in_one_worker_gets_a_fresh_tree(monkeypatch):
+    # A failed attempt is rolled back from one image load, which builds
+    # fresh blocks and so uses its tree up; the retry in the same worker
+    # computes a fresh tree and gives the in-process IR.  A successful
+    # attempt loads no image: the function stays promoted in the copy.
+    restores, trees_computed = Counter(), Counter()
+    real_restore = FunctionSnapshot.restore
+    real_compute = DominatorTree.compute.__func__
+
+    def counting_restore(image):
+        function = real_restore(image)
+        restores[function.name] += 1
+        return function
+
+    def counting_compute(cls, function):
+        trees_computed[function.name] += 1
+        return real_compute(cls, function)
+
+    failed = set()
+
+    def fails_once(function, mssa, profile, tree, options):
+        stats = pipeline_module.promote_function(function, mssa, profile, tree, options)
+        if function.name not in failed:
+            failed.add(function.name)
+            raise RuntimeError("first attempt fails after promoting")
+        return stats
+
     workload = WORKLOADS["go"]
+    in_process = compile_source(workload.source, "go")
+    expected = PromotionPipeline(
+        entry=workload.entry, args=list(workload.args), use_interpreter_profile=False
+    ).run(in_process)
     module = compile_source(workload.source, "go")
     trees = {name: _prepare(function) for name, function in module.functions.items()}
     profile = pipeline_module.estimate_profile(module)
@@ -96,7 +125,7 @@ def test_a_second_attempt_in_one_worker_gets_a_fresh_tree():
         module,
         trees,
         profile,
-        pipeline_module.promote_function,
+        fails_once,
         pipeline_module.PromotionOptions(),
         pipeline_module.AliasModel.conservative,
         observe=False,
@@ -104,17 +133,27 @@ def test_a_second_attempt_in_one_worker_gets_a_fresh_tree():
         trace_id=None,
     )
     worker.setup()
+    monkeypatch.setattr(FunctionSnapshot, "restore", counting_restore)
+    monkeypatch.setattr(DominatorTree, "compute", classmethod(counting_compute))
     for name in module.functions:
-        first, second = worker.promote(name), worker.promote(name)
-        assert first.status == second.status, name
-        assert first.stats == second.stats, name
-        promoted = []
-        for reply in (first, second):
-            if reply.payload is not None:
-                copy = compile_source(workload.source, "go")
-                reply.payload.install(copy)
-                promoted.append(print_function(copy.functions[name]))
-        assert len(set(promoted)) <= 1, name
+        restores.clear()
+        trees_computed.clear()
+        first = worker.promote(name)
+        assert first.status == FunctionOutcome.ROLLED_BACK, name
+        assert first.stage == "promote" and first.payload is None, name
+        assert restores == Counter({name: 1}), name
+        assert trees_computed == Counter(), name
+        restores.clear()
+        second = worker.promote(name)
+        assert second.status == FunctionOutcome.PROMOTED, name
+        assert expected.diagnostics.outcomes[name].status == second.status, name
+        assert restores == Counter(), name
+        assert trees_computed == Counter({name: 1}), name
+        assert second.stats == expected.stats[name].as_dict(), name
+        copy = compile_source(workload.source, "go")
+        second.payload.install(copy)
+        promoted = print_function(copy.functions[name])
+        assert promoted == print_function(in_process.functions[name]), name
 
 
 def test_recorded_exit_edges_equal_a_fresh_walk_after_promotion(monkeypatch):

@@ -162,7 +162,7 @@ def test_promotion_error_names_web_and_interval(monkeypatch):
     module = parse_module(TEXT)
     function = module.get_function("main")
     tree = _prepare(function)
-    _, stats, stage, error = promote_transaction(
+    stats, stage, error = promote_transaction(
         function,
         AliasModel.conservative(module),
         estimate_profile(module),

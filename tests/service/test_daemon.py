@@ -8,6 +8,8 @@ load shedding, the circuit breaker, streaming, and graceful drain.
 import asyncio
 import contextlib
 import json
+import threading
+import time
 
 import pytest
 
@@ -17,6 +19,7 @@ from repro.profile.interp import Interpreter
 from repro.promotion.pipeline import PromotionPipeline
 from repro.service.config import ServiceConfig
 from repro.service.daemon import PromotionDaemon
+from repro.service.jobs import JobRequest
 from repro.service.router import PromotionRouter, RouterConfig
 
 PROGRAM = """
@@ -284,6 +287,56 @@ def test_deadline_exceeded_is_a_504():
                 await asyncio.sleep(0.05)
 
     asyncio.run(body())
+
+
+def test_readiness_follows_abandoned_threads_not_a_busy_pool(monkeypatch):
+    # A pool whose every thread runs a job inside its deadline is busy,
+    # not wedged; it is wedged once every thread is held by an abandoned
+    # job, and ready again once those threads drain.
+    release = threading.Event()
+    entered = []
+
+    async def body():
+        async with running_daemon(workers=2, drain_grace_s=30.0) as (daemon, _, _):
+            engine = daemon.engine
+            real = engine._run_pipeline
+
+            def blocked(job, deadline_s, job_id, started, observability=None):
+                entered.append(job_id)
+                release.wait(30.0)
+                return real(job, deadline_s, job_id, started, observability)
+
+            monkeypatch.setattr(engine, "_run_pipeline", blocked)
+            jobs = [
+                asyncio.ensure_future(
+                    engine.run_job(JobRequest("minic", PROGRAM), 30.0, f"job-{i}")
+                )
+                for i in range(engine.workers)
+            ]
+            deadline = time.monotonic() + 30.0
+            while len(entered) < engine.workers and time.monotonic() < deadline:
+                await asyncio.sleep(0.01)
+            assert len(entered) == engine.workers
+            assert await daemon.readiness() == (200, {"ready": True})
+            for job in jobs:
+                job.cancel()
+            await asyncio.gather(*jobs, return_exceptions=True)
+            assert engine.abandoned == engine.workers
+            assert await daemon.readiness() == (
+                503,
+                {"ready": False, "reason": "worker-pool-wedged"},
+            )
+            release.set()
+            deadline = time.monotonic() + 30.0
+            while engine.abandoned and time.monotonic() < deadline:
+                await asyncio.sleep(0.05)
+            assert engine.abandoned == 0
+            assert await daemon.readiness() == (200, {"ready": True})
+
+    try:
+        asyncio.run(body())
+    finally:
+        release.set()
 
 
 def test_burst_sheds_with_429_and_retry_after():

@@ -221,7 +221,8 @@ def test_deadline_abandons_the_thread_and_recovers(engine):
         while engine.abandoned and time.monotonic() < deadline:
             await asyncio.sleep(0.05)
         assert engine.abandoned == 0
-        assert await engine.probe()
+        tiny = await engine.run_job(JobRequest("minic", PROGRAM), 30.0, "job-2")
+        assert tiny.output_matches
 
     asyncio.run(body())
 

@@ -1,5 +1,5 @@
-"""Cleanup passes: DCE, dead-memphi elimination, copy propagation,
-dummy-load removal."""
+"""Cleanup passes: DCE, dead memory-phi/store elimination, copy
+propagation, dummy-load removal."""
 
 from repro.ir import instructions as I
 from repro.ir.parser import parse_module
@@ -11,7 +11,7 @@ from repro.memory.resources import MemName
 from repro.passes.copyprop import propagate_copies
 from repro.passes.dce import (
     dead_code_elimination,
-    dead_memphi_elimination,
+    dead_memory_elimination,
     remove_dummy_loads,
 )
 from repro.profile.interp import run_module
@@ -114,7 +114,7 @@ def test_dead_memphi_cycle_collected():
     n1 = func.new_mem_name(x)
     phi = I.MemPhi(x, n1, [(entry, n0), (body, n1)])  # self-cycle via latch
     h.insert_at_front(phi)
-    assert dead_memphi_elimination(func) == 1
+    assert dead_memory_elimination(func) == 1
     assert list(h.mem_phis()) == []
 
 
@@ -122,7 +122,7 @@ def test_dead_memphi_kept_when_read():
     module, func = simple_loop()
     build_memory_ssa(func, AliasModel.conservative(module))
     # The loop phi is read by the body load: must survive.
-    assert dead_memphi_elimination(func) == 0
+    assert dead_memory_elimination(func) == 0
 
 
 def test_copyprop_folds_chains():
